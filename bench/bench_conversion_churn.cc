@@ -34,26 +34,8 @@
 namespace flattree {
 namespace {
 
-struct RunStats {
-  double worst_fct{0.0};
-  double p99_fct{0.0};
-  std::size_t completed{0};
-  std::size_t total{0};
-};
-
-RunStats summarize(const std::vector<FluidFlowResult>& results) {
-  RunStats stats;
-  std::vector<double> fcts;
-  for (const FluidFlowResult& r : results) {
-    ++stats.total;
-    if (!r.completed) continue;
-    ++stats.completed;
-    fcts.push_back(r.fct_s());
-  }
-  for (double f : fcts) stats.worst_fct = std::max(stats.worst_fct, f);
-  stats.p99_fct = bench::percentile(fcts, 99.0);
-  return stats;
-}
+using bench::RunStats;
+using bench::summarize;
 
 // Everything one (staged, loss) cell produces.
 struct CellOutcome {

@@ -26,6 +26,7 @@
 #include "net/capacity.h"
 #include "net/graph.h"
 #include "net/rng.h"
+#include "net/stats.h"
 #include "routing/ecmp.h"
 #include "routing/ksp.h"
 #include "sim/fluid.h"
@@ -215,14 +216,29 @@ inline double mean(const std::vector<double>& v) {
   return std::accumulate(v.begin(), v.end(), 0.0) / static_cast<double>(v.size());
 }
 
-inline double percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return v[lo] * (1 - frac) + v[hi] * frac;
+using flattree::percentile;
+
+// Completion summary of one fluid run: worst and p99 FCT over the flows
+// that completed.
+struct RunStats {
+  double worst_fct{0.0};
+  double p99_fct{0.0};
+  std::size_t completed{0};
+  std::size_t total{0};
+};
+
+inline RunStats summarize(const std::vector<FluidFlowResult>& results) {
+  RunStats stats;
+  std::vector<double> fcts;
+  for (const FluidFlowResult& r : results) {
+    ++stats.total;
+    if (!r.completed) continue;
+    ++stats.completed;
+    fcts.push_back(r.fct_s());
+  }
+  for (double f : fcts) stats.worst_fct = std::max(stats.worst_fct, f);
+  stats.p99_fct = percentile(fcts, 99.0);
+  return stats;
 }
 
 inline void print_header(const std::string& title, const std::string& note) {

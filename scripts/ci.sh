@@ -25,6 +25,15 @@ ctest --test-dir build --output-on-failure -j "${JOBS}"
 echo "== golden-file gate (explicit, fails loudly on drift) =="
 ctest --test-dir build --output-on-failure -R 'golden_|obs_determinism'
 
+echo "== benchmark digest gate (perfbench, seed 1) =="
+# Each workload's result digests must equal perfbench/reference_digests.txt;
+# the harness exits 1 on any difference, so a refactor that perturbs
+# simulated results fails here even when no golden covers the path.
+for workload in packet_convert fluid_trace repair_storm; do
+  python3 perfbench/run.py --workload "${workload}" --seed 1 --seconds 1 \
+    --trace 0
+done
+
 echo "== sanitizer gate (preset: ${SANITIZE_PRESET}) =="
 cmake --preset "${SANITIZE_PRESET}"
 cmake --build "build-${SANITIZE_PRESET}" -j "${JOBS}" \

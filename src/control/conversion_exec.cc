@@ -45,6 +45,19 @@ void ControlChannelOptions::validate() const {
   }
 }
 
+void ControlPartition::validate(std::uint32_t pod_count) const {
+  if (!pod.valid() || pod.value() >= pod_count) {
+    throw std::invalid_argument("ControlPartition: pod out of range");
+  }
+  if (!(start_s >= 0.0)) {
+    throw std::invalid_argument("ControlPartition: start_s must be >= 0");
+  }
+  if (!(end_s < 0.0) && !(end_s > start_s)) {
+    throw std::invalid_argument(
+        "ControlPartition: window must end after it starts");
+  }
+}
+
 const char* to_string(StepKind kind) {
   switch (kind) {
     case StepKind::kRulePatch: return "rule_patch";
@@ -121,6 +134,39 @@ struct ChannelOutcome {
   std::uint32_t dropped{0};
 };
 
+// Make-before-break patches (while a storm is wired in) and re-plans land
+// as batches of at most this many rule operations, with storm detection and
+// failover checks between batches — a failure landing mid-patch is observed
+// within one chunk, not after the whole partition's worth of rules.
+constexpr std::uint64_t kPatchChunkRules = 256;
+
+// Rule operations of one batched step: installs and deletes on live
+// switches, and operations skipped because the switch is control-plane dead.
+struct RuleTally {
+  std::uint64_t adds{0};
+  std::uint64_t dels{0};
+  std::uint64_t skipped{0};
+};
+
+// Grows one batch from item `begin` of `n` until the next item would push
+// its adds + deletes past `budget` (0 = unbounded); the first item always
+// goes in. `tally_item(j, t)` adds item j's operations to t. Returns the
+// batch end; `tally` holds the batch's operations.
+template <typename TallyItem>
+std::size_t take_chunk(std::size_t begin, std::size_t n, std::uint64_t budget,
+                       TallyItem&& tally_item, RuleTally& tally) {
+  tally = RuleTally{};
+  std::size_t end = begin;
+  while (end < n) {
+    RuleTally next = tally;
+    tally_item(end, next);
+    if (end > begin && budget != 0 && next.adds + next.dels > budget) break;
+    tally = next;
+    ++end;
+  }
+  return end;
+}
+
 // The whole mutable execution state plus the step/timeline machinery. One
 // instance per execute() call; everything it touches is local or owned by
 // the caller, so executions are trivially parallel across threads.
@@ -133,9 +179,9 @@ struct Exec {
   ExecutionReport& report;
   Rng rng;
   Rng jitter_rng;  // decorrelated from the drop stream by construction
-  double now{0.0};
+  double now;
   std::uint32_t epoch{0};
-  std::uint32_t k{4};
+  std::uint32_t k;
   std::vector<ConverterConfig> configs;
   std::shared_ptr<const Graph> graph;  // current clean realization
   std::shared_ptr<const Graph> live;   // graph minus active storm failures
@@ -147,8 +193,8 @@ struct Exec {
 
   // Storm state. Link ids of `storm` live in `reference`'s space (the
   // origin realization) and resolve to node pairs across realizations.
-  const FailureSchedule* storm{nullptr};
-  const Graph* reference{nullptr};
+  const FailureSchedule* storm;
+  const Graph* reference;
   std::size_t storm_next{0};
   // Intersection graph of an in-flight make-before-break rewire (set only
   // while rewire_partition's patch chunks are landing). A re-plan that
@@ -185,7 +231,68 @@ struct Exec {
   obs::Counter* c_fo_takeovers{nullptr};
   obs::Counter* c_fo_reissued{nullptr};
   obs::Histogram* h_attempts{nullptr};
-  obs::EventTracer* tracer{nullptr};
+  obs::EventTracer* tracer;
+
+  // The pre-conversion state at t0_s: `from`'s configs, realization and
+  // plan routes for every tracked pair of `rep`, no storm event folded yet.
+  Exec(const Controller& ctl, const ConversionExecOptions& options,
+       const ConversionFaults& injected, ExecutionReport& rep,
+       const CompiledMode& from, const FailureSchedule& schedule,
+       double t0_s)
+      : tree(ctl.tree()),
+        controller(ctl),
+        opt(options),
+        delay(ctl.options().delay),
+        faults(injected),
+        report(rep),
+        rng(options.seed),
+        jitter_rng(options.seed ^ 0x9e3779b97f4a7c15ULL),
+        now(t0_s),
+        k(from.k()),
+        configs(from.configs()),
+        graph(from.graph_ptr()),
+        live(graph),
+        routes(routes_of(from)),
+        canonical(routes),
+        diverged(rep.pairs.size(), false),
+        dead(from.graph().node_count(), false),
+        dead_list(injected.dead_switches),
+        storm(schedule.empty() ? nullptr : &schedule),
+        reference(&from.graph()),
+        tracer(options.sink.tracer()) {
+    std::sort(dead_list.begin(), dead_list.end());
+    dead_list.erase(std::unique(dead_list.begin(), dead_list.end()),
+                    dead_list.end());
+    for (NodeId sw : dead_list) dead[sw.index()] = true;
+    if (obs::MetricsRegistry* reg = options.sink.metrics()) {
+      c_steps = &reg->counter("conv_exec.steps");
+      c_step_failures = &reg->counter("conv_exec.step_failures");
+      c_retries = &reg->counter("conv_exec.retries");
+      c_dropped = &reg->counter("conv_exec.messages_dropped");
+      c_patched = &reg->counter("conv_exec.pairs_patched");
+      c_inv_checks = &reg->counter("conv_exec.invariant_checks");
+      c_violations = &reg->counter("conv_exec.violations");
+      c_replan_events = &reg->counter("conv_exec.replan.events");
+      c_replan_pairs = &reg->counter("conv_exec.replan.pairs");
+      c_replan_steps = &reg->counter("conv_exec.replan.steps");
+      c_ckpt_committed = &reg->counter("conv_exec.checkpoint.committed");
+      c_ckpt_rollbacks = &reg->counter("conv_exec.checkpoint.rollbacks");
+      c_fo_takeovers = &reg->counter("conv_exec.failover.takeovers");
+      c_fo_reissued = &reg->counter("conv_exec.failover.steps_reissued");
+      h_attempts =
+          &reg->histogram("conv_exec.step_attempts", {1, 2, 4, 8, 16, 32, 64});
+    }
+  }
+
+  // `mode`'s plan routes, per tracked pair.
+  std::vector<std::vector<Path>> routes_of(const CompiledMode& mode) const {
+    std::vector<std::vector<Path>> rs;
+    rs.reserve(report.pairs.size());
+    for (const auto& [src, dst] : report.pairs) {
+      rs.push_back(mode.paths().server_paths(src, dst));
+    }
+    return rs;
+  }
 
   // One command round over the lossy channel: per attempt the command drop
   // and (if delivered and executable) the ack drop are drawn independently;
@@ -264,6 +371,24 @@ struct Exec {
     return out;
   }
 
+  // Sends one step over the channel from `now`, appends its record to the
+  // report and advances simulated time to the step's finish.
+  ChannelOutcome send_step(StepRecord rec, double service_s, bool forced_fail,
+                       bool unbounded) {
+    const ChannelOutcome out = channel_round(
+        now, one_way_for(rec.target), service_s, forced_fail, unbounded);
+    rec.standby = standby;
+    rec.start_s = now;
+    rec.finish_s = out.finish_s;
+    rec.attempts = out.attempts;
+    rec.ok = out.ok;
+    report.steps.push_back(rec);
+    now = out.finish_s;
+    report.retries += out.attempts - 1;
+    report.messages_dropped += out.dropped;
+    return out;
+  }
+
   // Executes one schedule step over the channel, records it, and advances
   // simulated time. Returns whether the step was acked.
   bool run_step(StepKind kind, bool rollback, NodeId target,
@@ -274,26 +399,15 @@ struct Exec {
         extra_service_s + (static_cast<double>(adds) * delay.rule_add_s +
                            static_cast<double>(dels) * delay.rule_delete_s) /
                               delay.effective_controllers();
-    const ChannelOutcome out =
-        channel_round(now, one_way_for(target), service, forced_fail,
-                      rollback);
     StepRecord rec;
     rec.kind = kind;
     rec.rollback = rollback;
     rec.replan = replan;
-    rec.standby = standby;
     rec.target = target;
     rec.partition = partition;
     rec.rules_added = adds;
     rec.rules_deleted = dels;
-    rec.start_s = now;
-    rec.finish_s = out.finish_s;
-    rec.attempts = out.attempts;
-    rec.ok = out.ok;
-    report.steps.push_back(rec);
-    now = out.finish_s;
-    report.retries += out.attempts - 1;
-    report.messages_dropped += out.dropped;
+    const ChannelOutcome out = send_step(rec, service, forced_fail, rollback);
     if (out.ok) {
       report.rules_added += adds;
       report.rules_deleted += dels;
@@ -314,33 +428,20 @@ struct Exec {
 
   // -- storm machinery --------------------------------------------------------
 
-  void refresh_live() {
-    if (storm_active.empty()) {
-      live = graph;
-    } else {
-      live = std::make_shared<const Graph>(
-          degrade_mapped(*graph, *reference, storm_active));
-    }
-  }
+  void refresh_live() { live = live_graph(graph, *reference, storm_active); }
 
-  void apply_storm_event(const FailureEvent& e) {
-    if (e.recover) {
-      for (LinkId id : e.elements.links) {
-        storm_active.links.erase(std::remove(storm_active.links.begin(),
-                                             storm_active.links.end(), id),
-                                 storm_active.links.end());
-      }
-      for (NodeId id : e.elements.switches) {
-        storm_active.switches.erase(
-            std::remove(storm_active.switches.begin(),
-                        storm_active.switches.end(), id),
-            storm_active.switches.end());
-      }
-    } else {
-      storm_active.merge(e.elements);
-      std::sort(storm_active.links.begin(), storm_active.links.end());
-      std::sort(storm_active.switches.begin(), storm_active.switches.end());
+  // Folds the storm events due by `now` into the active set and refreshes
+  // the live graph. Returns whether any event was due.
+  bool fold_due() {
+    if (storm == nullptr) return false;
+    const std::vector<FailureEvent>& evs = storm->events();
+    const std::size_t first = storm_next;
+    while (storm_next < evs.size() && evs[storm_next].time_s <= now) {
+      fold_failure_event(storm_active, evs[storm_next++]);
     }
+    if (storm_next == first) return false;
+    refresh_live();
+    return true;
   }
 
   // Folds storm events due by `now` into the executor's live graph and,
@@ -351,19 +452,9 @@ struct Exec {
   // reported timeline after execution (see the post-pass in
   // execute_under_storm), not here.
   void storm_tick() {
-    if (storm == nullptr) return;
-    const std::vector<FailureEvent>& evs = storm->events();
-    bool changed = false;
-    while (storm_next < evs.size() && evs[storm_next].time_s <= now) {
-      apply_storm_event(evs[storm_next]);
-      ++storm_next;
-      changed = true;
-    }
-    if (changed) {
-      refresh_live();
-      obs::add(c_replan_events);
-      if (opt.live_replanning) replan_pass();
-    }
+    if (!fold_due()) return;
+    obs::add(c_replan_events);
+    if (opt.live_replanning) replan_pass();
   }
 
   // The stage target's plan, repaired around the active storm through the
@@ -376,28 +467,8 @@ struct Exec {
       return &stage_live->paths();
     }
     CompiledMode repaired = controller.compile(stage_target->assignment(), k);
-    // Map the reference-space failed links onto this realization by node
-    // pair; switch ids are stable across realizations.
-    FailureSet mapped;
-    mapped.switches = storm_active.switches;
-    const auto pair_key = [](NodeId a, NodeId b) {
-      const auto lo = std::min(a.value(), b.value());
-      const auto hi = std::max(a.value(), b.value());
-      return (static_cast<std::uint64_t>(lo) << 32) | hi;
-    };
-    std::vector<std::uint64_t> severed;
-    for (LinkId id : storm_active.links) {
-      const Link& l = reference->link(id);
-      severed.push_back(pair_key(l.a, l.b));
-    }
-    const Graph& rg = repaired.graph();
-    for (std::uint32_t i = 0; i < rg.link_count(); ++i) {
-      const Link& l = rg.link(LinkId{i});
-      if (std::find(severed.begin(), severed.end(), pair_key(l.a, l.b)) !=
-          severed.end()) {
-        mapped.links.push_back(LinkId{i});
-      }
-    }
+    const FailureSet mapped =
+        map_failures(repaired.graph(), *reference, storm_active);
     if (!mapped.empty()) {
       (void)controller.plan_repair(repaired, mapped,
                                    RepairOptions{.allow_converter_rewire = false});
@@ -405,13 +476,6 @@ struct Exec {
     stage_live.emplace(std::move(repaired));
     stage_live_fails = storm_active;
     return &stage_live->paths();
-  }
-
-  bool all_valid_on(const Graph& g, const std::vector<Path>& paths) const {
-    if (paths.empty()) return false;
-    return std::all_of(paths.begin(), paths.end(), [&](const Path& p) {
-      return is_valid_path(g, p);
-    });
   }
 
   // One batched re-plan / reconcile step: pairs whose installed routes the
@@ -469,7 +533,7 @@ struct Exec {
       // diverged pair is live-valid, so swapping it mid-storm buys nothing
       // and its rules stretch the very step that fixes real blackholes.
       if (diverged[i] && storm_active.empty() &&
-          all_valid_on(eff, canonical[i])) {
+          all_paths_valid(eff, canonical[i])) {
         updates.push_back(Update{i, canonical[i], true, 0.0});
         continue;
       }
@@ -479,39 +543,28 @@ struct Exec {
       // are live-valid but die at the in-flight OCS pass are the pending
       // patches' job, not this re-plan's; re-planning them here would only
       // stretch the step while real blackholes wait.
-      std::size_t dead_paths = 0;
-      for (const Path& p : rs) {
-        if (!is_valid_path(*live, p)) ++dead_paths;
-      }
+      const std::size_t dead_paths = count_invalid_paths(*live, rs);
       if (dead_paths == 0) continue;
       const double dark =
           static_cast<double>(dead_paths) / static_cast<double>(rs.size());
-      const auto [src, dst] = report.pairs[i];
-      std::vector<Path> sol;
-      if (on_target) {
-        // The circuits match the stage target: serve the controller's
-        // repaired stage plan directly.
-        if (PathCache* repaired = ensure_stage_live(); repaired != nullptr) {
-          std::vector<Path> cand = repaired->server_paths(src, dst);
-          if (all_valid_on(eff, cand)) sol = std::move(cand);
-        }
-      }
-      if (sol.empty()) sol = solve_live(src, dst);
+      const NodeId src = report.pairs[i].first;
+      const NodeId dst = report.pairs[i].second;
       // Targeted patch: keep the surviving paths, top the set back up from
       // the solve. A pair whose solve comes up empty still sheds its dead
       // paths (the ECMP group shrinks to the live subset); a pair with no
       // live path at all is storm-disconnected and left alone — the
       // checker holds only reachable pairs to the no-blackhole invariant.
-      std::vector<Path> next;
-      for (const Path& p : rs) {
-        if (is_valid_path(eff, p)) next.push_back(p);
-      }
-      for (const Path& p : sol) {
-        if (next.size() >= rs.size()) break;
-        if (std::find(next.begin(), next.end(), p) == next.end()) {
-          next.push_back(p);
+      std::vector<Path> next = patch_paths(eff, rs, rs.size(), [&] {
+        if (on_target) {
+          // The circuits match the stage target: serve the controller's
+          // repaired stage plan directly.
+          if (PathCache* repaired = ensure_stage_live(); repaired != nullptr) {
+            std::vector<Path> cand = repaired->server_paths(src, dst);
+            if (all_paths_valid(eff, cand)) return cand;
+          }
         }
-      }
+        return solve_live(src, dst);
+      });
       if (next.empty()) continue;
       updates.push_back(Update{i, std::move(next), false, dark});
     }
@@ -527,9 +580,8 @@ struct Exec {
                        return a.dark > b.dark;
                      });
     ++report.replans;
-    const std::uint64_t budget = opt.patch_chunk_rules;
-    const auto diff_rules = [&](const Update& u, std::uint64_t& a,
-                                std::uint64_t& d, std::uint64_t& s) {
+    const auto tally_update = [&](std::size_t j, RuleTally& t) {
+      const Update& u = updates[j];
       std::vector<Path> removed;
       std::vector<Path> installed;
       for (const Path& p : routes[u.pair]) {
@@ -543,34 +595,23 @@ struct Exec {
           installed.push_back(p);
         }
       }
-      count_rules(removed, d, s);
-      count_rules(installed, a, s);
+      count_rules(removed, t.dels, t.skipped);
+      count_rules(installed, t.adds, t.skipped);
     };
     std::size_t begin = 0;
     while (begin < updates.size()) {
-      std::uint64_t adds = 0;
-      std::uint64_t dels = 0;
-      std::uint64_t skipped = 0;
-      std::size_t end = begin;
-      while (end < updates.size()) {
-        std::uint64_t a = adds;
-        std::uint64_t d = dels;
-        std::uint64_t s = skipped;
-        diff_rules(updates[end], a, d, s);
-        if (end > begin && budget != 0 && a + d > budget) break;
-        adds = a;
-        dels = d;
-        skipped = s;
-        ++end;
-      }
+      RuleTally tally;
+      const std::size_t end = take_chunk(begin, updates.size(),
+                                         kPatchChunkRules, tally_update, tally);
       const bool ok = run_step(StepKind::kRulePatch, in_rollback, NodeId{}, 0,
-                               adds, dels, 0.0, false, /*replan=*/true);
+                               tally.adds, tally.dels, 0.0, false,
+                               /*replan=*/true);
       obs::add(c_replan_steps);
       if (!ok && !in_rollback) {
         replan_failed = true;
         return;
       }
-      report.rules_skipped_dead += skipped;
+      report.rules_skipped_dead += tally.skipped;
       for (std::size_t j = begin; j < end; ++j) {
         Update& u = updates[j];
         routes[u.pair] = std::move(u.paths);
@@ -598,7 +639,7 @@ struct Exec {
     }
     std::optional<PathCache> live_cache;
     for (std::size_t i = 0; i < report.pairs.size(); ++i) {
-      if (all_valid_on(*live, target[i])) {
+      if (all_paths_valid(*live, target[i])) {
         routes[i] = target[i];
         diverged[i] = false;
         continue;
@@ -607,12 +648,12 @@ struct Exec {
       std::vector<Path> sol;
       if (PathCache* repaired = ensure_stage_live(); repaired != nullptr) {
         std::vector<Path> cand = repaired->server_paths(src, dst);
-        if (all_valid_on(*live, cand)) sol = std::move(cand);
+        if (all_paths_valid(*live, cand)) sol = std::move(cand);
       }
       if (sol.empty() && live->degree(src) > 0 && live->degree(dst) > 0) {
         if (!live_cache.has_value()) live_cache.emplace(*live, k);
         std::vector<Path> cand = live_cache->server_paths(src, dst);
-        if (all_valid_on(*live, cand)) sol = std::move(cand);
+        if (all_paths_valid(*live, cand)) sol = std::move(cand);
       }
       if (sol.empty()) {
         // Storm-disconnected: install the plan and let reconciliation (or
@@ -649,24 +690,11 @@ struct Exec {
     if (tracer != nullptr) tracer->mark("conv_exec", "failover", 0, 1);
     if (!report.steps.empty() &&
         report.steps.back().start_s < faults.kill_primary_at_s) {
-      const StepRecord prev = report.steps.back();
-      const ChannelOutcome out =
-          channel_round(now, one_way_for(prev.target), 0.0, false, true);
-      StepRecord rec;
-      rec.kind = prev.kind;
-      rec.rollback = prev.rollback;
-      rec.replan = prev.replan;
-      rec.standby = true;
-      rec.target = prev.target;
-      rec.partition = prev.partition;
-      rec.start_s = now;
-      rec.finish_s = out.finish_s;
-      rec.attempts = out.attempts;
-      rec.ok = out.ok;
-      report.steps.push_back(rec);
-      now = out.finish_s;
-      report.retries += out.attempts - 1;
-      report.messages_dropped += out.dropped;
+      // The confirm carries no rule payload of its own.
+      StepRecord rec = report.steps.back();
+      rec.rules_added = 0;
+      rec.rules_deleted = 0;
+      (void)send_step(rec, 0.0, false, true);
       ++report.steps_reissued;
       obs::add(c_fo_reissued);
     }
@@ -699,7 +727,6 @@ struct Exec {
   }
 
   void check_invariants() {
-    if (!opt.check_invariants) return;
     obs::add(c_inv_checks);
     // Connectivity is judged on the clean realization: a storm partition is
     // the storm's doing, not the executor's. Route validity is judged on
@@ -765,11 +792,42 @@ struct Exec {
     }
   }
 
-  bool pair_uses_switch(const std::vector<Path>& paths, NodeId sw) const {
-    for (const Path& path : paths) {
-      if (std::find(path.begin(), path.end(), sw) != path.end()) return true;
+  // Atomic baseline: `sw` lost its rules, so every pair routed across it
+  // goes dark.
+  void clear_routes_through(NodeId sw) {
+    bool any_cleared = false;
+    for (std::size_t i = 0; i < routes.size(); ++i) {
+      const bool crosses =
+          std::any_of(routes[i].begin(), routes[i].end(), [&](const Path& p) {
+            return std::find(p.begin(), p.end(), sw) != p.end();
+          });
+      if (!crosses) continue;
+      routes[i].clear();
+      canonical[i].clear();
+      diverged[i] = false;
+      any_cleared = true;
     }
-    return false;
+    if (any_cleared) push_point(0.0, ConversionScope::kFullBlackout);
+  }
+
+  // Atomic baseline: a dark pair comes back on its `target` routes once no
+  // node they cross is `missing` its rules.
+  void restore_ready(const std::vector<std::vector<Path>>& target,
+                     const std::vector<bool>& missing, ConversionScope scope) {
+    bool any_routed = false;
+    for (std::size_t i = 0; i < routes.size(); ++i) {
+      if (!routes[i].empty() || target[i].empty()) continue;
+      const bool ready = std::none_of(
+          target[i].begin(), target[i].end(), [&](const Path& path) {
+            return std::any_of(path.begin(), path.end(),
+                               [&](NodeId n) { return missing[n.index()]; });
+          });
+      if (!ready) continue;
+      routes[i] = target[i];
+      canonical[i] = target[i];
+      any_routed = true;
+    }
+    if (any_routed) push_point(0.0, scope);
   }
 
   // Applies (forward) or reverts (rollback) one OCS partition with
@@ -839,15 +897,7 @@ struct Exec {
 
     for (std::size_t i = 0; i < report.pairs.size(); ++i) {
       const std::vector<Path>& rs = routes[i];
-      if (rs.empty()) continue;
-      bool broken = false;
-      for (const Path& path : rs) {
-        if (!is_valid_path(*next_graph, path)) {
-          broken = true;
-          break;
-        }
-      }
-      if (!broken) continue;
+      if (rs.empty() || all_paths_valid(*next_graph, rs)) continue;
       const auto [src, dst] = report.pairs[i];
       std::vector<Path> sol;
       bool armed = false;
@@ -889,7 +939,7 @@ struct Exec {
     const auto commit_patch = [&](PairPatch& p) {
       canonical[p.pair] = p.paths;
       if (opt.live_replanning && !storm_active.empty() &&
-          !all_valid_on(*live, p.paths)) {
+          !all_paths_valid(*live, p.paths)) {
         if (!fit_cache.has_value()) {
           if (fit_post_ocs) {
             fit_graph.reset();
@@ -900,21 +950,14 @@ struct Exec {
           fit_cache.emplace(fit_post_ocs ? *live : *fit_graph, k);
         }
         const Graph& fg = fit_post_ocs ? *live : *fit_graph;
-        std::vector<Path> fitted;
-        for (const Path& path : p.paths) {
-          if (is_valid_path(fg, path)) fitted.push_back(path);
-        }
-        const auto [src, dst] = report.pairs[p.pair];
-        if (fitted.size() < p.paths.size() && fg.degree(src) > 0 &&
-            fg.degree(dst) > 0) {
-          for (const Path& path : fit_cache->server_paths(src, dst)) {
-            if (fitted.size() >= p.paths.size()) break;
-            if (std::find(fitted.begin(), fitted.end(), path) ==
-                fitted.end()) {
-              fitted.push_back(path);
-            }
-          }
-        }
+        const NodeId src = report.pairs[p.pair].first;
+        const NodeId dst = report.pairs[p.pair].second;
+        std::vector<Path> fitted =
+            patch_paths(fg, p.paths, p.paths.size(), [&] {
+              return fg.degree(src) > 0 && fg.degree(dst) > 0
+                         ? fit_cache->server_paths(src, dst)
+                         : std::vector<Path>{};
+            });
         if (!fitted.empty()) {
           diverged[p.pair] = fitted != p.paths;
           routes[p.pair] = std::move(fitted);
@@ -937,8 +980,11 @@ struct Exec {
       // an outage and after it. With no failure schedule wired in there is
       // nothing to detect mid-step, so calm executions keep the monolithic
       // patch and skip the per-chunk channel round-trips.
-      const std::uint64_t budget =
-          storm != nullptr ? opt.patch_chunk_rules : 0;
+      const std::uint64_t budget = storm != nullptr ? kPatchChunkRules : 0;
+      const auto tally_patch = [&](std::size_t j, RuleTally& t) {
+        count_rules(routes[patches[j].pair], t.dels, t.skipped);
+        count_rules(patches[j].paths, t.adds, t.skipped);
+      };
       std::size_t begin = 0;
       while (begin < patches.size()) {
         if (begin > 0) {
@@ -950,26 +996,13 @@ struct Exec {
             fit_cache.reset();
           }
         }
-        std::uint64_t adds = 0;
-        std::uint64_t dels = 0;
-        std::uint64_t skipped = 0;
-        std::size_t end = begin;
-        while (end < patches.size()) {
-          std::uint64_t a = adds;
-          std::uint64_t d = dels;
-          std::uint64_t s = skipped;
-          count_rules(routes[patches[end].pair], d, s);
-          count_rules(patches[end].paths, a, s);
-          if (end > begin && budget != 0 && a + d > budget) break;
-          adds = a;
-          dels = d;
-          skipped = s;
-          ++end;
-        }
+        RuleTally tally;
+        const std::size_t end =
+            take_chunk(begin, patches.size(), budget, tally_patch, tally);
         const bool ok = run_step(StepKind::kRulePatch, rollback, NodeId{},
-                                 pindex, adds, dels, 0.0, false);
+                                 pindex, tally.adds, tally.dels, 0.0, false);
         if (!ok && !rollback) return false;
-        report.rules_skipped_dead += skipped;
+        report.rules_skipped_dead += tally.skipped;
         bool any_immediate = false;
         for (std::size_t j = begin; j < end; ++j) {
           PairPatch& p = patches[j];
@@ -1048,10 +1081,7 @@ void compute_blackhole_integral(ExecutionReport& report) {
         dark[i] += dt;
         continue;
       }
-      std::size_t invalid = 0;
-      for (const Path& path : rs) {
-        if (!is_valid_path(*pt.graph, path)) ++invalid;
-      }
+      const std::size_t invalid = count_invalid_paths(*pt.graph, rs);
       if (invalid != 0) {
         dark[i] += dt * static_cast<double>(invalid) /
                    static_cast<double>(rs.size());
@@ -1115,20 +1145,8 @@ ExecutionReport ConversionExecutor::execute_under_storm(
     throw std::invalid_argument(
         "ConversionExecutor: control partitions require the staged protocol");
   }
-  const std::uint32_t pod_count = tree.clos().pods;
   for (const ControlPartition& p : faults.partitions) {
-    if (!p.pod.valid() || p.pod.value() >= pod_count) {
-      throw std::invalid_argument(
-          "ConversionExecutor: partition pod out of range");
-    }
-    if (!(p.start_s >= 0.0)) {
-      throw std::invalid_argument(
-          "ConversionExecutor: partition start_s must be >= 0");
-    }
-    if (!(p.end_s < 0.0) && !(p.end_s > p.start_s)) {
-      throw std::invalid_argument(
-          "ConversionExecutor: partition must end after it starts");
-    }
+    p.validate(tree.clos().pods);
   }
   storm.validate();
   for (const FailureEvent& e : storm.events()) {
@@ -1153,72 +1171,12 @@ ExecutionReport ConversionExecutor::execute_under_storm(
   report.staged = options_.staged;
   report.start_s = t0_s;
   report.pairs.assign(pairs.begin(), pairs.end());
-
-  obs::MetricsRegistry* reg = options_.sink.metrics();
-  Exec ex{.tree = tree,
-          .controller = *controller_,
-          .opt = options_,
-          .delay = delay,
-          .faults = faults,
-          .report = report,
-          .rng = Rng{options_.seed},
-          .jitter_rng = Rng{options_.seed ^ 0x9e3779b97f4a7c15ULL}};
-  ex.now = t0_s;
-  ex.k = from.k();
-  ex.configs = from.configs();
-  ex.graph = from.graph_ptr();
-  ex.live = ex.graph;
-  ex.reference = &from.graph();
-  if (!storm.empty()) ex.storm = &storm;
-  if (reg != nullptr) {
-    ex.c_steps = &reg->counter("conv_exec.steps");
-    ex.c_step_failures = &reg->counter("conv_exec.step_failures");
-    ex.c_retries = &reg->counter("conv_exec.retries");
-    ex.c_dropped = &reg->counter("conv_exec.messages_dropped");
-    ex.c_patched = &reg->counter("conv_exec.pairs_patched");
-    ex.c_inv_checks = &reg->counter("conv_exec.invariant_checks");
-    ex.c_violations = &reg->counter("conv_exec.violations");
-    ex.c_replan_events = &reg->counter("conv_exec.replan.events");
-    ex.c_replan_pairs = &reg->counter("conv_exec.replan.pairs");
-    ex.c_replan_steps = &reg->counter("conv_exec.replan.steps");
-    ex.c_ckpt_committed = &reg->counter("conv_exec.checkpoint.committed");
-    ex.c_ckpt_rollbacks = &reg->counter("conv_exec.checkpoint.rollbacks");
-    ex.c_fo_takeovers = &reg->counter("conv_exec.failover.takeovers");
-    ex.c_fo_reissued = &reg->counter("conv_exec.failover.steps_reissued");
-    ex.h_attempts =
-        &reg->histogram("conv_exec.step_attempts", {1, 2, 4, 8, 16, 32, 64});
-  }
-  ex.tracer = options_.sink.tracer();
-  ex.dead.assign(from_graph.node_count(), false);
-  ex.dead_list = faults.dead_switches;
-  std::sort(ex.dead_list.begin(), ex.dead_list.end());
-  ex.dead_list.erase(std::unique(ex.dead_list.begin(), ex.dead_list.end()),
-                     ex.dead_list.end());
-  for (NodeId sw : ex.dead_list) ex.dead[sw.index()] = true;
-
-  ex.routes.reserve(report.pairs.size());
-  std::vector<std::vector<Path>> from_routes;
-  from_routes.reserve(report.pairs.size());
-  for (const auto& [src, dst] : report.pairs) {
-    from_routes.push_back(from.paths().server_paths(src, dst));
-    ex.routes.push_back(from_routes.back());
-  }
-  ex.canonical = ex.routes;
-  ex.diverged.assign(report.pairs.size(), false);
+  Exec ex{*controller_, options_, faults, report, from, storm, t0_s};
+  const std::vector<std::vector<Path>> from_routes = ex.routes;
 
   // Pre-history: storm events already due at t0 fold silently into the
   // starting state (they are inherited conditions, not execution events).
-  bool inherited_storm = false;
-  if (ex.storm != nullptr) {
-    const auto& evs = ex.storm->events();
-    while (ex.storm_next < evs.size() &&
-           evs[ex.storm_next].time_s <= t0_s) {
-      ex.apply_storm_event(evs[ex.storm_next]);
-      ++ex.storm_next;
-      inherited_storm = true;
-    }
-    if (inherited_storm) ex.refresh_live();
-  }
+  const bool inherited_storm = ex.fold_due();
   ex.push_point(0.0, ConversionScope::kChangedOnly);  // the pre-conversion state
   if (inherited_storm && options_.live_replanning) ex.replan_pass();
 
@@ -1226,14 +1184,6 @@ ExecutionReport ConversionExecutor::execute_under_storm(
     return std::find(faults.fail_ocs_partitions.begin(),
                      faults.fail_ocs_partitions.end(),
                      p) != faults.fail_ocs_partitions.end();
-  };
-  const auto resolve_routes_of = [&](const CompiledMode& mode) {
-    std::vector<std::vector<Path>> rs;
-    rs.reserve(report.pairs.size());
-    for (const auto& [src, dst] : report.pairs) {
-      rs.push_back(mode.paths().server_paths(src, dst));
-    }
-    return rs;
   };
 
   // The stage sequence: gradual_plan's per-Pod assignments when checkpoints
@@ -1266,7 +1216,7 @@ ExecutionReport ConversionExecutor::execute_under_storm(
   const auto run_stage = [&](const CompiledMode& stage_from,
                              const std::vector<std::vector<Path>>& from_canon,
                              const CompiledMode& stage_to,
-                             std::uint32_t ocs_base, std::uint32_t ocs_count,
+                             std::uint32_t ocs_base,
                              std::uint32_t commit_epoch,
                              const std::vector<std::vector<std::uint32_t>>&
                                  partitions) -> bool {
@@ -1274,7 +1224,6 @@ ExecutionReport ConversionExecutor::execute_under_storm(
     ex.stage_live.reset();
     ex.replan_failed = false;
     bool failed = false;
-    (void)ocs_count;
 
     // -- phase 0: per-partition OCS passes with make-before-break patches.
     bool rescan = true;
@@ -1309,7 +1258,7 @@ ExecutionReport ConversionExecutor::execute_under_storm(
     std::vector<std::uint64_t> to_fp;
     std::vector<std::uint64_t> next_epoch_rules(from_graph.node_count(), 0);
     if (!failed) {
-      to_routes = resolve_routes_of(stage_to);
+      to_routes = ex.routes_of(stage_to);
       to_fp = ex.footprint_of(to_routes);
       rescan = true;
       while (rescan && !failed) {
@@ -1429,17 +1378,15 @@ ExecutionReport ConversionExecutor::execute_under_storm(
     // Reinstate the checkpoint's canonical routes.
     ex.storm_tick();
     (void)ex.maybe_failover();
-    std::uint64_t adds = 0;
-    std::uint64_t dels = 0;
-    std::uint64_t skipped = 0;
+    RuleTally restore;
     for (std::size_t i = 0; i < ex.routes.size(); ++i) {
       if (ex.routes[i] == from_canon[i]) continue;
-      ex.count_rules(ex.routes[i], dels, skipped);
-      ex.count_rules(from_canon[i], adds, skipped);
+      ex.count_rules(ex.routes[i], restore.dels, restore.skipped);
+      ex.count_rules(from_canon[i], restore.adds, restore.skipped);
     }
-    ex.run_step(StepKind::kRuleRestore, true, NodeId{}, 0, adds, dels, 0.0,
-                false);
-    report.rules_skipped_dead += skipped;
+    ex.run_step(StepKind::kRuleRestore, true, NodeId{}, 0, restore.adds,
+                restore.dels, 0.0, false);
+    report.rules_skipped_dead += restore.skipped;
     ex.install_canonical(from_canon);
     ex.push_point(0.0, ConversionScope::kChangedOnly);
     ex.storm_tick();  // a recovery landing here still reconciles to plan
@@ -1460,7 +1407,6 @@ ExecutionReport ConversionExecutor::execute_under_storm(
           make_partitions(tree, cur->configs(), stage_seq[s]->configs(),
                           options_.ocs_partitions);
       const bool ok = run_stage(*cur, cur_routes, *stage_seq[s], ocs_base,
-                                static_cast<std::uint32_t>(partitions.size()),
                                 static_cast<std::uint32_t>(s) + 1, partitions);
       if (!ok) {
         committed = false;
@@ -1502,17 +1448,7 @@ ExecutionReport ConversionExecutor::execute_under_storm(
         break;
       }
       deleted_switches.push_back(NodeId{n});
-      bool any_cleared = false;
-      for (std::size_t i = 0; i < ex.routes.size(); ++i) {
-        if (ex.routes[i].empty()) continue;
-        if (ex.pair_uses_switch(ex.routes[i], NodeId{n})) {
-          ex.routes[i].clear();
-          ex.canonical[i].clear();
-          ex.diverged[i] = false;
-          any_cleared = true;
-        }
-      }
-      if (any_cleared) ex.push_point(0.0, ConversionScope::kFullBlackout);
+      ex.clear_routes_through(NodeId{n});
     }
     if (!failed && !partitions.empty()) {
       ex.storm_tick();
@@ -1530,21 +1466,13 @@ ExecutionReport ConversionExecutor::execute_under_storm(
       }
     }
     if (!failed) {
-      to_routes = resolve_routes_of(to);
+      to_routes = ex.routes_of(to);
       to_fp = ex.footprint_of(to_routes);
       // A pair comes back once every switch on its new routes is programmed.
-      std::vector<std::vector<std::uint32_t>> need(report.pairs.size());
-      for (std::size_t i = 0; i < to_routes.size(); ++i) {
-        for (const Path& path : to_routes[i]) {
-          for (NodeId n : path) {
-            if (is_switch(ex.graph->node(n).role)) need[i].push_back(n.value());
-          }
-        }
-        std::sort(need[i].begin(), need[i].end());
-        need[i].erase(std::unique(need[i].begin(), need[i].end()),
-                      need[i].end());
+      std::vector<bool> unprogrammed(ex.graph->node_count(), false);
+      for (std::uint32_t n = 0; n < ex.graph->node_count(); ++n) {
+        unprogrammed[n] = is_switch(ex.graph->node(NodeId{n}).role);
       }
-      std::vector<bool> programmed(ex.graph->node_count(), false);
       for (std::uint32_t n = 0; n < static_cast<std::uint32_t>(to_fp.size());
            ++n) {
         if (to_fp[n] == 0) continue;
@@ -1557,20 +1485,8 @@ ExecutionReport ConversionExecutor::execute_under_storm(
           break;
         }
         added_switches.push_back(NodeId{n});
-        programmed[n] = true;
-        bool any_routed = false;
-        for (std::size_t i = 0; i < ex.routes.size(); ++i) {
-          if (!ex.routes[i].empty() || to_routes[i].empty()) continue;
-          const bool ready = std::all_of(
-              need[i].begin(), need[i].end(),
-              [&programmed](std::uint32_t sw) { return programmed[sw]; });
-          if (ready) {
-            ex.routes[i] = to_routes[i];
-            ex.canonical[i] = to_routes[i];
-            any_routed = true;
-          }
-        }
-        if (any_routed) ex.push_point(0.0, ConversionScope::kChangedOnly);
+        unprogrammed[n] = false;
+        ex.restore_ready(to_routes, unprogrammed, ConversionScope::kChangedOnly);
       }
       if (!failed) {
         committed = true;
@@ -1594,17 +1510,7 @@ ExecutionReport ConversionExecutor::execute_under_storm(
         (void)ex.maybe_failover();
         ex.run_step(StepKind::kRuleDelete, true, *it, 0, 0,
                     to_fp[it->index()], 0.0, false);
-        bool any_cleared = false;
-        for (std::size_t i = 0; i < ex.routes.size(); ++i) {
-          if (ex.routes[i].empty()) continue;
-          if (ex.pair_uses_switch(ex.routes[i], *it)) {
-            ex.routes[i].clear();
-            ex.canonical[i].clear();
-            ex.diverged[i] = false;
-            any_cleared = true;
-          }
-        }
-        if (any_cleared) ex.push_point(0.0, ConversionScope::kFullBlackout);
+        ex.clear_routes_through(*it);
       }
       if (ocs_applied) {
         ex.storm_tick();
@@ -1626,23 +1532,7 @@ ExecutionReport ConversionExecutor::execute_under_storm(
         ex.run_step(StepKind::kRuleRestore, true, sw, 0, old_fp[sw.index()],
                     0, 0.0, false);
         missing[sw.index()] = false;
-        bool any_routed = false;
-        for (std::size_t i = 0; i < ex.routes.size(); ++i) {
-          if (!ex.routes[i].empty()) continue;
-          const bool ready = std::none_of(
-              from_routes[i].begin(), from_routes[i].end(),
-              [&](const Path& path) {
-                return std::any_of(path.begin(), path.end(), [&](NodeId n) {
-                  return missing[n.index()];
-                });
-              });
-          if (ready && !from_routes[i].empty()) {
-            ex.routes[i] = from_routes[i];
-            ex.canonical[i] = from_routes[i];
-            any_routed = true;
-          }
-        }
-        if (any_routed) ex.push_point(0.0, ConversionScope::kFullBlackout);
+        ex.restore_ready(from_routes, missing, ConversionScope::kFullBlackout);
       }
       ex.in_rollback = false;
     }
@@ -1682,17 +1572,12 @@ ExecutionReport ConversionExecutor::execute_under_storm(
       report.timeline.insert(pos, std::move(pt));
     }
     for (TimelinePoint& pt : report.timeline) {
-      FailureSet active = storm.active_at(pt.t);
-      if (active.empty()) continue;
-      std::sort(active.links.begin(), active.links.end());
-      std::sort(active.switches.begin(), active.switches.end());
-      pt.graph = std::make_shared<const Graph>(
-          degrade_mapped(*pt.graph, *ex.reference, active));
+      pt.graph = live_graph(pt.graph, *ex.reference, storm.active_at(pt.t));
     }
   }
   finalize_blackout_windows(report);
   compute_blackhole_integral(report);
-  if (reg != nullptr) {
+  if (obs::MetricsRegistry* reg = options_.sink.metrics()) {
     reg->counter("conv_exec.executions").add();
     reg->counter(committed ? "conv_exec.converted" : "conv_exec.rolled_back")
         .add();

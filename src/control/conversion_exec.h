@@ -49,7 +49,10 @@
 //     repaired through Controller::plan_repair on a storm-degraded copy of
 //     the stage plan, and recoveries reconcile diverged pairs back to the
 //     canonical plan — so a fully recovered storm leaves routes bit-for-bit
-//     equal to the plan.
+//     equal to the plan. Re-plans, and make-before-break patches while a
+//     storm is wired in, land as batches of at most 256 rule operations
+//     (a fixed chunk) with storm detection and failover checks between
+//     batches, so a failure landing mid-patch is observed within one chunk.
 //   * Stage checkpoints (options.stage_checkpoints). The conversion runs as
 //     Controller::gradual_plan's per-Pod stages, each driven through the
 //     full epoch protocol above. Every committed stage is a durable
@@ -150,6 +153,10 @@ struct ControlPartition {
   PodId pod{};
   double start_s{0.0};
   double end_s{-1.0};
+
+  // Throws std::invalid_argument unless pod < pod_count, start_s >= 0 and
+  // the window either never heals or ends after it starts (NaN rejected).
+  void validate(std::uint32_t pod_count) const;
 };
 
 // Injected control-plane faults for chaos testing.
@@ -185,7 +192,6 @@ struct ConversionExecOptions {
   std::uint32_t ocs_partitions{4};
   ControlChannelOptions channel{};
   std::uint64_t seed{1};
-  bool check_invariants{true};
   // Drive Controller::gradual_plan's per-Pod stages through the epoch
   // protocol, each committed stage a durable rollback point. Requires
   // staged; rejected with the atomic baseline.
@@ -202,12 +208,6 @@ struct ConversionExecOptions {
   // root. The kEpochFlip barrier is root-coordinated under both regimes;
   // see ConversionFaults::partitions.
   bool pod_local_authority{false};
-  // Make-before-break patches land as bounded batches of at most this many
-  // rule operations, with storm detection and failover checks between
-  // batches — a failure landing mid-patch is observed within one chunk,
-  // not after the whole partition's worth of rules. 0 = one monolithic
-  // patch step per partition.
-  std::uint64_t patch_chunk_rules{256};
   // conv_exec.* metrics (steps, retries, drops, rollbacks, violations,
   // blackhole time, replan/checkpoint/failover activity) and per-step
   // tracer marks. All updates are commutative, so exports stay

@@ -124,16 +124,7 @@ HierarchyRunResult ControlHierarchy::run(
   }
   storm.validate();
   const std::uint32_t pod_count = controller_->tree().clos().pods;
-  for (const ControlPartition& p : faults.partitions) {
-    if (!p.pod.valid() || p.pod.value() >= pod_count) {
-      throw std::invalid_argument(
-          "ControlHierarchy::run: partition pod out of range");
-    }
-    if (!(p.start_s >= 0.0) || (!(p.end_s < 0.0) && !(p.end_s > p.start_s))) {
-      throw std::invalid_argument(
-          "ControlHierarchy::run: partition window malformed");
-    }
-  }
+  for (const ControlPartition& p : faults.partitions) p.validate(pod_count);
 
   const Graph& reference = mode.graph();
   const std::uint32_t k = mode.k();
@@ -173,12 +164,7 @@ HierarchyRunResult ControlHierarchy::run(
 
   const auto refresh_live = [&] {
     live_cache.reset();
-    if (active.empty()) {
-      live = cur;
-    } else {
-      live = std::make_shared<const Graph>(
-          degrade_mapped(*cur, reference, active));
-    }
+    live = live_graph(cur, reference, active);
   };
 
   // Fraction-weighted darkness, the executor's integral discipline: a pair
@@ -189,14 +175,30 @@ HierarchyRunResult ControlHierarchy::run(
   const auto dark_frac_of = [&](std::size_t i) -> double {
     const std::vector<Path>& rs = routes[i];
     if (rs.empty()) return 1.0;
-    std::size_t bad = 0;
-    for (const Path& p : rs) {
-      if (!is_valid_path(*live, p)) ++bad;
-    }
-    return static_cast<double>(bad) / static_cast<double>(rs.size());
+    return static_cast<double>(count_invalid_paths(*live, rs)) /
+           static_cast<double>(rs.size());
   };
   const auto recompute_dark = [&] {
     for (std::size_t i = 0; i < dark.size(); ++i) dark[i] = dark_frac_of(i);
+  };
+
+  // Diverged pairs whose canonical plan routes are whole again on the live
+  // graph go back on plan — restricted to pairs with an endpoint in `pod`
+  // when it is valid — and the darkness is recomputed.
+  const auto reconcile = [&](PodId pod) {
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      if (!diverged[i]) continue;
+      if (pod.valid() && reference.node(pairs[i].first).pod != pod &&
+          reference.node(pairs[i].second).pod != pod) {
+        continue;
+      }
+      if (all_paths_valid(*live, canonical[i])) {
+        routes[i] = canonical[i];
+        diverged[i] = false;
+        ++result.pairs_reconciled;
+      }
+    }
+    recompute_dark();
   };
 
   double now = 0.0;
@@ -400,43 +402,14 @@ HierarchyRunResult ControlHierarchy::run(
         const std::vector<FailureEvent>& evs = storm.events();
         const Batch& b = batches[ev.idx];
         for (std::size_t e = b.first; e < b.first + b.count; ++e) {
-          const FailureEvent& fe = evs[e];
-          if (fe.recover) {
-            for (LinkId id : fe.elements.links) {
-              active.links.erase(std::remove(active.links.begin(),
-                                             active.links.end(), id),
-                                 active.links.end());
-            }
-            for (NodeId id : fe.elements.switches) {
-              active.switches.erase(std::remove(active.switches.begin(),
-                                                active.switches.end(), id),
-                                    active.switches.end());
-            }
-          } else {
-            active.merge(fe.elements);
-          }
+          fold_failure_event(active, evs[e]);
         }
-        std::sort(active.links.begin(), active.links.end());
-        std::sort(active.switches.begin(), active.switches.end());
         refresh_live();
         // Recoveries reconcile diverged pairs whose canonical plan routes
         // are whole again — the root (or the rejoined Pod controller)
         // reasserts the plan through the epoch protocol, so no off-plan
         // rule set outlives the failure that forced it.
-        for (std::size_t i = 0; i < pairs.size(); ++i) {
-          if (!diverged[i]) continue;
-          const bool ok = !canonical[i].empty() &&
-                          std::all_of(canonical[i].begin(),
-                                      canonical[i].end(), [&](const Path& p) {
-                                        return is_valid_path(*live, p);
-                                      });
-          if (ok) {
-            routes[i] = canonical[i];
-            diverged[i] = false;
-            ++result.pairs_reconciled;
-          }
-        }
-        recompute_dark();
+        reconcile(PodId{});
         for (std::size_t i = 0; i < pairs.size(); ++i) {
           if (dark[i] > 0.0) schedule_repair(i, ev.t);
         }
@@ -450,42 +423,21 @@ HierarchyRunResult ControlHierarchy::run(
         const PodId pod = faults.partitions[ev.idx].pod;
         result.journal_replayed += journal[pod.index()];
         journal[pod.index()] = 0;
-        if (!stale) {
-          // Rejoin reconciliation: diverged pairs in the rejoined Pod whose
-          // plan routes are valid go back on plan.
-          for (std::size_t i = 0; i < pairs.size(); ++i) {
-            if (!diverged[i]) continue;
-            if (reference.node(pairs[i].first).pod != pod &&
-                reference.node(pairs[i].second).pod != pod) {
-              continue;
-            }
-            const bool ok = !canonical[i].empty() &&
-                            std::all_of(canonical[i].begin(),
-                                        canonical[i].end(),
-                                        [&](const Path& p) {
-                                          return is_valid_path(*live, p);
-                                        });
-            if (ok) {
-              routes[i] = canonical[i];
-              diverged[i] = false;
-              ++result.pairs_reconciled;
-            }
-          }
-          recompute_dark();
-        }
+        // Rejoin reconciliation: diverged pairs in the rejoined Pod whose
+        // plan routes are valid go back on plan.
+        if (!stale) reconcile(pod);
         break;
       }
       case EvKind::kConvert: {
         ConversionExecOptions eo = exec_base;
         eo.channel = channel_for(*cur);
         eo.pod_local_authority = hier;
+        eo.failover_takeover_s = options_.failover_takeover_s;
         ConversionFaults cf;
         cf.partitions = faults.partitions;
         cf.kill_primary_at_s = faults.root_crash_at_s >= convert_at_s
                                    ? faults.root_crash_at_s
                                    : -1.0;
-        cf.kill_primary_at_s =
-            cf.kill_primary_at_s >= 0.0 ? cf.kill_primary_at_s : -1.0;
         const ConversionExecutor executor{*controller_, eo};
         ExecutionReport rep = executor.execute_under_storm(
             mode, *convert_to, pairs, storm, cf, convert_at_s);
@@ -501,8 +453,6 @@ HierarchyRunResult ControlHierarchy::run(
         routes = canonical;
         std::fill(diverged.begin(), diverged.end(), false);
         active = storm.active_at(rep.finish_s);
-        std::sort(active.links.begin(), active.links.end());
-        std::sort(active.switches.begin(), active.switches.end());
         refresh_live();
         now = std::min(rep.finish_s, duration_s);
         // Repairs planned against the pre-conversion state are void.
@@ -525,31 +475,26 @@ HierarchyRunResult ControlHierarchy::run(
         repair_pending[pr.pair] = false;
         if (stale || now >= duration_s) break;
         if (dark[pr.pair] <= 0.0) break;  // recovered before the fix landed
-        const auto [src, dst] = pairs[pr.pair];
+        const NodeId src = pairs[pr.pair].first;
+        const NodeId dst = pairs[pr.pair].second;
         if (live->degree(src) == 0 || live->degree(dst) == 0) break;
-        if (!live_cache.has_value()) live_cache.emplace(*live, k);
-        std::vector<Path> sol = live_cache->server_paths(src, dst);
         const PodId pod = reference.node(src).pod;
-        if (pr.local) {
-          // The islanded Pod controller can only program its own switches.
-          std::erase_if(sol, [&](const Path& p) {
-            return !intra_pod(p, pod);
-          });
-        }
         // Targeted patch: survivors stay installed, the solve tops the ECMP
         // set back up.
-        std::vector<Path> next;
-        for (const Path& p : routes[pr.pair]) {
-          if (is_valid_path(*live, p)) next.push_back(p);
-        }
-        const std::size_t want =
-            std::max<std::size_t>(routes[pr.pair].size(), 1);
-        for (const Path& p : sol) {
-          if (next.size() >= want) break;
-          if (std::find(next.begin(), next.end(), p) == next.end()) {
-            next.push_back(p);
-          }
-        }
+        std::vector<Path> next = patch_paths(
+            *live, routes[pr.pair],
+            std::max<std::size_t>(routes[pr.pair].size(), 1), [&] {
+              if (!live_cache.has_value()) live_cache.emplace(*live, k);
+              std::vector<Path> sol = live_cache->server_paths(src, dst);
+              if (pr.local) {
+                // The islanded Pod controller can only program its own
+                // switches.
+                std::erase_if(sol, [&](const Path& p) {
+                  return !intra_pod(p, pod);
+                });
+              }
+              return sol;
+            });
         if (next.empty() || next == routes[pr.pair]) break;
         routes[pr.pair] = std::move(next);
         diverged[pr.pair] = routes[pr.pair] != canonical[pr.pair];

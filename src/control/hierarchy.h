@@ -75,7 +75,8 @@ struct ControlHierarchyOptions {
   bool topology_rtts{true};
   double heartbeat_period_s{0.05};
   std::uint32_t heartbeat_miss_limit{3};
-  // Standby promotion delay after a root crash.
+  // Standby promotion delay after a root crash, while serving and during a
+  // delegated conversion alike.
   double failover_takeover_s{0.25};
   // ctrl.hier.* counters and gauges; all updates commutative.
   obs::ObsSink sink{};
@@ -165,7 +166,8 @@ class ControlHierarchy {
   // staged conversion to it is driven through a ConversionExecutor at
   // convert_at_s (exec_base supplies protocol knobs; its channel is
   // replaced by channel_for, its pod_local_authority by the hierarchy's
-  // kind, and the partition/root-crash faults are threaded through). The
+  // kind, its failover_takeover_s by the hierarchy's, and the
+  // partition/root-crash faults are threaded through). The
   // conversion span's blackhole integral comes from the executor; the
   // serving simulation accounts the rest of the run.
   [[nodiscard]] HierarchyRunResult run(

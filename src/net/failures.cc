@@ -9,13 +9,27 @@
 
 namespace flattree {
 
-void FailureSet::merge(const FailureSet& other) {
-  links.insert(links.end(), other.links.begin(), other.links.end());
-  switches.insert(switches.end(), other.switches.begin(),
-                  other.switches.end());
+namespace {
+
+std::uint64_t undirected_pair_key(NodeId a, NodeId b) {
+  const auto lo = std::min(a.value(), b.value());
+  const auto hi = std::max(a.value(), b.value());
+  return (static_cast<std::uint64_t>(lo) << 32) | hi;
 }
 
-namespace {
+// Inserts (fail) or erases (recover) each id of `ids` in the sorted `set`.
+template <typename Id>
+void fold_ids(std::vector<Id>& set, const std::vector<Id>& ids, bool recover) {
+  for (Id id : ids) {
+    const auto pos = std::lower_bound(set.begin(), set.end(), id);
+    const bool present = pos != set.end() && *pos == id;
+    if (recover && present) {
+      set.erase(pos);
+    } else if (!recover && !present) {
+      set.insert(pos, id);
+    }
+  }
+}
 
 // Walks one entity's fail/recover alternation across `events` (plus, at
 // index `insert_pos`, the elements of `pending`). Throws on a fail of an
@@ -128,23 +142,17 @@ FailureSchedule& FailureSchedule::recover_at(double time_s,
   return *this;
 }
 
+void fold_failure_event(FailureSet& active, const FailureEvent& event) {
+  fold_ids(active.links, event.elements.links, event.recover);
+  fold_ids(active.switches, event.elements.switches, event.recover);
+}
+
 FailureSet FailureSchedule::active_at(double time_s) const {
-  std::unordered_set<LinkId> links;
-  std::unordered_set<NodeId> switches;
+  FailureSet active;
   for (const FailureEvent& event : events_) {
     if (event.time_s > time_s) break;
-    for (LinkId id : event.elements.links) {
-      if (event.recover) links.erase(id); else links.insert(id);
-    }
-    for (NodeId id : event.elements.switches) {
-      if (event.recover) switches.erase(id); else switches.insert(id);
-    }
+    fold_failure_event(active, event);
   }
-  FailureSet active;
-  active.links.assign(links.begin(), links.end());
-  active.switches.assign(switches.begin(), switches.end());
-  std::sort(active.links.begin(), active.links.end());
-  std::sort(active.switches.begin(), active.switches.end());
   return active;
 }
 
@@ -190,28 +198,38 @@ Graph degrade(const Graph& graph, const FailureSet& failures) {
   return out;
 }
 
-Graph degrade_mapped(const Graph& graph, const Graph& reference,
-                     const FailureSet& failures) {
-  const auto pair_key = [](NodeId a, NodeId b) {
-    const auto lo = std::min(a.value(), b.value());
-    const auto hi = std::max(a.value(), b.value());
-    return (static_cast<std::uint64_t>(lo) << 32) | hi;
-  };
+FailureSet map_failures(const Graph& graph, const Graph& reference,
+                        const FailureSet& failures) {
   std::unordered_set<std::uint64_t> severed;
   for (LinkId id : failures.links) {
     if (id.index() >= reference.link_count()) {
       throw std::invalid_argument("degrade_mapped: link id out of range");
     }
     const Link& l = reference.link(id);
-    severed.insert(pair_key(l.a, l.b));
+    severed.insert(undirected_pair_key(l.a, l.b));
   }
   FailureSet mapped;
   mapped.switches = failures.switches;
   for (std::uint32_t i = 0; i < graph.link_count(); ++i) {
     const Link& l = graph.link(LinkId{i});
-    if (severed.contains(pair_key(l.a, l.b))) mapped.links.push_back(LinkId{i});
+    if (severed.contains(undirected_pair_key(l.a, l.b))) {
+      mapped.links.push_back(LinkId{i});
+    }
   }
-  return degrade(graph, mapped);
+  return mapped;
+}
+
+Graph degrade_mapped(const Graph& graph, const Graph& reference,
+                     const FailureSet& failures) {
+  return degrade(graph, map_failures(graph, reference, failures));
+}
+
+std::shared_ptr<const Graph> live_graph(std::shared_ptr<const Graph> clean,
+                                        const Graph& reference,
+                                        const FailureSet& active) {
+  if (active.empty()) return clean;
+  return std::make_shared<const Graph>(
+      degrade_mapped(*clean, reference, active));
 }
 
 std::vector<LinkId> sample_fabric_failures(const Graph& graph,
@@ -265,16 +283,6 @@ FailureSet core_column_failure(const Graph& graph, std::uint32_t first_core,
   std::sort(set.switches.begin(), set.switches.end());
   return set;
 }
-
-namespace {
-
-std::uint64_t undirected_pair_key(NodeId a, NodeId b) {
-  const auto lo = std::min(a.value(), b.value());
-  const auto hi = std::max(a.value(), b.value());
-  return (static_cast<std::uint64_t>(lo) << 32) | hi;
-}
-
-}  // namespace
 
 std::vector<LinkId> links_not_in(const Graph& graph, const Graph& other) {
   std::unordered_map<std::uint64_t, int> budget;

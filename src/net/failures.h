@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "net/graph.h"
@@ -37,7 +38,6 @@ struct FailureSet {
   [[nodiscard]] std::size_t size() const {
     return links.size() + switches.size();
   }
-  void merge(const FailureSet& other);
 };
 
 // One fail or recover event. Events with equal timestamps apply in
@@ -53,6 +53,13 @@ struct FailureEvent {
   bool recover{false};  // false = elements fail, true = elements recover
   FailureSet elements;
 };
+
+// Folds one event into `active`, a failed set kept sorted and free of
+// duplicates: a fail inserts the event's elements, a recover erases them.
+// FailureSchedule::active_at is this fold over every due event; consumers
+// that track a schedule event by event (the conversion executor, the
+// control hierarchy) fold through it too.
+void fold_failure_event(FailureSet& active, const FailureEvent& event);
 
 // A time-ordered script of fail/recover events, the unit both simulators
 // and the controller consume. Construction is validated: every entity's
@@ -111,6 +118,21 @@ class FailureSchedule {
 // apply as in degrade().
 [[nodiscard]] Graph degrade_mapped(const Graph& graph, const Graph& reference,
                                    const FailureSet& failures);
+
+// The link mapping behind degrade_mapped(): `failures` re-expressed in
+// `graph`'s link numbering (every link of `graph` between a node pair that
+// a failed `reference` link joins, ascending ids), switches unchanged.
+// Throws std::invalid_argument on a link id out of `reference`'s range.
+[[nodiscard]] FailureSet map_failures(const Graph& graph,
+                                      const Graph& reference,
+                                      const FailureSet& failures);
+
+// The live view of a realization under a reference-space failure set:
+// `clean` itself when nothing is failed, else degrade_mapped(*clean,
+// reference, active) in a fresh shared graph.
+[[nodiscard]] std::shared_ptr<const Graph> live_graph(
+    std::shared_ptr<const Graph> clean, const Graph& reference,
+    const FailureSet& active);
 
 // Uniformly samples `fraction` of the switch-switch links (server access
 // links never fail — the paper's failure discussions concern the fabric).

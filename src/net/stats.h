@@ -1,8 +1,10 @@
 // Graph-level statistics used throughout the evaluation: average path
 // lengths (the (m, n) profiling metric of §3.4 and the wiring-pattern
-// ablation of §3.2), diameter, and structural audits.
+// ablation of §3.2), diameter, and structural audits — plus the sample
+// percentile every bench table and scenario summary reports.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -35,6 +37,18 @@ struct PathLengthStats {
 [[nodiscard]] std::vector<std::size_t> links_by_peer_role(const Graph& graph,
                                                           NodeRole role,
                                                           NodeRole peer_role);
+
+// The p-th percentile (p in [0, 100]) of `v`, interpolating linearly
+// between the two nearest order statistics; 0 for an empty sample.
+[[nodiscard]] inline double percentile(std::vector<double> v, double p) {
+  if (v.empty()) return 0;
+  std::sort(v.begin(), v.end());
+  const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return v[lo] * (1 - frac) + v[hi] * frac;
+}
 
 // Total bisection-ish capacity proxy: the sum of capacities of all links with
 // at least one core-switch endpoint (the paper's "network core bandwidth").

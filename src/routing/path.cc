@@ -27,6 +27,21 @@ bool is_valid_path(const Graph& graph, std::span<const NodeId> path) {
   return true;
 }
 
+std::size_t count_invalid_paths(const Graph& graph,
+                                const std::vector<Path>& paths) {
+  return static_cast<std::size_t>(
+      std::count_if(paths.begin(), paths.end(), [&](const Path& p) {
+        return !is_valid_path(graph, p);
+      }));
+}
+
+bool all_paths_valid(const Graph& graph, const std::vector<Path>& paths) {
+  return !paths.empty() &&
+         std::all_of(paths.begin(), paths.end(), [&](const Path& p) {
+           return is_valid_path(graph, p);
+         });
+}
+
 Path with_server_endpoints(NodeId src_server,
                            std::span<const NodeId> switch_path,
                            NodeId dst_server) {

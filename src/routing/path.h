@@ -1,6 +1,7 @@
 // Path representation and validation.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -18,6 +19,35 @@ using Path = std::vector<NodeId>;
 // nodes are switches. Returns false (never throws) so it can gate-keep
 // untrusted path inputs.
 [[nodiscard]] bool is_valid_path(const Graph& graph, std::span<const NodeId> path);
+
+// How many of `paths` are not valid on `graph` — the dead share of a pair's
+// installed ECMP set.
+[[nodiscard]] std::size_t count_invalid_paths(const Graph& graph,
+                                              const std::vector<Path>& paths);
+
+// True when `paths` is non-empty and every path is valid on `graph`.
+[[nodiscard]] bool all_paths_valid(const Graph& graph,
+                                   const std::vector<Path>& paths);
+
+// Targeted patch of one pair's path set: the paths of `installed` still
+// valid on `graph` stay (in order), and the set is topped back up to `want`
+// paths from `solve()`, skipping paths already kept. `solve` runs only when
+// the survivors fall short.
+template <typename Solve>
+[[nodiscard]] std::vector<Path> patch_paths(const Graph& graph,
+                                            const std::vector<Path>& installed,
+                                            std::size_t want, Solve&& solve) {
+  std::vector<Path> next;
+  for (const Path& p : installed) {
+    if (is_valid_path(graph, p)) next.push_back(p);
+  }
+  if (next.size() >= want) return next;
+  for (const Path& p : solve()) {
+    if (next.size() >= want) break;
+    if (std::find(next.begin(), next.end(), p) == next.end()) next.push_back(p);
+  }
+  return next;
+}
 
 // Hop count (links traversed); 0 for trivial paths.
 [[nodiscard]] inline std::size_t path_length(std::span<const NodeId> path) {

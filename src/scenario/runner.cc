@@ -8,6 +8,7 @@
 #include "control/autopilot/autopilot.h"
 #include "control/conversion_exec.h"
 #include "net/rng.h"
+#include "net/stats.h"
 #include "routing/ksp.h"
 #include "sim/fluid.h"
 #include "sim/packet.h"
@@ -314,19 +315,9 @@ void check_engine_constraints(const CompiledScenario& c,
 
 // ---- run: summaries ---------------------------------------------------------
 
-// Same arithmetic as bench::percentile / bench::mean — the differential
-// test (tests/test_scenario_diff.cc) pins scenario summaries byte-identical
-// to bench_failure_recovery's values.
-double percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return v[lo] * (1 - frac) + v[hi] * frac;
-}
-
+// percentile is the benches' own definition (net/stats.h), so the
+// differential test (tests/test_scenario_diff.cc) can pin scenario
+// summaries byte-identical to bench_failure_recovery's values.
 ClassSummary summarize(std::string name, std::size_t flows,
                        const std::vector<double>& fcts) {
   ClassSummary s;

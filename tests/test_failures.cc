@@ -5,7 +5,12 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <set>
+#include <stdexcept>
+#include <string>
 
+#include "control/conversion_exec.h"
+#include "control/hierarchy.h"
 #include "core/flat_tree.h"
 #include "routing/ksp.h"
 #include "sim/fluid.h"
@@ -250,6 +255,143 @@ TEST(FailureSchedule, NegativeTimeThrows) {
   EXPECT_THROW(
       schedule.fail_at(std::numeric_limits<double>::quiet_NaN(), FailureSet{}),
       std::invalid_argument);
+}
+
+// Fuzzed valid schedules: folding the events one at a time through
+// fold_failure_event must agree with active_at(t) — and with a plain
+// per-entity set walk — at every event time, including same-timestamp
+// fail+recover pairs, and the folded set stays sorted and duplicate-free.
+TEST(FoldFailureEvent, MatchesActiveAtOnFuzzedSchedules) {
+  Rng rng{0xF01D};
+  for (int round = 0; round < 200; ++round) {
+    constexpr std::uint32_t kEntities = 6;
+    std::vector<bool> link_down(kEntities, false);
+    std::vector<bool> switch_down(kEntities, false);
+    FailureSchedule schedule;
+    double t = 0.0;
+    const int events = 1 + static_cast<int>(rng.next_below(14));
+    for (int e = 0; e < events; ++e) {
+      if (rng.next_double() < 0.6) t += 0.25 * (1.0 + rng.next_below(3));
+      const bool recover = rng.next_double() < 0.5;
+      FailureSet set;
+      for (std::uint32_t id = 0; id < kEntities; ++id) {
+        if (rng.next_double() < 0.4 && link_down[id] == recover) {
+          set.links.push_back(LinkId{id});
+          link_down[id] = !recover;
+        }
+        if (rng.next_double() < 0.3 && switch_down[id] == recover) {
+          set.switches.push_back(NodeId{id});
+          switch_down[id] = !recover;
+        }
+      }
+      if (recover) {
+        schedule.recover_at(t, set);
+      } else {
+        schedule.fail_at(t, set);
+        if (rng.next_double() < 0.3) {
+          // Same-timestamp flap: the elements never stay down.
+          schedule.recover_at(t, set);
+          for (LinkId id : set.links) link_down[id.index()] = false;
+          for (NodeId id : set.switches) switch_down[id.index()] = false;
+        }
+      }
+    }
+
+    const std::vector<FailureEvent>& evs = schedule.events();
+    FailureSet folded;
+    std::set<LinkId> oracle_links;
+    std::set<NodeId> oracle_switches;
+    for (std::size_t e = 0; e < evs.size(); ++e) {
+      fold_failure_event(folded, evs[e]);
+      for (LinkId id : evs[e].elements.links) {
+        if (evs[e].recover) oracle_links.erase(id); else oracle_links.insert(id);
+      }
+      for (NodeId id : evs[e].elements.switches) {
+        if (evs[e].recover) {
+          oracle_switches.erase(id);
+        } else {
+          oracle_switches.insert(id);
+        }
+      }
+      ASSERT_TRUE(std::is_sorted(folded.links.begin(), folded.links.end()));
+      ASSERT_TRUE(
+          std::is_sorted(folded.switches.begin(), folded.switches.end()));
+      // Compare once every event sharing this timestamp has folded.
+      if (e + 1 < evs.size() && evs[e + 1].time_s == evs[e].time_s) continue;
+      const FailureSet active = schedule.active_at(evs[e].time_s);
+      EXPECT_EQ(folded.links, active.links) << "round " << round;
+      EXPECT_EQ(folded.switches, active.switches) << "round " << round;
+      EXPECT_EQ(folded.links, std::vector<LinkId>(oracle_links.begin(),
+                                                   oracle_links.end()));
+      EXPECT_EQ(folded.switches,
+                std::vector<NodeId>(oracle_switches.begin(),
+                                    oracle_switches.end()));
+    }
+  }
+}
+
+// Every consumer of a control-partition window (the conversion executor,
+// the control hierarchy) rejects a malformed one with the same message.
+TEST(ControlPartition, ValidatePinsTheWindowDiagnostics) {
+  const auto message = [](const ControlPartition& p) -> std::string {
+    try {
+      p.validate(4);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ("", message(ControlPartition{PodId{3}, 0.0, -1.0}));
+  EXPECT_EQ("", message(ControlPartition{PodId{0}, 1.0, 2.0}));
+  EXPECT_EQ("ControlPartition: pod out of range",
+            message(ControlPartition{PodId{4}, 0.0, 1.0}));
+  EXPECT_EQ("ControlPartition: pod out of range",
+            message(ControlPartition{PodId{}, 0.0, 1.0}));
+  EXPECT_EQ("ControlPartition: start_s must be >= 0",
+            message(ControlPartition{PodId{0}, -1.0, 1.0}));
+  EXPECT_EQ("ControlPartition: start_s must be >= 0",
+            message(ControlPartition{
+                PodId{0}, std::numeric_limits<double>::quiet_NaN(), 1.0}));
+  EXPECT_EQ("ControlPartition: window must end after it starts",
+            message(ControlPartition{PodId{0}, 2.0, 1.0}));
+  EXPECT_EQ("ControlPartition: window must end after it starts",
+            message(ControlPartition{PodId{0}, 1.0, 1.0}));
+
+  // Both consumers surface exactly this diagnostic.
+  FlatTreeParams params;
+  params.clos = ClosParams::testbed();
+  params.six_port_per_column = 1;
+  params.four_port_per_column = 1;
+  ControllerOptions options;
+  options.count_rules = false;
+  const Controller controller{FlatTree{params}, options};
+  const CompiledMode from = controller.compile_uniform(PodMode::kClos);
+  const CompiledMode to = controller.compile_uniform(PodMode::kGlobal);
+  const std::vector<std::pair<NodeId, NodeId>> pairs{
+      {from.graph().servers().front(), from.graph().servers().back()}};
+  const ControlPartition backwards{PodId{0}, 2.0, 1.0};
+  const std::string expected =
+      "ControlPartition: window must end after it starts";
+
+  ConversionFaults exec_faults;
+  exec_faults.partitions.push_back(backwards);
+  try {
+    (void)ConversionExecutor{controller, {}}.execute(from, to, pairs,
+                                                      exec_faults);
+    ADD_FAILURE() << "executor accepted a backwards window";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(expected, e.what());
+  }
+
+  HierarchyFaults hier_faults;
+  hier_faults.partitions.push_back(backwards);
+  try {
+    (void)ControlHierarchy{controller, ControlPlaneKind::kHierarchical, {}}
+        .run(from, pairs, FailureSchedule{}, hier_faults, 1.0);
+    ADD_FAILURE() << "hierarchy accepted a backwards window";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(expected, e.what());
+  }
 }
 
 TEST(ServersConnected, DetectsPartition) {

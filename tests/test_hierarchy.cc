@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -397,6 +398,44 @@ TEST(ControlHierarchy, DelegatedConversionAdoptsTerminalCheckpoint) {
   EXPECT_EQ(to.configs(), res.conversion->terminal_configs);
   expect_terminal_checkpointed(*res.conversion);
   EXPECT_EQ(0.0, res.blackhole_pair_s);
+}
+
+// The hierarchy's takeover delay governs a delegated conversion too: a root
+// crash mid-conversion promotes the standby failover_takeover_s after the
+// crash, the same delay the serving path charges — not the executor's
+// default.
+TEST(ControlHierarchy, ConversionFailoverUsesHierarchyTakeover) {
+  const Controller ctl = testbed_controller();
+  const CompiledMode from = ctl.compile_uniform(PodMode::kClos);
+  const CompiledMode to = ctl.compile_uniform(PodMode::kGlobal);
+  const std::vector<std::pair<NodeId, NodeId>> pairs = mixed_pairs(from.graph());
+
+  ConversionExecOptions exec_base;
+  exec_base.stage_checkpoints = true;
+  ASSERT_NE(0.5, exec_base.failover_takeover_s);
+  ControlHierarchyOptions opts;
+  opts.failover_takeover_s = 0.5;
+  const double convert_at = 1.0;
+  HierarchyFaults faults;
+  faults.root_crash_at_s = convert_at + 0.3;
+
+  const ControlHierarchy hier{ctl, ControlPlaneKind::kHierarchical, opts};
+  const HierarchyRunResult res = hier.run(
+      from, pairs, FailureSchedule{}, faults, 60.0, &to, convert_at, exec_base);
+  ASSERT_TRUE(res.conversion.has_value());
+  const ExecutionReport& rep = *res.conversion;
+  ASSERT_GT(rep.finish_s, faults.root_crash_at_s);  // crashed mid-conversion
+  ASSERT_EQ(1u, rep.failovers);
+  const auto first_standby =
+      std::find_if(rep.steps.begin(), rep.steps.end(),
+                   [](const StepRecord& s) { return s.standby; });
+  ASSERT_NE(rep.steps.end(), first_standby);
+  ASSERT_NE(rep.steps.begin(), first_standby);
+  EXPECT_GE(first_standby->start_s, faults.root_crash_at_s + 0.5);
+  // Promotion happens at the first step boundary after the crash and costs
+  // exactly the hierarchy's takeover delay.
+  EXPECT_EQ(std::prev(first_standby)->finish_s + 0.5, first_standby->start_s);
+  expect_terminal_checkpointed(rep);
 }
 
 // ISSUE satellite: compound same-tick chaos fuzz. Every seeded mix of a

@@ -20,24 +20,13 @@
 #include "control/controller.h"
 #include "core/flat_tree.h"
 #include "net/failures.h"
+#include "net/stats.h"
 #include "scenario/runner.h"
 #include "sim/fluid.h"
 #include "traffic/patterns.h"
 
 namespace flattree::scenario {
 namespace {
-
-// bench::percentile's exact definition (bench/util.h) — the scenario runner
-// documents that its percentile matches it, and this test is the proof.
-double percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
 
 struct RunStats {
   double worst_fct{0.0};
