@@ -38,6 +38,7 @@ struct FailureSet {
   [[nodiscard]] std::size_t size() const {
     return links.size() + switches.size();
   }
+  bool operator==(const FailureSet&) const = default;
 };
 
 // One fail or recover event. Events with equal timestamps apply in
