@@ -18,8 +18,9 @@ struct Flow {
   double bytes{0.0};        // 0 = persistent (throughput experiments)
   double start_s{0.0};
   // Flow indices that must complete before this flow starts (application
-  // phase structure, e.g. torrent broadcast rounds).
-  std::vector<std::uint32_t> depends_on;
+  // phase structure, e.g. torrent broadcast rounds). The empty initializer
+  // lets Flow{src, dst} leave it out under -Wmissing-field-initializers.
+  std::vector<std::uint32_t> depends_on{};
   // Extra latency between dependency completion and start (serialization /
   // deserialization overhead in the computation framework, §5.4).
   double dep_delay_s{0.0};

@@ -158,8 +158,12 @@ TEST(Simplex, SolutionSatisfiesConstraints) {
   for (const LpConstraint& c : p.constraints) {
     double lhs = 0;
     for (const auto& [v, coeff] : c.terms) lhs += coeff * s.x[v];
-    if (c.sense == ConstraintSense::kLe) EXPECT_LE(lhs, c.rhs + 1e-6);
-    if (c.sense == ConstraintSense::kGe) EXPECT_GE(lhs, c.rhs - 1e-6);
+    if (c.sense == ConstraintSense::kLe) {
+      EXPECT_LE(lhs, c.rhs + 1e-6);
+    }
+    if (c.sense == ConstraintSense::kGe) {
+      EXPECT_GE(lhs, c.rhs - 1e-6);
+    }
   }
   for (double v : s.x) EXPECT_GE(v, -1e-9);
 }
