@@ -42,7 +42,8 @@ echo "== sanitizer gate (preset: ${SANITIZE_PRESET}) =="
 # test_conversion_storm cover here.
 cmake --preset "${SANITIZE_PRESET}"
 cmake --build "build-${SANITIZE_PRESET}" -j "${JOBS}" \
-  --target test_exec test_obs test_ksp_properties test_event_queue \
+  --target test_exec test_obs test_ksp_properties test_ksp_diff \
+           test_event_queue \
            test_packet_diff test_conversion_exec test_conversion_storm \
            test_autopilot test_hierarchy test_warm_repair_diff \
            test_fluid_incremental_diff \
@@ -50,6 +51,10 @@ cmake --build "build-${SANITIZE_PRESET}" -j "${JOBS}" \
 "./build-${SANITIZE_PRESET}/tests/test_exec"
 "./build-${SANITIZE_PRESET}/tests/test_obs"
 "./build-${SANITIZE_PRESET}/tests/test_ksp_properties"
+# Yen's and is_valid_path against their set/deque oracles, including
+# precompute's pool fan-out (one solver workspace per call — the
+# TSan-relevant path).
+"./build-${SANITIZE_PRESET}/tests/test_ksp_diff"
 # The pooled event engine's property/fuzz battery and the engine
 # differential (which also drives ShardedPacketSim across a pool, the
 # TSan-relevant path).

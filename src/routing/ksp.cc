@@ -1,9 +1,10 @@
 #include "routing/ksp.h"
 
 #include <algorithm>
-#include <deque>
+#include <cstddef>
 #include <set>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "exec/parallel.h"
 
@@ -56,67 +57,102 @@ AdjacencyDelta adjacency_delta(const Graph& from, const Graph& to) {
   return delta;
 }
 
-std::optional<Path> KspSolver::shortest_path(NodeId src, NodeId dst) const {
-  return constrained_shortest(src, dst, {}, {});
+// Per-call search state, sized once per k_shortest_paths call and reused by
+// every spur search in it. Stamps equal to `epoch` belong to the current
+// search; bumping the epoch clears all of them at once.
+struct KspSolver::Workspace {
+  explicit Workspace(std::size_t nodes)
+      : seen(nodes, 0), first_hop_banned(nodes, 0), parent(nodes) {
+    queue.reserve(nodes);
+  }
+
+  // Starts a new search: every stamp from earlier searches goes stale.
+  void next_search() {
+    if (++epoch == 0) {  // wrapped: old stamps could alias, so clear them
+      std::fill(seen.begin(), seen.end(), 0);
+      std::fill(first_hop_banned.begin(), first_hop_banned.end(), 0);
+      epoch = 1;
+    }
+  }
+
+  std::uint32_t epoch{0};
+  // Discovered (or banned: Yen's root nodes are stamped in up front, so the
+  // search treats them as already visited).
+  std::vector<std::uint32_t> seen;
+  // Peers of the source that may not be the first hop.
+  std::vector<std::uint32_t> first_hop_banned;
+  std::vector<NodeId> parent;
+  std::vector<NodeId> queue;  // FIFO: a node is pushed at most once
+};
+
+KspSolver::KspSolver(const Graph& graph)
+    : offsets_(graph.node_count() + 1, 0),
+      transit_(graph.node_count(), false) {
+  peers_.reserve(2 * graph.link_count());
+  for (std::uint32_t i = 0; i < graph.node_count(); ++i) {
+    const NodeId u{i};
+    transit_[i] = is_switch(graph.node(u).role);
+    const auto first = static_cast<std::ptrdiff_t>(peers_.size());
+    for (const Adjacency& adj : graph.neighbors(u)) peers_.push_back(adj.peer);
+    std::sort(peers_.begin() + first, peers_.end());
+    peers_.erase(std::unique(peers_.begin() + first, peers_.end()),
+                 peers_.end());
+    offsets_[i + 1] = static_cast<std::uint32_t>(peers_.size());
+  }
 }
 
-std::optional<Path> KspSolver::constrained_shortest(
-    NodeId src, NodeId dst, const std::unordered_set<NodeId>& banned_nodes,
-    const std::unordered_set<EdgeKey>& banned_edges) const {
-  const Graph& g = *graph_;
-  if (src.index() >= g.node_count() || dst.index() >= g.node_count()) {
-    throw std::invalid_argument("shortest_path: bad node id");
-  }
-  if (src == dst) return Path{src};
-  if (banned_nodes.contains(dst)) return std::nullopt;
+std::optional<Path> KspSolver::shortest_path(NodeId src, NodeId dst) const {
+  std::vector<Path> paths = k_shortest_paths(src, dst, 1);
+  if (paths.empty()) return std::nullopt;
+  return std::move(paths.front());
+}
 
-  // BFS with deterministic parent choice: nodes are discovered in adjacency
-  // order from lexicographically processed frontiers, so the reconstructed
-  // path is reproducible.
-  std::vector<NodeId> parent(g.node_count(), NodeId::invalid());
-  std::vector<bool> visited(g.node_count(), false);
-  std::deque<NodeId> queue;
-  queue.push_back(src);
-  visited[src.index()] = true;
-
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
-    if (u == dst) break;
+bool KspSolver::constrained_shortest(Workspace& ws, NodeId src,
+                                     NodeId dst) const {
+  if (src == dst) return true;
+  const std::uint32_t epoch = ws.epoch;
+  if (ws.seen[dst.index()] == epoch) return false;  // dst is banned
+  ws.seen[src.index()] = epoch;
+  ws.queue.clear();
+  ws.queue.push_back(src);
+  for (std::size_t head = 0; head < ws.queue.size(); ++head) {
+    const NodeId u = ws.queue[head];
     // Traffic transits switches only.
-    if (u != src && !is_switch(g.node(u).role)) continue;
-    // Collect admissible neighbors sorted by id for determinism (adjacency
-    // order is build-dependent; sorted order is canonical).
-    std::vector<NodeId> next;
-    for (const Adjacency& adj : g.neighbors(u)) {
-      if (visited[adj.peer.index()]) continue;
-      if (banned_nodes.contains(adj.peer)) continue;
-      if (banned_edges.contains(edge_key(u, adj.peer))) continue;
-      next.push_back(adj.peer);
-    }
-    std::sort(next.begin(), next.end());
-    next.erase(std::unique(next.begin(), next.end()), next.end());
-    for (NodeId v : next) {
-      visited[v.index()] = true;
-      parent[v.index()] = u;
-      queue.push_back(v);
+    if (u != src && !transit_[u.index()]) continue;
+    const bool at_src = u == src;
+    for (std::uint32_t e = offsets_[u.index()]; e < offsets_[u.index() + 1];
+         ++e) {
+      const NodeId v = peers_[e];
+      if (ws.seen[v.index()] == epoch) continue;
+      if (at_src && ws.first_hop_banned[v.index()] == epoch) continue;
+      ws.seen[v.index()] = epoch;
+      ws.parent[v.index()] = u;
+      if (v == dst) return true;
+      ws.queue.push_back(v);
     }
   }
+  return false;
+}
 
-  if (!visited[dst.index()]) return std::nullopt;
-  Path path;
-  for (NodeId n = dst; n.valid(); n = parent[n.index()]) path.push_back(n);
-  std::reverse(path.begin(), path.end());
-  return path;
+void KspSolver::append_found(const Workspace& ws, NodeId src, NodeId dst,
+                             Path& out) const {
+  const std::size_t first = out.size();
+  for (NodeId n = dst; n != src; n = ws.parent[n.index()]) out.push_back(n);
+  std::reverse(out.begin() + static_cast<std::ptrdiff_t>(first), out.end());
 }
 
 std::vector<Path> KspSolver::k_shortest_paths(NodeId src, NodeId dst,
                                               std::uint32_t k) const {
   std::vector<Path> result;
   if (k == 0) return result;
-  auto first = shortest_path(src, dst);
-  if (!first) return result;
-  result.push_back(std::move(*first));
+  if (src.index() >= node_count() || dst.index() >= node_count()) {
+    throw std::invalid_argument("shortest_path: bad node id");
+  }
+  Workspace ws{node_count()};
+  ws.next_search();
+  if (!constrained_shortest(ws, src, dst)) return result;
+  result.push_back(Path{src});
+  append_found(ws, src, dst, result.back());
 
   // Candidates ordered by (length, lexicographic), deduplicated.
   auto cmp = [](const Path& a, const Path& b) { return path_less(a, b); };
@@ -128,22 +164,22 @@ std::vector<Path> KspSolver::k_shortest_paths(NodeId src, NodeId dst,
       const NodeId spur = prev[i];
       const std::span<const NodeId> root{prev.data(), i + 1};
 
-      std::unordered_set<EdgeKey> banned_edges;
+      // Yen's bans: the root's nodes before the spur, and every edge
+      // (p[i], p[i+1]) of an accepted path p sharing the root. p[i] is the
+      // spur, the search's source, so each banned edge is a first hop.
+      ws.next_search();
       for (const Path& p : result) {
         if (p.size() > i + 1 &&
             std::equal(root.begin(), root.end(), p.begin())) {
-          banned_edges.insert(edge_key(p[i], p[i + 1]));
+          ws.first_hop_banned[p[i + 1].index()] = ws.epoch;
         }
       }
-      std::unordered_set<NodeId> banned_nodes;
-      for (std::size_t j = 0; j < i; ++j) banned_nodes.insert(prev[j]);
+      for (std::size_t j = 0; j < i; ++j) ws.seen[prev[j].index()] = ws.epoch;
 
-      const auto spur_path =
-          constrained_shortest(spur, dst, banned_nodes, banned_edges);
-      if (!spur_path) continue;
+      if (!constrained_shortest(ws, spur, dst)) continue;
 
       Path total(root.begin(), root.end());
-      total.insert(total.end(), spur_path->begin() + 1, spur_path->end());
+      append_found(ws, spur, dst, total);
       if (std::none_of(result.begin(), result.end(),
                        [&](const Path& p) { return p == total; })) {
         candidates.insert(std::move(total));
@@ -168,6 +204,11 @@ void PathCache::attach_obs(const obs::ObsSink& sink) {
   c_evicted_ = &reg->counter("routing.ksp.pairs_evicted");
 }
 
+const KspSolver& PathCache::solver() {
+  if (!solver_) solver_.emplace(*graph_);
+  return *solver_;
+}
+
 const std::vector<Path>& PathCache::switch_paths(NodeId src_switch,
                                                  NodeId dst_switch) {
   const std::uint64_t key =
@@ -180,7 +221,7 @@ const std::vector<Path>& PathCache::switch_paths(NodeId src_switch,
   }
   obs::add(c_misses_);
   obs::add(c_computed_);
-  auto paths = solver_.k_shortest_paths(src_switch, dst_switch, k_);
+  auto paths = solver().k_shortest_paths(src_switch, dst_switch, k_);
   return cache_.emplace(key, std::move(paths)).first->second;
 }
 
@@ -205,11 +246,14 @@ std::size_t PathCache::precompute(
     todo.emplace_back(src, dst);
   }
 
-  // The per-pair Yen's runs only read the graph (KspSolver is const), so
-  // they fan out safely; insertion stays serial because the map is not.
+  // The solver is built here, before the fan-out. The per-pair Yen's runs
+  // only read it (each call owns its workspace), so they fan out safely;
+  // insertion stays serial because the map is not.
+  if (todo.empty()) return 0;
+  const KspSolver& solver = this->solver();
   std::vector<std::vector<Path>> computed = exec::parallel_map(
-      pool, todo.size(), [this, &todo](std::size_t i) {
-        return solver_.k_shortest_paths(todo[i].first, todo[i].second, k_);
+      pool, todo.size(), [this, &solver, &todo](std::size_t i) {
+        return solver.k_shortest_paths(todo[i].first, todo[i].second, k_);
       });
   for (std::size_t i = 0; i < todo.size(); ++i) {
     const std::uint64_t key =
@@ -229,7 +273,7 @@ std::size_t PathCache::rebind_and_invalidate(
         "PathCache::rebind_and_invalidate: node ids must be shared");
   }
   graph_ = &graph;
-  solver_ = KspSolver{graph};
+  solver_.reset();
   std::vector<bool> failed(graph.node_count(), false);
   for (NodeId id : failed_switches) failed[id.index()] = true;
   const auto broken = [&](const Path& path) {
@@ -273,7 +317,7 @@ std::size_t PathCache::rebind_warm(const Graph& graph,
   }
   const AdjacencyDelta delta = adjacency_delta(*graph_, graph);
   graph_ = &graph;
-  solver_ = KspSolver{graph};
+  solver_.reset();
   if (delta.empty()) return 0;
 
   // Directed lookup set for removed adjacencies (cached paths hop either
@@ -295,27 +339,15 @@ std::size_t PathCache::rebind_warm(const Graph& graph,
 
   // Switch-transit hop distances on the new graph from every endpoint of an
   // added adjacency — one BFS per distinct endpoint, O(1) per cached pair
-  // afterwards.
-  constexpr std::uint32_t kInf = 0xFFFFFFFFu;
+  // afterwards. Only switch entries are read (cache keys are switch pairs).
+  constexpr std::uint32_t kInf = Graph::kUnreachable;
   std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> dist;
   const auto bfs_from = [&](NodeId start) -> const std::vector<std::uint32_t>& {
-    const auto it = dist.find(start.value());
-    if (it != dist.end()) return it->second;
-    std::vector<std::uint32_t> d(graph.node_count(), kInf);
-    std::deque<NodeId> queue;
-    d[start.index()] = 0;
-    queue.push_back(start);
-    while (!queue.empty()) {
-      const NodeId u = queue.front();
-      queue.pop_front();
-      for (const Adjacency& adj : graph.neighbors(u)) {
-        if (!is_switch(graph.node(adj.peer).role)) continue;
-        if (d[adj.peer.index()] != kInf) continue;
-        d[adj.peer.index()] = d[u.index()] + 1;
-        queue.push_back(adj.peer);
-      }
+    auto it = dist.find(start.value());
+    if (it == dist.end()) {
+      it = dist.emplace(start.value(), graph.bfs_distances(start)).first;
     }
-    return dist.emplace(start.value(), std::move(d)).first->second;
+    return it->second;
   };
 
   std::size_t evicted = 0;

@@ -12,7 +12,6 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -28,11 +27,13 @@ class ThreadPool;
 
 class KspSolver {
  public:
-  explicit KspSolver(const Graph& graph) : graph_{&graph} {}
+  // Copies `graph` into a sorted CSR adjacency; the solver keeps no
+  // reference to `graph`.
+  explicit KspSolver(const Graph& graph);
 
   // Lexicographically-smallest shortest path from src to dst, or nullopt if
-  // disconnected. `banned_nodes` may not be transited (src itself is always
-  // allowed); `banned_edges` are directed node pairs that may not be used.
+  // disconnected. Only switches are transited; either endpoint may be a
+  // server. Throws std::invalid_argument on an out-of-range id.
   [[nodiscard]] std::optional<Path> shortest_path(NodeId src, NodeId dst) const;
 
   // Yen's algorithm: up to k loopless paths in nondecreasing length order.
@@ -41,16 +42,31 @@ class KspSolver {
                                                    std::uint32_t k) const;
 
  private:
-  using EdgeKey = std::uint64_t;
-  static EdgeKey edge_key(NodeId from, NodeId to) {
-    return (static_cast<EdgeKey>(from.value()) << 32) | to.value();
-  }
+  struct Workspace;
 
-  [[nodiscard]] std::optional<Path> constrained_shortest(
-      NodeId src, NodeId dst, const std::unordered_set<NodeId>& banned_nodes,
-      const std::unordered_set<EdgeKey>& banned_edges) const;
+  // One BFS from src toward dst over the CSR, honouring the bans stamped in
+  // `ws` for the current epoch; on success `ws.parent` holds the path.
+  //
+  // Exactness: peers are visited in ascending id order, the queue is FIFO
+  // and a node's parent is fixed when it is first discovered. Each BFS
+  // level is therefore discovered in lexicographic order of the paths that
+  // reach it, so the parent chain of dst is the lexicographically smallest
+  // shortest path — and it is complete the moment dst is discovered, which
+  // is where the search stops.
+  [[nodiscard]] bool constrained_shortest(Workspace& ws, NodeId src,
+                                          NodeId dst) const;
 
-  const Graph* graph_;
+  // Appends the found path's nodes after src (src excluded, dst included).
+  void append_found(const Workspace& ws, NodeId src, NodeId dst,
+                    Path& out) const;
+
+  [[nodiscard]] std::size_t node_count() const { return transit_.size(); }
+
+  // CSR adjacency: node i's distinct peers, ascending by id, are
+  // peers_[offsets_[i] .. offsets_[i + 1]).
+  std::vector<std::uint32_t> offsets_;
+  std::vector<NodeId> peers_;
+  std::vector<bool> transit_;  // is_switch(role) per node
 };
 
 // One cache entry evicted by PathCache::rebind_and_invalidate, with the
@@ -82,8 +98,9 @@ struct AdjacencyDelta {
 // uses, so lazy computation keeps large topologies tractable.
 class PathCache {
  public:
-  PathCache(const Graph& graph, std::uint32_t k)
-      : graph_{&graph}, solver_{graph}, k_{k} {}
+  // The solver (and its adjacency) is built on the first computation, not
+  // here: a cache that only ever hits costs no CSR build.
+  PathCache(const Graph& graph, std::uint32_t k) : graph_{&graph}, k_{k} {}
 
   // k-shortest paths between the attachment switches of two servers (or
   // between two switches if switch ids are passed). Cached.
@@ -150,8 +167,11 @@ class PathCache {
   void attach_obs(const obs::ObsSink& sink);
 
  private:
+  // The solver for graph_, built on first use; the rebinds reset it.
+  const KspSolver& solver();
+
   const Graph* graph_;
-  KspSolver solver_;
+  std::optional<KspSolver> solver_;
   std::uint32_t k_;
   std::unordered_map<std::uint64_t, std::vector<Path>> cache_;
   obs::Counter* c_hits_{nullptr};

@@ -1,16 +1,18 @@
 #include "routing/path.h"
 
-#include <unordered_set>
-
 namespace flattree {
 
 bool is_valid_path(const Graph& graph, std::span<const NodeId> path) {
   if (path.empty()) return false;
-  std::unordered_set<NodeId> seen;
   for (std::size_t i = 0; i < path.size(); ++i) {
     const NodeId n = path[i];
     if (n.index() >= graph.node_count()) return false;
-    if (!seen.insert(n).second) return false;  // loop
+    // Loop check: scan the earlier hops. Paths are about ten nodes long, so
+    // this beats building a set on every call.
+    const std::span<const NodeId> earlier = path.first(i);
+    if (std::find(earlier.begin(), earlier.end(), n) != earlier.end()) {
+      return false;
+    }
     const bool interior = i > 0 && i + 1 < path.size();
     if (interior && !is_switch(graph.node(n).role)) return false;
   }
