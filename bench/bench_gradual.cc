@@ -8,7 +8,8 @@
 // conversion on the testbed, executed (a) in one shot with a full
 // control-plane blackout and (b) in four Pod stages where only rewired
 // circuits stall. Reported: the goodput timeline and the total bytes lost
-// relative to an unconverted run.
+// relative to an unconverted run. BENCH_gradual.json holds one row per
+// timeline bin and the two goodput deficits as metadata.
 #include <cstdio>
 #include <vector>
 
@@ -25,12 +26,14 @@ struct RunResult {
   double total_bytes{0};
 };
 
-RunResult run_conversion(const Controller& ctl, bool gradual) {
+RunResult run_conversion(const Controller& ctl, bool gradual,
+                         const obs::ObsSink& sink) {
   const ModeAssignment from = ModeAssignment::uniform(4, PodMode::kClos);
   const ModeAssignment to = ModeAssignment::uniform(4, PodMode::kGlobal);
 
   CompiledMode current = ctl.compile(from, 4);
   PacketSim sim;
+  sim.attach_obs(sink);
   sim.set_network(current.graph());
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
   for (std::uint32_t s = 0; s < 24; ++s) {
@@ -80,7 +83,8 @@ RunResult run_conversion(const Controller& ctl, bool gradual) {
   return result;
 }
 
-void run() {
+void run(exec::RunnerOptions runner_options) {
+  exec::ExperimentRunner runner{std::move(runner_options)};
   FlatTreeParams params;
   params.clos = ClosParams::testbed();
   params.clos.link_bps = 1e9;
@@ -95,13 +99,21 @@ void run() {
       "testbed Clos -> global at t=3s; iPerf to all other pods; 1 Gb/s\n"
       "links; gradual = 4 stages, 1 s apart, changed-circuits-only stalls.");
 
-  const RunResult once = run_conversion(ctl, /*gradual=*/false);
-  const RunResult staged = run_conversion(ctl, /*gradual=*/true);
+  const RunResult once =
+      run_conversion(ctl, /*gradual=*/false, runner.obs());
+  const RunResult staged =
+      run_conversion(ctl, /*gradual=*/true, runner.obs());
 
   std::printf("\ntime_s  all-at-once  gradual   (goodput, Gb/s)\n");
   for (std::size_t bin = 0; bin < once.timeline_gbps.size(); ++bin) {
-    std::printf("%5.2f   %8.2f   %8.2f\n", (bin + 1) * 0.25,
-                once.timeline_gbps[bin], staged.timeline_gbps[bin]);
+    const double t = (bin + 1) * 0.25;
+    std::printf("%5.2f   %8.2f   %8.2f\n", t, once.timeline_gbps[bin],
+                staged.timeline_gbps[bin]);
+    exec::ResultRow row;
+    row.set("time_s", t)
+        .set("all_at_once_gbps", once.timeline_gbps[bin])
+        .set("gradual_gbps", staged.timeline_gbps[bin]);
+    runner.add_row(std::move(row));
   }
 
   // Disruption = goodput deficit during the conversion window [3 s, 8 s]
@@ -117,6 +129,8 @@ void run() {
   std::printf("\ngoodput deficit through the conversion window:\n");
   std::printf("  all-at-once: %.2f Gb\n", deficit(once));
   std::printf("  gradual    : %.2f Gb\n", deficit(staged));
+  runner.add_meta("all_at_once_deficit_gb", deficit(once));
+  runner.add_meta("gradual_deficit_gb", deficit(staged));
   std::printf("\nexpected: the staged conversion trades a longer window for\n"
               "a much shallower dip — no network-wide outage.\n");
 }
@@ -124,7 +138,8 @@ void run() {
 }  // namespace
 }  // namespace flattree
 
-int main() {
-  flattree::run();
+int main(int argc, char** argv) {
+  flattree::run(
+      flattree::bench::parse_runner_options("gradual", argc, argv, 20170821));
   return 0;
 }

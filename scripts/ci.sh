@@ -34,6 +34,14 @@ for workload in packet_convert fluid_trace repair_storm; do
     --trace 0
 done
 
+echo "== full-length packet goldens (bench_fig10, bench_gradual) =="
+# The two packet-simulator benches run 1-2 minutes each, too long for
+# ctest; their default-run stdout and BENCH json are diffed here instead.
+for bench in fig10 gradual; do
+  bash tests/golden_diff.sh "${PWD}/build/bench/bench_${bench}" "${bench}" \
+    "${PWD}/tests/golden"
+done
+
 echo "== sanitizer gate (preset: ${SANITIZE_PRESET}) =="
 # test_conversion_exhaustive (the depth-1 fault-placement matrix, 7,084
 # executions) is deliberately not in this list: it takes about 30 s in the
@@ -55,9 +63,9 @@ cmake --build "build-${SANITIZE_PRESET}" -j "${JOBS}" \
 # precompute's pool fan-out (one solver workspace per call — the
 # TSan-relevant path).
 "./build-${SANITIZE_PRESET}/tests/test_ksp_diff"
-# The pooled event engine's property/fuzz battery and the engine
-# differential (which also drives ShardedPacketSim across a pool, the
-# TSan-relevant path).
+# The event queue's fuzz battery against a priority_queue oracle and the
+# packet simulator's pinned result digests (which also drive
+# ShardedPacketSim across a pool, the TSan-relevant path).
 "./build-${SANITIZE_PRESET}/tests/test_event_queue"
 "./build-${SANITIZE_PRESET}/tests/test_packet_diff"
 # The staged-conversion chaos battery (seeded adversary: lossy channel,
