@@ -13,8 +13,6 @@
 //   --quick               k = 8 only (the CI determinism + perf-smoke gates)
 //   --baseline PATH       assert k=8 events/sec >= baseline/2 (perf smoke;
 //                         baseline JSON: tests/golden/packet_scale_baseline.json)
-//   --compare-reference   also run the k=8 workload monolithically on both
-//                         engines, serial, and report the speedup (stderr)
 #include <sys/resource.h>
 
 #include <chrono>
@@ -36,7 +34,6 @@ namespace {
 
 struct ScaleOptions {
   bool quick{false};
-  bool compare_reference{false};
   std::string baseline_path;
 };
 
@@ -98,32 +95,6 @@ SweepPoint run_point(std::uint32_t k, exec::ExperimentRunner& runner) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   return SweepPoint{k, std::move(stats), wall};
-}
-
-// Monolithic single-simulator run of the k-fabric workload on one engine;
-// used by --compare-reference to measure the pooled engine against the
-// legacy priority-queue engine on identical event streams.
-std::pair<std::uint64_t, double> run_monolithic(std::uint32_t k,
-                                                PacketEngine engine,
-                                                std::uint64_t seed) {
-  const Graph g = build_fabric(k);
-  ClosParams clos = ClosParams::fat_tree(k);
-  clos.link_bps = 100e6;
-  PacketSimOptions options;
-  options.engine = engine;
-  PacketSim sim{options};
-  sim.set_network(g);
-  PathCache cache{g, 1};
-  for (std::uint32_t pod = 0; pod < clos.pods; ++pod) {
-    Rng rng = exec::task_rng(seed, pod);
-    add_pod_flows(sim, cache, clos, pod, rng);
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  sim.run_until(kHorizonS);
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  return {sim.events_processed(), wall};
 }
 
 // Reads "events_per_sec" for the k=8 row out of the pinned baseline JSON.
@@ -209,36 +180,11 @@ int run(const ScaleOptions& scale, exec::RunnerOptions options) {
     runner.add_row(std::move(row));
   }
 
-  if (scale.compare_reference) {
-    // Monolithic (single simulator, all pods) runs on both engines. The
-    // queue advantage grows with the live-event population: per-shard
-    // heaps stay shallow, one simulator holding every pod's in-flight
-    // packets is where the index heap beats sifting 48-byte events.
-    for (const std::uint32_t k : ks) {
-      const auto [ref_events, ref_wall] =
-          run_monolithic(k, PacketEngine::kReference, runner.seed());
-      const auto [pool_events, pool_wall] =
-          run_monolithic(k, PacketEngine::kPooled, runner.seed());
-      std::fprintf(stderr,
-                   "[perf] k=%u monolithic reference: events=%llu "
-                   "wall=%.3fs (%.3e ev/s)\n",
-                   k, static_cast<unsigned long long>(ref_events), ref_wall,
-                   static_cast<double>(ref_events) / ref_wall);
-      std::fprintf(stderr,
-                   "[perf] k=%u monolithic pooled:    events=%llu "
-                   "wall=%.3fs (%.3e ev/s) — engine speedup %.2fx\n",
-                   k, static_cast<unsigned long long>(pool_events),
-                   pool_wall,
-                   static_cast<double>(pool_events) / pool_wall,
-                   ref_wall / pool_wall);
-    }
-  }
-
   if (!scale.baseline_path.empty()) {
     const double baseline = read_baseline(scale.baseline_path);
     // The k=8 quick run is ~30 ms, so a single wall-clock sample is
     // noise-dominated on a loaded machine; gate on the best of three extra
-    // serial monolithic-free reruns (stderr-only, no result rows).
+    // reruns (stderr-only, no result rows).
     for (int rep = 0; rep < 3; ++rep) {
       const SweepPoint again = run_point(8, runner);
       const double eps = static_cast<double>(again.stats.events_processed) /
@@ -273,8 +219,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       scale.quick = true;
-    } else if (std::strcmp(argv[i], "--compare-reference") == 0) {
-      scale.compare_reference = true;
     } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
       scale.baseline_path = argv[++i];
     } else {

@@ -1,22 +1,14 @@
 // Pooled discrete-event substrate for the packet simulator hot path.
 //
-// Three allocation-free building blocks replace the seed engine's
-// std::priority_queue<Event> / std::deque<Packet> / std::set<uint32_t>:
+// Three allocation-free building blocks: the event queue, the per-pipe
+// packet queues and the receiver's out-of-order set.
 //
-//   EventQueue<Payload>   a 4-ary indexed min-heap over a preallocated
-//                         event arena with freelist recycling. Pop order is
-//                         the engine's total event order: (time, push
-//                         sequence) strictly non-decreasing, independent of
-//                         heap layout. Heap entries carry the (t, seq) key
-//                         inline next to the slot index, so sift
-//                         comparisons touch only the contiguous heap array
-//                         (never the arena), and a payload is written
-//                         exactly once (at push) and read exactly once (at
-//                         pop). Handles carry a generation counter
-//                         so cancel() of an already-recycled slot is a
-//                         detectable no-op — the freelist can never vend a
-//                         slot that still has a live handle observer
-//                         mutating it.
+//   EventQueue<Payload>   a monotone radix heap over a preallocated event
+//                         arena with freelist recycling. Pop order is the
+//                         engine's total event order: (time, push sequence)
+//                         strictly non-decreasing. A payload is written
+//                         exactly once (at emplace) and read exactly once
+//                         (at pop); bucket links live in the arena slots.
 //   RingQueue<T>          a power-of-two ring buffer with deque semantics
 //                         (push_back/front/pop_front) and amortized-zero
 //                         allocation; the per-pipe drop-tail queues.
@@ -31,6 +23,8 @@
 // every shard a private engine and merges results commutatively.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -38,179 +32,173 @@
 
 namespace flattree::sim {
 
-// 4-ary indexed min-heap over an arena of recycled slots. Payload must be
-// movable. The queue is a strict total order: equal timestamps pop in push
-// order (seq), so simulation results never depend on heap internals.
+// Radix heap over an arena of recycled slots. Payload must be movable and
+// default-constructible. The queue is a strict total order: equal times
+// pop in push order, so simulation results never depend on its internals.
+//
+// Each time maps to a 64-bit key whose unsigned order is the time order
+// (key()). An entry with key k lives in bucket bit_width(k ^ base): bucket
+// 0 holds k == base, bucket i > 0 the keys that first differ from base at
+// bit i - 1. `base` is never above a stored key. Each bucket is a singly
+// linked list through the arena slots, and every list keeps equal keys in
+// push order: pushes append, a refill moves one list's entries in list
+// order into empty lower buckets, and a rebase appends whole lists, which
+// never splits a run of equal keys (equal keys share a bucket). So bucket
+// 0, all keys equal, is in push order, and popping its head is exactly
+// the (time, sequence) minimum.
 template <typename Payload>
 class EventQueue {
  public:
-  static constexpr std::uint32_t kNone = 0xffffffffu;
-
-  struct Handle {
-    std::uint32_t slot{kNone};
-    std::uint32_t generation{0};
-  };
-
-  EventQueue() = default;
-  explicit EventQueue(std::size_t reserve) {
-    arena_.reserve(reserve);
-    heap_.reserve(reserve);
-  }
-
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const { return size_; }
   // Arena high-water mark: slots ever live at once (freelist recycling
   // means this is max concurrent events, not total events pushed).
   [[nodiscard]] std::size_t arena_slots() const { return arena_.size(); }
-  // Sequence the next push will receive; doubles as total pushes so far.
-  [[nodiscard]] std::uint64_t pushes() const { return next_seq_; }
 
-  [[nodiscard]] double top_time() const { return heap_[0].t; }
-  [[nodiscard]] const Payload& top() const {
-    return arena_[heap_[0].slot].payload;
-  }
-
-  Handle push(double t, Payload payload) {
-    const std::uint32_t slot = acquire(t);
-    Slot& s = arena_[slot];
-    s.payload = std::move(payload);
-    return Handle{slot, s.generation};
+  // Time of the next event. Moves `base` up to it (a refill), so a later
+  // push below it pays a rebase. Precondition: !empty().
+  [[nodiscard]] double top_time() {
+    if (head_[0] == kNone) refill();
+    return time_of(base_);
   }
 
   // Vends the slot for an event at time `t` and returns its payload for the
   // caller to fill in place — one write instead of construct-then-move. The
   // payload may hold stale contents from a recycled slot; the caller must
-  // assign every field. The reference is valid until the next push/emplace.
-  Payload& emplace(double t) { return arena_[acquire(t)].payload; }
-
-  // Pops the minimum (time, seq) event. Precondition: !empty().
-  Payload pop(double* t = nullptr) {
-    const std::uint32_t slot = heap_[0].slot;
-    if (t != nullptr) *t = heap_[0].t;
-    Payload out = std::move(arena_[slot].payload);
-    remove_at(0);
-    release(slot);
-    return out;
-  }
-
-  // Removes a not-yet-popped event. Returns false if the handle is stale
-  // (already popped or cancelled — possibly recycled since).
-  bool cancel(Handle h) {
-    if (h.slot >= arena_.size()) return false;
-    Slot& s = arena_[h.slot];
-    if (s.generation != h.generation || s.heap_pos == kNone) return false;
-    remove_at(s.heap_pos);
-    release(h.slot);
-    return true;
-  }
-
-  // True while `h` refers to an event still queued.
-  [[nodiscard]] bool live(Handle h) const {
-    return h.slot < arena_.size() &&
-           arena_[h.slot].generation == h.generation &&
-           arena_[h.slot].heap_pos != kNone;
-  }
-
- private:
-  // Takes a slot off the freelist (or grows the arena) and links it into
-  // the heap at time `t`. Sifting only rewrites heap positions, so the
-  // slot's payload can be filled before or after the call.
-  std::uint32_t acquire(double t) {
+  // assign every field. The reference is valid until the next emplace.
+  Payload& emplace(double t) {
+    const std::uint64_t k = key(t);
+    if (size_ == 0) {
+      base_ = k;  // any base is valid for an empty queue
+    } else if (k < base_) {
+      rebase(k);
+    }
     std::uint32_t slot;
     if (free_head_ != kNone) {
       slot = free_head_;
-      free_head_ = arena_[slot].next_free;
+      free_head_ = arena_[slot].next;
     } else {
       slot = static_cast<std::uint32_t>(arena_.size());
       arena_.emplace_back();
     }
-    const std::uint32_t pos = static_cast<std::uint32_t>(heap_.size());
-    arena_[slot].heap_pos = pos;
-    heap_.push_back(Entry{t, next_seq_++, slot});
-    sift_up(pos);
-    return slot;
+    arena_[slot].key = k;
+    append(bucket_of(k), slot);
+    ++size_;
+    return arena_[slot].payload;
   }
+
+  // Pops the minimum (time, seq) event. Precondition: !empty(). A pushed
+  // -0.0 comes back as +0.0 (the two tie, see key()).
+  Payload pop(double* t = nullptr) {
+    if (head_[0] == kNone) refill();
+    const std::uint32_t slot = head_[0];
+    Slot& s = arena_[slot];
+    head_[0] = s.next;
+    if (t != nullptr) *t = time_of(base_);
+    Payload out = std::move(s.payload);
+    s.next = free_head_;
+    free_head_ = slot;
+    --size_;
+    return out;
+  }
+
+ private:
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+  static constexpr std::uint64_t kSign = 1ull << 63;
+  static constexpr int kBuckets = 65;
+  static constexpr std::array<std::uint32_t, kBuckets> kEmptyBuckets = [] {
+    std::array<std::uint32_t, kBuckets> lists{};
+    lists.fill(kNone);
+    return lists;
+  }();
 
   struct Slot {
     Payload payload{};
-    std::uint32_t heap_pos{kNone};    // kNone = free
-    std::uint32_t next_free{kNone};   // freelist link while free
-    std::uint32_t generation{0};      // bumped on release
+    std::uint64_t key{0};
+    std::uint32_t next{kNone};  // bucket list link, or freelist link
   };
 
-  // One heap element: sort key inline so sifts compare within the
-  // contiguous heap array instead of chasing slot indices into the arena.
-  struct Entry {
-    double t;
-    std::uint64_t seq;
-    std::uint32_t slot;
-  };
-
-  [[nodiscard]] static bool before(const Entry& x, const Entry& y) {
-    if (x.t != y.t) return x.t < y.t;
-    return x.seq < y.seq;
+  // Order-preserving map from a double to an unsigned key: flip every bit
+  // of a negative, set the sign bit of a non-negative. Adding +0.0 turns
+  // -0.0 into +0.0 first, so the two tie and break on push order exactly
+  // as a double comparison does.
+  [[nodiscard]] static std::uint64_t key(double t) {
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(t + 0.0);
+    return (bits & kSign) != 0 ? ~bits : bits | kSign;
+  }
+  [[nodiscard]] static double time_of(std::uint64_t k) {
+    return std::bit_cast<double>((k & kSign) != 0 ? k & ~kSign : ~k);
   }
 
-  void place(std::uint32_t pos, const Entry& e) {
-    heap_[pos] = e;
-    arena_[e.slot].heap_pos = pos;
+  [[nodiscard]] int bucket_of(std::uint64_t k) const {
+    return std::bit_width(k ^ base_);
   }
 
-  void sift_up(std::uint32_t pos) {
-    const Entry moving = heap_[pos];
-    while (pos > 0) {
-      const std::uint32_t parent = (pos - 1) >> 2;
-      if (!before(moving, heap_[parent])) break;
-      place(pos, heap_[parent]);
-      pos = parent;
-    }
-    place(pos, moving);
-  }
-
-  void sift_down(std::uint32_t pos) {
-    const Entry moving = heap_[pos];
-    const std::uint32_t n = static_cast<std::uint32_t>(heap_.size());
-    for (;;) {
-      const std::uint32_t first_child = (pos << 2) + 1;
-      if (first_child >= n) break;
-      std::uint32_t best = first_child;
-      const std::uint32_t last_child =
-          first_child + 3 < n ? first_child + 3 : n - 1;
-      for (std::uint32_t c = first_child + 1; c <= last_child; ++c) {
-        if (before(heap_[c], heap_[best])) best = c;
-      }
-      if (!before(heap_[best], moving)) break;
-      place(pos, heap_[best]);
-      pos = best;
-    }
-    place(pos, moving);
-  }
-
-  // Unlinks heap_[pos], restoring the heap property around the hole.
-  void remove_at(std::uint32_t pos) {
-    const Entry last = heap_.back();
-    heap_.pop_back();
-    if (pos == heap_.size()) return;  // removed the tail element
-    place(pos, last);
-    if (pos > 0 && before(last, heap_[(pos - 1) >> 2])) {
-      sift_up(pos);
+  void append(int b, std::uint32_t slot) {
+    arena_[slot].next = kNone;
+    if (head_[b] == kNone) {
+      head_[b] = slot;
+      if (b > 0) nonempty_ |= 1ull << (b - 1);
     } else {
-      sift_down(pos);
+      arena_[tail_[b]].next = slot;
+    }
+    tail_[b] = slot;
+  }
+
+  // Bucket 0 is empty: raise base to the smallest key of the lowest
+  // non-empty bucket and spread that bucket over the (empty) buckets below
+  // it. A refill only moves an entry down, so between rebases an entry
+  // moves at most 64 times.
+  void refill() {
+    const int b = std::countr_zero(nonempty_) + 1;
+    std::uint32_t slot = head_[b];
+    head_[b] = kNone;
+    nonempty_ &= nonempty_ - 1;
+    std::uint64_t lowest = arena_[slot].key;
+    for (std::uint32_t s = arena_[slot].next; s != kNone; s = arena_[s].next) {
+      if (arena_[s].key < lowest) lowest = arena_[s].key;
+    }
+    base_ = lowest;
+    while (slot != kNone) {
+      const std::uint32_t next = arena_[slot].next;
+      append(bucket_of(arena_[slot].key), slot);
+      slot = next;
     }
   }
 
-  void release(std::uint32_t slot) {
-    Slot& s = arena_[slot];
-    s.heap_pos = kNone;
-    ++s.generation;
-    s.next_free = free_head_;
-    free_head_ = slot;
+  // A push below base (only between run_until calls: a conversion, failure
+  // or add_flow scheduling at now after a peek moved base to the next
+  // event). With p = bit_width(base ^ k), every stored key first differs
+  // from k at bit p - 1 if it was in a bucket below p, and keeps its bucket
+  // otherwise (old bucket p is empty: its keys would be below base). So
+  // buckets 0..p-1 concatenate, in order, onto bucket p.
+  void rebase(std::uint64_t k) {
+    const int p = std::bit_width(base_ ^ k);
+    for (int b = 0; b < p; ++b) {
+      if (head_[b] == kNone) continue;
+      if (head_[p] == kNone) {
+        head_[p] = head_[b];
+      } else {
+        arena_[tail_[p]].next = head_[b];
+      }
+      tail_[p] = tail_[b];
+      head_[b] = kNone;
+    }
+    const std::uint64_t below = (1ull << (p - 1)) - 1;  // buckets 1..p-1
+    nonempty_ &= ~below;
+    if (head_[p] != kNone) nonempty_ |= 1ull << (p - 1);
+    base_ = k;
   }
 
   std::vector<Slot> arena_;
-  std::vector<Entry> heap_;  // 4-ary heap order, keys inline
+  std::array<std::uint32_t, kBuckets> head_ = kEmptyBuckets;
+  // tail_[b] is meaningful only while head_[b] != kNone; zero-filling it
+  // instead of copying kNone keeps PacketSim construction cheap.
+  std::array<std::uint32_t, kBuckets> tail_{};
+  std::uint64_t nonempty_{0};  // bit b - 1 set iff bucket b > 0 non-empty
+  std::uint64_t base_{0};
   std::uint32_t free_head_{kNone};
-  std::uint64_t next_seq_{0};
+  std::size_t size_{0};
 };
 
 // Power-of-two ring buffer with the std::deque surface the pipe queues

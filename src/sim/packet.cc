@@ -185,28 +185,15 @@ std::uint32_t PacketSim::add_flow(std::uint32_t src_server,
 
 void PacketSim::schedule(double t, EventType type, std::uint32_t a,
                          std::uint32_t b, const Packet& packet) {
-  // Tie-break contract: equal-timestamp events fire in scheduling order.
-  // The pooled queue sequences pushes internally; the reference queue
-  // carries the explicit order_ counter. Either way the order is a pure
-  // function of the simulation, never of heap layout.
-  if (options_.engine == PacketEngine::kPooled) {
-    EventPayload& payload = queue_.emplace(t);
-    payload.type = type;
-    payload.a = a;
-    payload.b = b;
-    payload.packet = packet;
-    if (queue_.size() > heap_max_) heap_max_ = queue_.size();
-    return;
-  }
-  Event event;
-  event.t = t;
-  event.order = order_++;
-  event.payload.type = type;
-  event.payload.a = a;
-  event.payload.b = b;
-  event.payload.packet = packet;
-  events_.push(std::move(event));
-  if (events_.size() > heap_max_) heap_max_ = events_.size();
+  // Tie-break contract: equal-timestamp events fire in scheduling order;
+  // the queue sequences pushes itself, so the order is a pure function of
+  // the simulation.
+  EventPayload& payload = queue_.emplace(t);
+  payload.type = type;
+  payload.a = a;
+  payload.b = b;
+  payload.packet = packet;
+  if (queue_.size() > heap_max_) heap_max_ = queue_.size();
 }
 
 void PacketSim::dispatch(const EventPayload& event) {
@@ -231,26 +218,14 @@ void PacketSim::dispatch(const EventPayload& event) {
 
 void PacketSim::run_until(double t_s) {
   std::uint64_t processed = 0;
-  if (options_.engine == PacketEngine::kPooled) {
-    while (!queue_.empty() && queue_.top_time() <= t_s) {
-      double t = 0.0;
-      const EventPayload event = queue_.pop(&t);
-      now_ = std::max(now_, t);
-      ++events_done_;
-      ++segment_.events_processed;
-      ++processed;
-      dispatch(event);
-    }
-  } else {
-    while (!events_.empty() && events_.top().t <= t_s) {
-      const Event event = events_.top();
-      events_.pop();
-      now_ = std::max(now_, event.t);
-      ++events_done_;
-      ++segment_.events_processed;
-      ++processed;
-      dispatch(event.payload);
-    }
+  while (!queue_.empty() && queue_.top_time() <= t_s) {
+    double t = 0.0;
+    const EventPayload event = queue_.pop(&t);
+    now_ = std::max(now_, t);
+    ++events_done_;
+    ++segment_.events_processed;
+    ++processed;
+    dispatch(event);
   }
   now_ = std::max(now_, t_s);
   if (processed > 0) {
@@ -258,12 +233,6 @@ void PacketSim::run_until(double t_s) {
     obs::set_max(g_heap_max_, static_cast<double>(heap_max_));
     obs::set_max(g_arena_, static_cast<double>(arena_high_water()));
   }
-}
-
-std::uint64_t PacketSim::arena_high_water() const {
-  // The reference engine has no arena; its queue peak is the analogue.
-  return options_.engine == PacketEngine::kPooled ? queue_.arena_slots()
-                                                  : heap_max_;
 }
 
 void PacketSim::start_flow(std::uint32_t flow_index) {

@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <queue>
 #include <vector>
 
 #include "net/failures.h"
@@ -39,15 +38,6 @@
 #include "sim/event_queue.h"
 
 namespace flattree {
-
-// Event-engine selection. Both engines process the exact same event
-// sequence — the event order is the total order (time, schedule sequence),
-// independent of heap internals — so they are event-for-event equivalent
-// (pinned by tests/test_packet_diff.cc). kReference is the seed engine
-// (std::priority_queue over full Event records), kept as the differential
-// oracle; kPooled is the production engine (4-ary indexed heap over a
-// recycled event arena, sim/event_queue.h) and the default.
-enum class PacketEngine : std::uint8_t { kPooled, kReference };
 
 struct PacketSimOptions {
   double prop_delay_s{5e-6};
@@ -60,7 +50,6 @@ struct PacketSimOptions {
   double init_cwnd{2.0};
   double initial_rtt_estimate_s{1e-3};
   bool mptcp_coupled{true};  // LIA; false = independent Reno per subflow
-  PacketEngine engine{PacketEngine::kPooled};
 };
 
 enum class ConversionScope : std::uint8_t {
@@ -70,8 +59,6 @@ enum class ConversionScope : std::uint8_t {
 
 class PacketSim {
  public:
-  using Engine = PacketEngine;  // PacketSim::Engine::kReference etc.
-
   explicit PacketSim(PacketSimOptions options = PacketSimOptions{});
 
   // Installs the network (pipes from every link of the realized graph,
@@ -153,10 +140,11 @@ class PacketSim {
   [[nodiscard]] std::uint64_t events_processed() const { return events_done_; }
   [[nodiscard]] std::size_t flow_count() const { return flows_.size(); }
   // Engine high-water marks: max events simultaneously queued, and the
-  // pooled arena's slot count (equal to heap_max under kPooled; the
-  // reference engine reports its priority_queue peak as both).
+  // event arena's slot count (equal to heap_max: freed slots are reused).
   [[nodiscard]] std::uint64_t heap_max() const { return heap_max_; }
-  [[nodiscard]] std::uint64_t arena_high_water() const;
+  [[nodiscard]] std::uint64_t arena_high_water() const {
+    return queue_.arena_slots();
+  }
 
  private:
   // ---- data plane ----------------------------------------------------------
@@ -232,11 +220,9 @@ class PacketSim {
     kFlowStart,
   };
 
-  // What an event *is*; when it fires is the queue's business. Both
-  // engines dispatch on the total order (time, schedule sequence) — the
-  // tie-break is the monotone per-sim sequence number assigned by
-  // schedule(), never heap insertion position, so equal-timestamp events
-  // fire in scheduling order on either engine.
+  // What an event *is*; when it fires is the queue's business. Events
+  // dispatch in the total order (time, schedule sequence): equal-timestamp
+  // events fire in scheduling order.
   struct EventPayload {
     EventType type{EventType::kArrival};
     std::uint32_t a{0};  // pipe / flow
@@ -244,19 +230,7 @@ class PacketSim {
     Packet packet;
   };
 
-  // Reference-engine event record: payload plus its own (t, order) key for
-  // std::priority_queue.
-  struct Event {
-    double t{0.0};
-    std::uint64_t order{0};
-    EventPayload payload;
-    friend bool operator>(const Event& x, const Event& y) {
-      if (x.t != y.t) return x.t > y.t;
-      return x.order > y.order;
-    }
-  };
-
-  // `packet` must not alias a payload inside the pooled queue's arena (the
+  // `packet` must not alias a payload inside the event queue's arena (the
   // push may grow it); run_until pops events by value, so handlers only
   // ever hold locals.
   void schedule(double t, EventType type, std::uint32_t a, std::uint32_t b,
@@ -298,7 +272,6 @@ class PacketSim {
 
   PacketSimOptions options_;
   double now_{0.0};
-  std::uint64_t order_{0};
   std::uint64_t drops_{0};
   std::uint64_t events_done_{0};
   std::uint64_t heap_max_{0};
@@ -321,10 +294,8 @@ class PacketSim {
   obs::Histogram* h_queue_depth_{nullptr};
   obs::Histogram* h_cwnd_{nullptr};
 
-  // Pooled engine (default): indexed heap over the recycled event arena.
+  // Radix heap over the recycled event arena (sim/event_queue.h).
   sim::EventQueue<EventPayload> queue_;
-  // Reference engine: the seed-state priority queue of full Event records.
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
   std::vector<Pipe> pipes_;
   // Directed node-pair -> pipe index for the current topology.
   std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> pipe_map_;
