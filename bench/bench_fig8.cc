@@ -14,6 +14,10 @@
 // shape: global ~ random graph, local ~ two-stage random graph; Clos+ECMP
 // is the clear loser on Hadoop-1; Clos competitive on Hadoop-2
 // (rack-local); Clos modes worst for Web/Cache (Pod-local).
+//
+// Execution: the 4 traces x 6 networks fan across the exec pool as 24
+// independent cells; BENCH_fig8.json holds one row per (trace, network).
+// --seed is the trace generator's seed (default 7, the library default).
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -49,16 +53,52 @@ std::vector<System> build_systems(const ClosParams& clos) {
   return systems;
 }
 
-void run() {
+// FCT summary of one (trace, network) cell, in milliseconds.
+struct CellResult {
+  double p10{0}, p50{0}, p90{0}, p99{0}, mean{0};
+  std::size_t done{0};
+  std::size_t total{0};
+};
+
+CellResult run_cell(const System& system, const Workload& flows,
+                    const obs::ObsSink& sink) {
+  constexpr std::uint32_t kPaths = 8;
+  FluidOptions options;
+  options.max_time_s = 100.0;
+  options.sink = sink;
+  FluidSimulator sim{system.graph,
+                     system.ecmp ? bench::ecmp_provider(system.graph)
+                                 : bench::ksp_provider(system.graph, kPaths,
+                                                       sink),
+                     options};
+  const auto results = sim.run(flows);
+  std::vector<double> fct_ms;
+  for (const auto& r : results) {
+    if (r.completed) fct_ms.push_back(r.fct_s() * 1e3);
+  }
+  CellResult cell;
+  cell.p10 = bench::percentile(fct_ms, 10);
+  cell.p50 = bench::percentile(fct_ms, 50);
+  cell.p90 = bench::percentile(fct_ms, 90);
+  cell.p99 = bench::percentile(fct_ms, 99);
+  cell.mean = bench::mean(fct_ms);
+  cell.done = fct_ms.size();
+  cell.total = results.size();
+  return cell;
+}
+
+void run(exec::RunnerOptions runner_options) {
+  exec::ExperimentRunner runner{std::move(runner_options)};
   // Quarter-scale topo-1 (see header note).
   const ClosParams clos{8, 4, 4, 4, 16, 4, 16, 8};
-  constexpr std::uint32_t kPaths = 8;
   bench::print_header(
       "Figure 8: flow completion time CDF by trace and network (ms)",
       "quarter-scale topo-1 device budget (512 servers); columns are FCT\n"
       "percentiles in milliseconds, lower is better.");
 
-  auto systems = build_systems(clos);
+  const std::vector<System> systems = build_systems(clos);
+  std::vector<TraceParams> traces;
+  std::vector<Workload> workloads;
   for (const TraceParams& base :
        {TraceParams::hadoop1(), TraceParams::hadoop2(), TraceParams::web(),
         TraceParams::cache()}) {
@@ -66,39 +106,50 @@ void run() {
     params.duration_s = 0.3;
     params.flows_per_s = 6000;
     params.mean_flow_bytes = 10e6;  // uniform size keeps load comparable
-    const Workload flows = generate_trace(clos, params);
+    params.seed = runner.seed();
+    workloads.push_back(generate_trace(clos, params));
+    traces.push_back(std::move(params));
+  }
+
+  const std::size_t n = systems.size();
+  const std::vector<CellResult> cells = runner.timed_stage("fig8 grid", [&] {
+    return exec::parallel_map(
+        runner.pool(), traces.size() * n, [&](std::size_t i) {
+          return run_cell(systems[i % n], workloads[i / n], runner.obs());
+        });
+  });
+
+  for (std::size_t t = 0; t < traces.size(); ++t) {
+    const Workload& flows = workloads[t];
     const LocalityMix mix = measure_locality(clos, flows);
     std::printf("\n--- %s: %zu flows (rack %.0f%% / pod %.0f%% / inter %.0f%%) ---\n",
-                params.name.c_str(), flows.size(), mix.intra_rack * 100,
+                traces[t].name.c_str(), flows.size(), mix.intra_rack * 100,
                 mix.intra_pod * 100, mix.inter_pod * 100);
     bench::print_row({"network", "p10", "p50", "p90", "p99", "mean", "done%"},
                      14);
-    for (System& system : systems) {
-      FluidOptions options;
-      options.max_time_s = 100.0;
-      FluidSimulator sim{
-          system.graph,
-          system.ecmp ? bench::ecmp_provider(system.graph)
-                      : bench::ksp_provider(system.graph, kPaths),
-          options};
-      const auto results = sim.run(flows);
-      std::vector<double> fct_ms;
-      std::size_t done = 0;
-      for (const auto& r : results) {
-        if (r.completed) {
-          fct_ms.push_back(r.fct_s() * 1e3);
-          ++done;
-        }
-      }
+    for (std::size_t s = 0; s < n; ++s) {
+      const CellResult& cell = cells[t * n + s];
+      const double done_pct = 100.0 * static_cast<double>(cell.done) /
+                              static_cast<double>(cell.total);
       bench::print_row(
-          {system.name, bench::fmt(bench::percentile(fct_ms, 10)),
-           bench::fmt(bench::percentile(fct_ms, 50)),
-           bench::fmt(bench::percentile(fct_ms, 90)),
-           bench::fmt(bench::percentile(fct_ms, 99)),
-           bench::fmt(bench::mean(fct_ms)),
-           bench::fmt(100.0 * static_cast<double>(done) /
-                      static_cast<double>(results.size()), 1)},
+          {systems[s].name, bench::fmt(cell.p10), bench::fmt(cell.p50),
+           bench::fmt(cell.p90), bench::fmt(cell.p99), bench::fmt(cell.mean),
+           bench::fmt(done_pct, 1)},
           14);
+      exec::ResultRow row;
+      row.set("trace", traces[t].name)
+          .set("network", systems[s].name)
+          .set("flows", static_cast<std::uint64_t>(flows.size()))
+          .set("intra_rack", mix.intra_rack)
+          .set("intra_pod", mix.intra_pod)
+          .set("inter_pod", mix.inter_pod)
+          .set("p10_ms", cell.p10)
+          .set("p50_ms", cell.p50)
+          .set("p90_ms", cell.p90)
+          .set("p99_ms", cell.p99)
+          .set("mean_ms", cell.mean)
+          .set("done_pct", done_pct);
+      runner.add_row(std::move(row));
     }
   }
   std::printf(
@@ -110,7 +161,7 @@ void run() {
 }  // namespace
 }  // namespace flattree
 
-int main() {
-  flattree::run();
+int main(int argc, char** argv) {
+  flattree::run(flattree::bench::parse_runner_options("fig8", argc, argv, 7));
   return 0;
 }
