@@ -17,19 +17,13 @@ void AutopilotOptions::validate() const {
   if (std::isnan(epoch_s) || epoch_s <= 0.0) {
     throw std::invalid_argument("AutopilotOptions.epoch_s: must be positive");
   }
-  if (!(control_per_hop_s >= 0.0)) {
-    throw std::invalid_argument(
-        "AutopilotOptions.control_per_hop_s: must be >= 0");
-  }
 }
 
 AutopilotLoop::AutopilotLoop(const Controller& controller,
                              AutopilotOptions options)
     : controller_{&controller}, options_{std::move(options)} {
-  if (options_.derive_demand_window) {
-    options_.policy.demand_window_s =
-        options_.estimator.half_life_s / std::log(2.0);
-  }
+  options_.policy.demand_window_s =
+      options_.estimator.half_life_s / std::log(2.0);
   options_.validate();
 }
 
@@ -126,16 +120,6 @@ AutopilotResult AutopilotLoop::run(const Workload& flows,
       ConversionExecOptions exec_opts = options_.exec;
       // Decorrelate control-channel draws across conversions.
       exec_opts.seed = options_.exec.seed + result.conversions_started;
-      if (options_.topology_rtts) {
-        // Per-switch control RTTs from the live realization: each switch is
-        // charged the hop distance from the controller that programs it.
-        ControlHierarchyOptions hier_opts;
-        hier_opts.channel = exec_opts.channel;
-        hier_opts.per_hop_s = options_.control_per_hop_s;
-        const ControlHierarchy hier{*controller_, options_.control_plane,
-                                    hier_opts};
-        exec_opts.channel = hier.channel_for(current.graph());
-      }
       const ConversionExecutor executor{*controller_, exec_opts};
       const std::vector<std::pair<NodeId, NodeId>> pairs =
           pairs_of(epoch_flows);

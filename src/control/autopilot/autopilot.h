@@ -32,7 +32,6 @@
 #include "control/autopilot/policy.h"
 #include "control/conversion_exec.h"
 #include "control/controller.h"
-#include "control/hierarchy.h"
 #include "net/failures.h"
 #include "obs/sink.h"
 #include "traffic/flow.h"
@@ -44,19 +43,9 @@ struct AutopilotOptions {
   ReconfigPolicyOptions policy{};
   ConversionExecOptions exec{};
   double epoch_s{1.0};  // decision cadence
-  // When true (default), policy.demand_window_s is overwritten with the
+  // policy.demand_window_s is ignored: the loop overwrites it with the
   // estimator's effective averaging window (half_life / ln 2) so the byte
   // forecast is calibrated to the decay actually in use.
-  bool derive_demand_window{true};
-  // Derive topology-aware per-switch control RTTs from the *live*
-  // realization before each conversion (ControlHierarchy::channel_for):
-  // exec.channel keeps its uniform delay_s as the per-message floor and
-  // gains switch_delay_s from hop distances under `control_plane`'s shape.
-  // Off by default so existing goldens stay byte-identical — per-switch
-  // delays reshape retry timing, which lands in reported finish times.
-  bool topology_rtts{false};
-  ControlPlaneKind control_plane{ControlPlaneKind::kHierarchical};
-  double control_per_hop_s{0.0002};  // one-way latency per hop
   // autopilot.* metrics (epochs, decisions by kind, conversions by outcome,
   // served-flow counters). Commutative updates only.
   obs::ObsSink sink{};

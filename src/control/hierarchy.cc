@@ -88,7 +88,6 @@ NodeId ControlHierarchy::pod_site(const Graph& graph, PodId pod) const {
 
 ControlChannelOptions ControlHierarchy::channel_for(const Graph& graph) const {
   ControlChannelOptions ch = options_.channel;
-  if (!options_.topology_rtts) return ch;
   const ControlRttModel root =
       control_rtts(graph, root_site(graph), options_.per_hop_s, ch.delay_s);
   ch.switch_delay_s = root.one_way_s;

@@ -65,14 +65,10 @@ enum class ControlPlaneKind : std::uint8_t {
 
 struct ControlHierarchyOptions {
   // Base lossy-channel parameters; delay_s doubles as the RTT model's
-  // per-message floor, so flat and hierarchical planes price the same
-  // message identically when topology_rtts is off.
+  // per-message floor, charged on top of every switch's hop distance.
   ControlChannelOptions channel{};
   // Per-hop one-way control latency on the realized graph.
   double per_hop_s{0.0002};
-  // Derive per-switch delays from hop distance (channel_for). Off = the
-  // uniform channel, for ablation.
-  bool topology_rtts{true};
   double heartbeat_period_s{0.05};
   std::uint32_t heartbeat_miss_limit{3};
   // Standby promotion delay after a root crash, while serving and during a
@@ -156,8 +152,7 @@ class ControlHierarchy {
   // The lossy channel with topology-aware per-switch delays on `graph`:
   // every node is charged the hop distance from the controller that
   // programs it (root everywhere under kFlat; the Pod's local controller
-  // for Pod switches under kHierarchical). With topology_rtts off, returns
-  // the uniform base channel.
+  // for Pod switches under kHierarchical).
   [[nodiscard]] ControlChannelOptions channel_for(const Graph& graph) const;
 
   // Serves `pairs` on `mode` for duration_s while `storm` degrades the

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace flattree {
 namespace {
@@ -292,102 +291,6 @@ McfResult solve_mptcp_model(const McfInstance& instance,
     result.min_rate = 0;
   } else {
     result.avg_rate = total / static_cast<double>(instance.commodities.size());
-  }
-  return result;
-}
-
-McfResult solve_equal_split_fill(const McfInstance& instance) {
-  validate(instance);
-  McfResult result;
-  result.feasible = true;
-  const std::size_t num_flows = instance.commodities.size();
-  result.flow_rate.assign(num_flows, 0.0);
-  result.path_rates.resize(num_flows);
-
-  // Per-edge: accumulated coefficient of each flow (1/k per crossing path)
-  // and the flows that touch it.
-  std::vector<double> residual = instance.capacity;
-  std::vector<double> active_coeff(instance.capacity.size(), 0.0);
-  std::vector<std::vector<std::pair<std::uint32_t, double>>> edge_flows(
-      instance.capacity.size());
-  std::vector<bool> frozen(num_flows, false);
-  std::vector<std::vector<std::pair<std::uint32_t, double>>> flow_edges(
-      num_flows);
-
-  for (std::size_t f = 0; f < num_flows; ++f) {
-    const McfCommodity& c = instance.commodities[f];
-    result.path_rates[f].assign(c.paths.size(), 0.0);
-    const double share = 1.0 / static_cast<double>(c.paths.size());
-    std::unordered_map<std::uint32_t, double> coeff;
-    for (const auto& path : c.paths) {
-      for (std::uint32_t e : path) coeff[e] += share;
-    }
-    for (const auto& [e, w] : coeff) {
-      flow_edges[f].emplace_back(e, w);
-      edge_flows[e].emplace_back(static_cast<std::uint32_t>(f), w);
-      active_coeff[e] += w;
-    }
-  }
-
-  const auto freeze_edge_flows = [&](std::size_t e,
-                                     std::size_t& unfrozen_count) {
-    for (const auto& [f, w] : edge_flows[e]) {
-      (void)w;
-      if (frozen[f]) continue;
-      frozen[f] = true;
-      --unfrozen_count;
-      for (const auto& [fe, fw] : flow_edges[f]) active_coeff[fe] -= fw;
-    }
-  };
-
-  std::size_t unfrozen = num_flows;
-  while (unfrozen > 0) {
-    double delta = std::numeric_limits<double>::infinity();
-    std::size_t argmin = residual.size();
-    for (std::size_t e = 0; e < residual.size(); ++e) {
-      if (active_coeff[e] <= 1e-12) continue;
-      const double headroom = residual[e] / active_coeff[e];
-      if (headroom < delta) {
-        delta = headroom;
-        argmin = e;
-      }
-    }
-    if (!std::isfinite(delta)) break;  // remaining flows are unconstrained
-    delta = std::max(delta, 0.0);
-
-    for (std::size_t f = 0; f < num_flows; ++f) {
-      if (!frozen[f]) result.flow_rate[f] += delta;
-    }
-    for (std::size_t e = 0; e < residual.size(); ++e) {
-      residual[e] = std::max(0.0, residual[e] - delta * active_coeff[e]);
-    }
-    const std::size_t before = unfrozen;
-    for (std::size_t e = 0; e < residual.size(); ++e) {
-      if (active_coeff[e] <= 1e-12 ||
-          residual[e] > 1e-9 * instance.capacity[e] + 1e-12) {
-        continue;
-      }
-      freeze_edge_flows(e, unfrozen);
-    }
-    // Guaranteed progress: floating-point residue can leave the binding
-    // edge fractionally above the freeze threshold; freeze it explicitly.
-    if (unfrozen == before) freeze_edge_flows(argmin, unfrozen);
-  }
-
-  result.min_rate = std::numeric_limits<double>::infinity();
-  double total = 0;
-  for (std::size_t f = 0; f < num_flows; ++f) {
-    const double share =
-        result.flow_rate[f] /
-        static_cast<double>(instance.commodities[f].paths.size());
-    for (double& pr : result.path_rates[f]) pr = share;
-    result.min_rate = std::min(result.min_rate, result.flow_rate[f]);
-    total += result.flow_rate[f];
-  }
-  if (num_flows == 0) {
-    result.min_rate = 0;
-  } else {
-    result.avg_rate = total / static_cast<double>(num_flows);
   }
   return result;
 }

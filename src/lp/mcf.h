@@ -57,14 +57,8 @@ struct McfResult {
 // Note: at subflow granularity extra paths always attract extra traffic,
 // including long detours that waste capacity — which is NOT how coupled
 // MPTCP behaves. Use it as an optimal-routing throughput proxy; use
-// solve_equal_split_fill as the MPTCP model.
+// solve_mptcp_model as the MPTCP model.
 [[nodiscard]] McfResult solve_max_min_fill(const McfInstance& instance);
-
-// Equal-split flow-level progressive filling: each flow spreads its rate
-// uniformly over its paths (rate/k per path) and all unfrozen flows ramp
-// together; a flow freezes when any edge it touches saturates. A simple
-// conservative flow-level fairness model (static 1/k splitting).
-[[nodiscard]] McfResult solve_equal_split_fill(const McfInstance& instance);
 
 // Fluid model of k-shortest-path routing + coupled MPTCP, matching the
 // empirical behaviour in §5.1: congestion-aware splitting drives every flow

@@ -29,6 +29,15 @@ std::vector<std::vector<std::uint32_t>> resolve_paths(
   return edges;
 }
 
+// Per-direction base capacity of every edge of `topo`.
+std::vector<double> directed_capacities(const LogicalTopology& topo) {
+  std::vector<double> capacity(topo.directed_count());
+  for (std::size_t e = 0; e < capacity.size(); ++e) {
+    capacity[e] = topo.capacity(static_cast<std::uint32_t>(e));
+  }
+  return capacity;
+}
+
 }  // namespace
 
 FluidSimulator::FluidSimulator(const Graph& graph, PathProvider provider,
@@ -40,19 +49,14 @@ FluidSimulator::FluidSimulator(const Graph& graph, PathProvider provider,
 
 std::vector<double> FluidSimulator::measure_rates(const Workload& flows) {
   McfInstance instance;
-  instance.capacity.assign(topology_.directed_count(), 0.0);
-  for (std::size_t e = 0; e < topology_.directed_count(); ++e) {
-    instance.capacity[e] = topology_.capacity(static_cast<std::uint32_t>(e));
-  }
+  instance.capacity = directed_capacities(topology_);
   for (std::size_t i = 0; i < flows.size(); ++i) {
     McfCommodity commodity;
     commodity.paths = resolve_paths(topology_, provider_, flows[i],
                                     static_cast<std::uint32_t>(i));
     instance.commodities.push_back(std::move(commodity));
   }
-  return options_.rate_model == RateModel::kEqualSplit
-             ? solve_equal_split_fill(instance).flow_rate
-             : solve_max_min_fill(instance).flow_rate;
+  return solve_max_min_fill(instance).flow_rate;
 }
 
 std::vector<FluidFlowResult> FluidSimulator::run(const Workload& flows) {
@@ -157,27 +161,20 @@ std::vector<FluidFlowResult> FluidSimulator::run_with_schedule(
   std::priority_queue<double, std::vector<double>, std::greater<>> refreshes;
   std::vector<bool> failed_link(graph_->link_count(), false);
   std::vector<bool> failed_switch(graph_->node_count(), false);
-  // Per-direction capacity of the live topology; failures subtract from the
-  // base value, recovery restores it.
-  std::vector<double> effective(topology_.directed_count(), 0.0);
-  for (std::size_t e = 0; e < effective.size(); ++e) {
-    effective[e] = topology_.capacity(static_cast<std::uint32_t>(e));
-  }
   // Keeps the degraded graph alive while `current_provider` routes on it.
   std::shared_ptr<const Graph> degraded_graph;
   PathProvider current_provider = provider_;
 
-  // Incremental allocator: kept in lockstep with `effective`, the active
-  // flow set, and each flow's path set. solve() replays the previous
-  // event's water-filling trace and re-derives only the perturbed
-  // bottleneck levels — bit-for-bit equal to the from-scratch solve in the
-  // legacy branch of reallocate() (tests/test_fluid_incremental_diff.cc
-  // holds the equality after every fuzzed event). Black-holed flows are
-  // never registered, mirroring the legacy instance construction.
-  const bool use_inc =
-      options_.incremental && options_.rate_model == RateModel::kSubflow;
+  // Max-min allocator, kept in lockstep with the live per-direction
+  // capacities (failures subtract from the base value, recovery restores
+  // it), the active flow set, and each flow's path set. solve() replays the
+  // previous event's water-filling trace and re-derives only the perturbed
+  // bottleneck levels — bit-for-bit equal to solve_max_min_fill over the
+  // active flows (tests/test_fluid_incremental_diff.cc holds the equality
+  // after every fuzzed event). Black-holed flows are never registered: they
+  // stay at rate zero.
   IncrementalMaxMinSolver inc;
-  if (use_inc) inc.reset(effective, flows.size());
+  inc.reset(directed_capacities(topology_), flows.size());
 
   const auto recompute_effective = [&]() {
     std::vector<double> undirected(topology_.edge_count(), 0.0);
@@ -191,11 +188,8 @@ std::vector<FluidFlowResult> FluidSimulator::run_with_schedule(
       }
       undirected[*topology_.edge_between(l.a, l.b)] += l.capacity_bps;
     }
-    for (std::size_t e = 0; e < effective.size(); ++e) {
-      const double v = undirected[e / 2];
-      if (effective[e] == v) continue;
-      effective[e] = v;
-      if (use_inc) inc.set_capacity(static_cast<std::uint32_t>(e), v);
+    for (std::size_t e = 0; e < topology_.directed_count(); ++e) {
+      inc.set_capacity(static_cast<std::uint32_t>(e), undirected[e / 2]);
     }
   };
 
@@ -232,36 +226,14 @@ std::vector<FluidFlowResult> FluidSimulator::run_with_schedule(
     obs::record(h_active, static_cast<double>(active.size()));
     const std::vector<double> prev = rates;
     rates.assign(active.size(), 0.0);
-    if (use_inc) {
-      inc.solve();
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        rates[i] = inc.flow_rate(active[i]);
-      }
-      const IncrementalSolveStats& st = inc.last_stats();
-      obs::add(c_links_touched, st.links_touched);
-      obs::add(c_flows_touched, st.flows_touched);
-      if (st.full_resolve) obs::add(c_full_resolves);
-    } else {
-      McfInstance instance;
-      instance.capacity = effective;
-      // Flows without a route (black-holed) stay at rate zero and are kept
-      // out of the instance (the allocator rejects empty commodities).
-      std::vector<std::size_t> slot(active.size(), SIZE_MAX);
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        if (state[active[i]].path_edges.empty()) continue;
-        McfCommodity commodity;
-        commodity.paths = state[active[i]].path_edges;
-        slot[i] = instance.commodities.size();
-        instance.commodities.push_back(std::move(commodity));
-      }
-      const std::vector<double> solved =
-          options_.rate_model == RateModel::kEqualSplit
-              ? solve_equal_split_fill(instance).flow_rate
-              : solve_max_min_fill(instance).flow_rate;
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        if (slot[i] != SIZE_MAX) rates[i] = solved[slot[i]];
-      }
+    inc.solve();
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      rates[i] = inc.flow_rate(active[i]);
     }
+    const IncrementalSolveStats& st = inc.last_stats();
+    obs::add(c_links_touched, st.links_touched);
+    obs::add(c_flows_touched, st.flows_touched);
+    if (st.full_resolve) obs::add(c_full_resolves);
     // Convergence residual: how hard this update perturbed the allocation.
     // Comparable only when the active set is unchanged (prev is parallel).
     if (h_rate_delta != nullptr && prev.size() == rates.size() &&
@@ -310,7 +282,7 @@ std::vector<FluidFlowResult> FluidSimulator::run_with_schedule(
       if (edges != state[f].path_edges) {
         // update_flow handles the flow being absent (black-holed on
         // arrival, re-pathed now) as a plain add.
-        if (use_inc) inc.update_flow(static_cast<std::uint32_t>(f), edges);
+        inc.update_flow(static_cast<std::uint32_t>(f), edges);
         state[f].path_edges = std::move(edges);
         ++stats.reroutes;
         obs::add(c_reroutes);
@@ -322,7 +294,7 @@ std::vector<FluidFlowResult> FluidSimulator::run_with_schedule(
     results[f].completed = true;
     results[f].finish_s = now;
     state[f].active = false;
-    if (use_inc) inc.remove_flow(f);  // no-op for black-holed flows
+    inc.remove_flow(f);  // no-op for black-holed flows
     obs::add(c_completions);
     obs::record(h_fct, now - results[f].start_s);
     if (tracer != nullptr) {
@@ -405,9 +377,7 @@ std::vector<FluidFlowResult> FluidSimulator::run_with_schedule(
         state[f].path_edges =
             resolve_paths(topology_, current_provider, flows[f], f);
       }
-      if (use_inc && !state[f].path_edges.empty()) {
-        inc.add_flow(f, state[f].path_edges);
-      }
+      if (!state[f].path_edges.empty()) inc.add_flow(f, state[f].path_edges);
       results[f].started = true;
       results[f].start_s = now;
       active.push_back(f);

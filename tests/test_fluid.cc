@@ -157,41 +157,6 @@ TEST(FluidRun, MultipathUsesBothPaths) {
   EXPECT_NEAR(rates[0], 2e9, 1.0);
 }
 
-TEST(FluidRates, EqualSplitModelOption) {
-  // Same dumbbell under the equal-split model: a two-path flow is bound to
-  // 2x its slowest path, and single-path flows behave identically to the
-  // subflow model.
-  Graph g;
-  const NodeId s0 = g.add_node(NodeRole::kServer);
-  const NodeId s1 = g.add_node(NodeRole::kServer);
-  const NodeId e0 = g.add_node(NodeRole::kEdge);
-  const NodeId a0 = g.add_node(NodeRole::kAgg);
-  const NodeId a1 = g.add_node(NodeRole::kAgg);
-  const NodeId e1 = g.add_node(NodeRole::kEdge);
-  g.add_link(s0, e0, 10e9);
-  g.add_link(s1, e1, 10e9);
-  g.add_link(e0, a0, 1e9);
-  g.add_link(e0, a1, 3e9);
-  g.add_link(a0, e1, 1e9);
-  g.add_link(a1, e1, 3e9);
-  FluidOptions options;
-  options.rate_model = RateModel::kEqualSplit;
-  FluidSimulator sim{g, ksp_provider(g, 2), options};
-  const auto rates = sim.measure_rates({Flow{0, 1}});
-  EXPECT_NEAR(rates[0], 2e9, 1.0);  // equal split: 2x the 1G path
-}
-
-TEST(FluidRun, EqualSplitFctConsistent) {
-  Dumbbell net;
-  FluidOptions options;
-  options.rate_model = RateModel::kEqualSplit;
-  FluidSimulator sim{net.g, ksp_provider(net.g, 1), options};
-  Workload flows{Flow{0, 2, 1e8, 0.0}};
-  const auto results = sim.run(flows);
-  ASSERT_TRUE(results[0].completed);
-  EXPECT_NEAR(results[0].fct_s(), 0.8, 1e-6);
-}
-
 TEST(FluidRun, CoflowCompletionTimes) {
   Dumbbell net;
   FluidSimulator sim{net.g, ksp_provider(net.g, 1)};

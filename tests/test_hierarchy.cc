@@ -216,13 +216,6 @@ TEST(ControlHierarchy, ChannelForChargesPodSwitchesFromTheirController) {
   for (NodeId c : g.nodes_with_role(NodeRole::kCore)) {
     EXPECT_EQ(fch.switch_delay_s[c.index()], hch.switch_delay_s[c.index()]);
   }
-
-  // Ablation: with topology RTTs off the uniform base channel comes back.
-  ControlHierarchyOptions uniform;
-  uniform.topology_rtts = false;
-  const ControlHierarchy ablated{ctl, ControlPlaneKind::kHierarchical,
-                                 uniform};
-  EXPECT_TRUE(ablated.channel_for(g).switch_delay_s.empty());
 }
 
 TEST(ControlHierarchy, RunValidatesArguments) {

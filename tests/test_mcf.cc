@@ -100,67 +100,6 @@ TEST(McfLpMin, LpSplitBeatsSubflowFill) {
   EXPECT_GE(lp.min_rate, fill.min_rate - 1e-9);  // LP-min dominates fill min
 }
 
-// ---- equal-split flow-level filling ----------------------------------------
-
-TEST(McfEqualSplit, SharedEdgeSplitsEvenly) {
-  const McfResult r = solve_equal_split_fill(shared_edge_instance());
-  EXPECT_NEAR(r.flow_rate[0], 0.5, 1e-9);
-  EXPECT_NEAR(r.flow_rate[1], 0.5, 1e-9);
-}
-
-TEST(McfEqualSplit, SplitsAcrossParallelPaths) {
-  McfInstance inst;
-  inst.capacity = {1.0, 1.0};
-  inst.commodities.resize(1);
-  inst.commodities[0].paths = {{0}, {1}};
-  const McfResult r = solve_equal_split_fill(inst);
-  EXPECT_NEAR(r.flow_rate[0], 2.0, 1e-9);
-  EXPECT_NEAR(r.path_rates[0][0], 1.0, 1e-9);
-  EXPECT_NEAR(r.path_rates[0][1], 1.0, 1e-9);
-}
-
-TEST(McfEqualSplit, AsymmetricPathsBoundByWorst) {
-  // Equal split cannot shift load: a flow over a 1G and a 3G path is
-  // bound to 2x the slow path.
-  McfInstance inst;
-  inst.capacity = {1.0, 3.0};
-  inst.commodities.resize(1);
-  inst.commodities[0].paths = {{0}, {1}};
-  const McfResult r = solve_equal_split_fill(inst);
-  EXPECT_NEAR(r.flow_rate[0], 2.0, 1e-9);
-}
-
-TEST(McfEqualSplit, BeatsSubflowFillOnSharedBottleneck) {
-  // Flow A has a private path and a shared one; flow B only the shared one.
-  // Subflow filling starves B to 0.5; equal split is fairer (B = 2/3).
-  McfInstance inst;
-  inst.capacity = {1.0, 1.0};
-  inst.commodities.resize(2);
-  inst.commodities[0].paths = {{0}, {1}};
-  inst.commodities[1].paths = {{0}};
-  const McfResult eq = solve_equal_split_fill(inst);
-  const McfResult sub = solve_max_min_fill(inst);
-  EXPECT_NEAR(eq.flow_rate[1], 2.0 / 3.0, 1e-9);
-  EXPECT_NEAR(sub.flow_rate[1], 0.5, 1e-9);
-  EXPECT_GT(eq.min_rate, sub.min_rate);
-}
-
-TEST(McfEqualSplit, TerminatesOnFractionalCoefficients) {
-  // Regression: 12-way splits once caused epsilon-shaving livelock.
-  McfInstance inst;
-  inst.capacity.assign(24, 1.0);
-  inst.commodities.resize(6);
-  for (std::size_t f = 0; f < 6; ++f) {
-    for (int p = 0; p < 12; ++p) {
-      inst.commodities[f].paths.push_back(
-          {static_cast<std::uint32_t>((f * 7 + p) % 24),
-           static_cast<std::uint32_t>((f * 11 + p * 3) % 24)});
-    }
-  }
-  const McfResult r = solve_equal_split_fill(inst);
-  for (double rate : r.flow_rate) EXPECT_GT(rate, 0.0);
-}
-
 // ---- coupled-MPTCP model (LP-min base + residual filling) ------------------
 
 TEST(McfMptcpModel, DominatesLpMin) {

@@ -145,16 +145,6 @@ TEST_P(LpVsFill, SinglePathMaxMinEqualsLpMin) {
   EXPECT_NEAR(lp.min_rate / fill.min_rate, 1.0, 1e-6);
 }
 
-TEST_P(LpVsFill, EqualSplitMatchesSubflowFillOnSinglePaths) {
-  // With exactly one path per flow the two filling disciplines coincide.
-  const McfInstance inst = random_single_path_instance(GetParam() + 50);
-  const McfResult a = solve_max_min_fill(inst);
-  const McfResult b = solve_equal_split_fill(inst);
-  for (std::size_t f = 0; f < inst.commodities.size(); ++f) {
-    EXPECT_NEAR(a.flow_rate[f], b.flow_rate[f], 1.0);
-  }
-}
-
 TEST_P(LpVsFill, MptcpSandwichedBetweenBounds) {
   const McfInstance inst = random_single_path_instance(GetParam() + 99);
   const McfResult lp_min = solve_lp_min(inst);
@@ -213,7 +203,6 @@ TEST_P(CapacityRespect, AllAllocatorsFeasible) {
     }
   };
   check(solve_max_min_fill(inst));
-  check(solve_equal_split_fill(inst));
   check(solve_mptcp_model(inst));
   const McfResult lp = solve_lp_avg(inst);
   if (lp.feasible) check(lp);
