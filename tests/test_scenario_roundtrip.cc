@@ -8,12 +8,19 @@
 // every field materialized with its resolved default (including parse-time
 // seed resolution), keys in grammar order, two-space indentation,
 // shortest-round-trip numbers. This is what keeps golden summaries and
-// scenario files diffable as the grammar grows.
+// scenario files diffable as the grammar grows. CanonicalBytesPinned holds
+// those bytes to FNV-1a digests, one per scenarios/*.json file plus one
+// over the fuzzed specs, so a reordered or renamed key fails there even
+// though the fixed point still holds.
 #include "scenario/spec.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <filesystem>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "net/rng.h"
@@ -258,20 +265,29 @@ class SpecBuilder {
   std::vector<std::string> classes_;
 };
 
-TEST(ScenarioRoundtrip, CanonicalFormIsAFixedPoint) {
-  std::uint32_t generated = 0;
-  for (std::uint64_t seed = 0; generated < 50; ++seed) {
-    const std::string text = SpecBuilder{seed}.build();
-    Scenario first;
+// The first 50 builder outputs the parser accepts, with their parse. The
+// builder occasionally emits a spec the cross-section checks reject (e.g. an
+// SLO metric the chosen engine disallows); those are parser-correctness
+// cases, not round-trip cases, and are skipped.
+std::vector<std::pair<std::string, Scenario>> fuzzed_specs() {
+  std::vector<std::pair<std::string, Scenario>> specs;
+  for (std::uint64_t seed = 0; specs.size() < 50 && seed < 1000; ++seed) {
+    std::string text = SpecBuilder{seed}.build();
     try {
-      first = parse_scenario(text, "fuzz.json");
+      Scenario parsed = parse_scenario(text, "fuzz.json");
+      specs.emplace_back(std::move(text), std::move(parsed));
     } catch (const ScenarioError&) {
-      // The builder occasionally emits a spec the cross-section checks
-      // reject (e.g. an SLO metric the chosen engine disallows); those are
-      // parser-correctness cases, not round-trip cases.
-      continue;
     }
-    ++generated;
+  }
+  return specs;
+}
+
+TEST(ScenarioRoundtrip, CanonicalFormIsAFixedPoint) {
+  const auto specs = fuzzed_specs();
+  // The grammar invariants in the builder keep the reject rate low; make
+  // sure the fuzz actually exercised 50 full round-trips.
+  ASSERT_EQ(specs.size(), 50u);
+  for (const auto& [text, first] : specs) {
     const std::string canonical = canonical_json(first);
     Scenario second;
     ASSERT_NO_THROW(second = parse_scenario(canonical, "canon.json"))
@@ -281,9 +297,63 @@ TEST(ScenarioRoundtrip, CanonicalFormIsAFixedPoint) {
     EXPECT_EQ(canonical_json(second), canonical)
         << "canonical_json is not a fixed point for:\n" << text;
   }
-  // The grammar invariants in the builder keep the reject rate low; make
-  // sure the fuzz actually exercised 50 full round-trips.
-  EXPECT_EQ(generated, 50u);
+}
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+
+// FNV-1a (64-bit) over a byte string, continuing from `h`.
+std::uint64_t fnv1a(std::string_view bytes, std::uint64_t h = kFnvOffset) {
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// The fixed-point test above passes for any key order; these digests pin
+// the canonical bytes themselves, so reordering keys, renaming one or
+// changing a resolved default shows up here.
+TEST(ScenarioRoundtrip, CanonicalBytesPinned) {
+  const std::pair<std::string_view, std::uint64_t> kFiles[] = {
+      {"autopilot_closed_loop", 0x983057a7694c29b8ull},
+      {"calm_global", 0x5c21848fecb992e7ull},
+      {"calm_local", 0xefb48713f0f972d8ull},
+      {"calm_uniform", 0x944d69e7dafb8d37ull},
+      {"conversion_calm", 0x601cbaa15f7f7ea4ull},
+      {"conversion_partition", 0x6856013687dc87d9ull},
+      {"conversion_partition_compound", 0xaeab4c83f5d31d2aull},
+      {"conversion_partition_crash", 0xa84054034eb23be6ull},
+      {"conversion_storm", 0xd36189d68a6a5a32ull},
+      {"failure_recovery_clos", 0xaabea3f3fd6f4d14ull},
+      {"flap_reroute", 0xc3efbed420c590b9ull},
+      {"hot_pod_skew", 0x436f820d0e9e08caull},
+      {"incast_rdma", 0xe0970c1f690f5ebcull},
+      {"packet_sharded_pods", 0xe7bebc12c79a3e9dull},
+      {"packet_spot", 0x4c4f54c3141040beull},
+      {"random_graph_perm", 0x7d58b2b0ca8f0a5bull},
+      {"switch_fail_static", 0xa5b1d5a441e30bc9ull},
+      {"tenant_churn_mix", 0x7f5ff3056ab96df9ull},
+      {"tenant_classes_slo", 0x245e215ce6138751ull},
+      {"three_tier_chains", 0xd2e7e0de98f7f5a7ull},
+      {"two_stage_trace", 0x92c2b49a77126e48ull},
+  };
+  std::size_t files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator{SCENARIO_DIR}) {
+    if (entry.path().extension() == ".json") ++files;
+  }
+  EXPECT_EQ(files, std::size(kFiles)) << "pin every scenario file";
+  for (const auto& [name, digest] : kFiles) {
+    const Scenario s = parse_scenario_file(std::string{SCENARIO_DIR} + "/" +
+                                           std::string{name} + ".json");
+    EXPECT_EQ(fnv1a(canonical_json(s)), digest) << name;
+  }
+
+  std::uint64_t combined = kFnvOffset;
+  for (const auto& spec : fuzzed_specs()) {
+    combined = fnv1a(canonical_json(spec.second), combined);
+  }
+  EXPECT_EQ(combined, 0x779e8fedbf6fdb8full);
 }
 
 TEST(ScenarioRoundtrip, HandWrittenSpecRoundTrips) {
