@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 
 namespace flattree::scenario {
@@ -116,6 +117,8 @@ class Parser {
   }
 
   double parse_number() {
+    const std::uint32_t line = line_;
+    const std::uint32_t column = column_;
     const std::size_t start = pos_;
     if (!eof() && peek() == '-') advance();
     if (eof() || !std::isdigit(static_cast<unsigned char>(peek()))) {
@@ -144,7 +147,13 @@ class Parser {
       }
     }
     const std::string slice{text_.substr(start, pos_ - start)};
-    return std::strtod(slice.c_str(), nullptr);
+    const double v = std::strtod(slice.c_str(), nullptr);
+    // strtod saturates an overflowing literal to infinity, which the
+    // canonical writer could only emit as null: reject it here instead.
+    if (!std::isfinite(v)) {
+      fail_at(line, column, "number " + slice + " does not fit in a double");
+    }
+    return v;
   }
 
   std::string parse_string() {

@@ -8,7 +8,8 @@
 // always gets one uniform, clickable diagnostic — never a silent default.
 //
 // Supported: RFC 8259 objects/arrays/strings/numbers/true/false/null with
-// \uXXXX escapes restricted to ASCII (scenario identifiers are plain). No
+// \uXXXX escapes restricted to ASCII (scenario identifiers are plain). A
+// number too large for a double is rejected, not read as infinity. No
 // comments, no trailing commas — files stay canonical-form friendly.
 #pragma once
 
