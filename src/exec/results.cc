@@ -1,9 +1,10 @@
 #include "exec/results.h"
 
 #include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+
+#include "obs/json_number.h"
 
 namespace flattree::exec {
 namespace {
@@ -46,7 +47,6 @@ void append_fields(
 }  // namespace
 
 void JsonValue::append_json(std::string& out) const {
-  char buf[32];
   switch (kind_) {
     case Kind::kNull:
       out += "null";
@@ -55,25 +55,17 @@ void JsonValue::append_json(std::string& out) const {
       out += bool_ ? "true" : "false";
       return;
     case Kind::kInt: {
+      char buf[24];
       const auto r = std::to_chars(buf, buf + sizeof(buf), int_);
       out.append(buf, r.ptr);
       return;
     }
-    case Kind::kUint: {
-      const auto r = std::to_chars(buf, buf + sizeof(buf), uint_);
-      out.append(buf, r.ptr);
+    case Kind::kUint:
+      obs::append_json_number(out, uint_);
       return;
-    }
-    case Kind::kDouble: {
-      if (!std::isfinite(double_)) {
-        out += "null";
-        return;
-      }
-      // Shortest round-trip decimal: deterministic and exact.
-      const auto r = std::to_chars(buf, buf + sizeof(buf), double_);
-      out.append(buf, r.ptr);
+    case Kind::kDouble:
+      obs::append_json_number(out, double_);
       return;
-    }
     case Kind::kString:
       append_escaped(out, string_);
       return;

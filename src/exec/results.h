@@ -16,8 +16,8 @@
 
 namespace flattree::exec {
 
-// Scalar JSON value. Doubles serialize via shortest-round-trip
-// (std::to_chars); non-finite doubles serialize as null.
+// Scalar JSON value. Numbers serialize via obs::append_json_number
+// (shortest round-trip; non-finite doubles serialize as null).
 class JsonValue {
  public:
   JsonValue() = default;

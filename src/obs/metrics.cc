@@ -1,32 +1,13 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 
+#include "obs/json_number.h"
+
 namespace flattree::obs {
 namespace {
-
-// Shortest-round-trip decimal, matching exec/results.cc exactly so the
-// metrics block folded into BENCH_<name>.json and the standalone metrics
-// file format numbers identically.
-void append_double(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char buf[32];
-  const auto r = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, r.ptr);
-}
-
-void append_uint(std::string& out, std::uint64_t v) {
-  char buf[24];
-  const auto r = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, r.ptr);
-}
 
 void atomic_min(std::atomic<double>& target, double v) {
   double cur = target.load(std::memory_order_relaxed);
@@ -139,29 +120,29 @@ std::string MetricsRegistry::metrics_object_json(
     out += "\n  \"" + name + "\":{";
     if (entry.counter != nullptr) {
       out += "\"type\":\"counter\",\"value\":";
-      append_uint(out, entry.counter->value());
+      append_json_number(out, entry.counter->value());
     } else if (entry.gauge != nullptr) {
       out += "\"type\":\"gauge\",\"value\":";
-      append_double(out, entry.gauge->value());
+      append_json_number(out, entry.gauge->value());
     } else {
       const Histogram& h = *entry.histogram;
       out += "\"type\":\"histogram\",\"count\":";
-      append_uint(out, h.count());
+      append_json_number(out, h.count());
       if (h.count() > 0) {
         out += ",\"min\":";
-        append_double(out, h.min());
+        append_json_number(out, h.min());
         out += ",\"max\":";
-        append_double(out, h.max());
+        append_json_number(out, h.max());
       }
       out += ",\"bounds\":[";
       for (std::size_t i = 0; i < h.bounds().size(); ++i) {
         if (i != 0) out.push_back(',');
-        append_double(out, h.bounds()[i]);
+        append_json_number(out, h.bounds()[i]);
       }
       out += "],\"counts\":[";
       for (std::size_t i = 0; i <= h.bounds().size(); ++i) {
         if (i != 0) out.push_back(',');
-        append_uint(out, h.bucket_count(i));
+        append_json_number(out, h.bucket_count(i));
       }
       out += "]";
     }
@@ -183,18 +164,18 @@ std::string MetricsRegistry::text_summary() const {
     if (entry.scope == MetricScope::kDiagnostic) out += " [diagnostic]";
     out += " = ";
     if (entry.counter != nullptr) {
-      append_uint(out, entry.counter->value());
+      append_json_number(out, entry.counter->value());
     } else if (entry.gauge != nullptr) {
-      append_double(out, entry.gauge->value());
+      append_json_number(out, entry.gauge->value());
     } else {
       const Histogram& h = *entry.histogram;
       out += "count ";
-      append_uint(out, h.count());
+      append_json_number(out, h.count());
       if (h.count() > 0) {
         out += ", min ";
-        append_double(out, h.min());
+        append_json_number(out, h.min());
         out += ", max ";
-        append_double(out, h.max());
+        append_json_number(out, h.max());
       }
     }
     out.push_back('\n');

@@ -1,30 +1,8 @@
 #include "obs/telemetry.h"
 
-#include <charconv>
-#include <cmath>
+#include "obs/json_number.h"
 
 namespace flattree::obs {
-namespace {
-
-// Shortest-round-trip decimal, matching metrics.cc / exec/results.cc so
-// every deterministic JSON export in the tree formats numbers identically.
-void append_double(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char buf[32];
-  const auto r = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, r.ptr);
-}
-
-void append_uint(std::string& out, std::uint64_t v) {
-  char buf[24];
-  const auto r = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, r.ptr);
-}
-
-}  // namespace
 
 void PairTelemetry::record(const FlowRecord& record) {
   PairCounters& c = pairs_[{record.src, record.dst}];
@@ -67,17 +45,17 @@ std::string PairTelemetry::to_json() const {
     if (!first) out += ",";
     first = false;
     out += "\"";
-    append_uint(out, key.first);
+    append_json_number(out, std::uint64_t{key.first});
     out += "-";
-    append_uint(out, key.second);
+    append_json_number(out, std::uint64_t{key.second});
     out += "\":{\"flows\":";
-    append_uint(out, c.flows);
+    append_json_number(out, c.flows);
     out += ",\"completed\":";
-    append_uint(out, c.completed);
+    append_json_number(out, c.completed);
     out += ",\"bytes\":";
-    append_double(out, c.bytes);
+    append_json_number(out, c.bytes);
     out += ",\"fct_sum_s\":";
-    append_double(out, c.fct_sum_s);
+    append_json_number(out, c.fct_sum_s);
     out += "}";
   }
   out += "}";
