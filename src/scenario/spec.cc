@@ -6,6 +6,8 @@
 #include <initializer_list>
 #include <span>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "exec/results.h"
@@ -29,13 +31,11 @@ std::string quoted(std::string_view s) {
 }
 
 // "\"a\", \"b\" or \"c\"" for enum diagnostics.
-std::string expected_list(std::initializer_list<std::string_view> names) {
+std::string expected_list(std::span<const char* const> names) {
   std::string out;
-  std::size_t i = 0;
-  for (const std::string_view name : names) {
+  for (std::size_t i = 0; i < names.size(); ++i) {
     if (i > 0) out += (i + 1 == names.size()) ? " or " : ", ";
-    out += quoted(name);
-    ++i;
+    out += quoted(names[i]);
   }
   return out;
 }
@@ -158,123 +158,346 @@ void check_keys(const Ctx& ctx, const JsonNode& obj,
   }
 }
 
-// ---- enums ------------------------------------------------------------------
+// ---- names ------------------------------------------------------------------
+//
+// Each enum has one name table, indexed by the enum's value: the only place
+// its names are spelled. to_string() and every "unknown ..." diagnostic read
+// it. The same shape names the string-valued keys with a closed set.
 
-const char* mode_name(PodMode mode) {
-  switch (mode) {
-    case PodMode::kClos: return "clos";
-    case PodMode::kLocal: return "local";
-    case PodMode::kGlobal: return "global";
+struct Names {
+  const char* what;                    // "traffic pattern", for diagnostics
+  std::span<const char* const> names;  // indexed by the enum's value
+};
+
+Names names_of(PodMode) {
+  // Pod modes are named by core/flat_tree.h.
+  static const char* const kNames[] = {to_string(PodMode::kClos),
+                                       to_string(PodMode::kLocal),
+                                       to_string(PodMode::kGlobal)};
+  return {"Pod mode", kNames};
+}
+
+Names names_of(TopologyKind) {
+  static constexpr const char* kNames[] = {"fat_tree", "flat_tree",
+                                           "random_graph", "two_stage"};
+  return {"topology kind", kNames};
+}
+
+Names names_of(TrafficPattern) {
+  static constexpr const char* kNames[] = {
+      "permutation", "incast", "class", "three_tier", "trace", "tenant_churn"};
+  return {"traffic pattern", kNames};
+}
+
+Names names_of(FailureKind) {
+  static constexpr const char* kNames[] = {"core_column", "links", "switches",
+                                           "controller_crash",
+                                           "control_partition"};
+  return {"failure kind", kNames};
+}
+
+Names names_of(SloMetric) {
+  static constexpr const char* kNames[] = {
+      "worst_fct_s", "p99_fct_s", "p50_fct_s", "mean_fct_s", "completed_frac"};
+  return {"SLO metric", kNames};
+}
+
+Names names_of(Engine) {
+  static constexpr const char* kNames[] = {"fluid", "packet",
+                                           "packet_sharded", "autopilot"};
+  return {"engine", kNames};
+}
+
+Names names_of(RefreshMode) {
+  static constexpr const char* kNames[] = {"repair", "reroute", "none"};
+  return {"refresh mode", kNames};
+}
+
+constexpr const char* kVerdicts[] = {"pass", "fail"};
+constexpr const char* kTraceProfiles[] = {"hadoop1", "hadoop2", "web", "cache"};
+constexpr const char* kSwitchRoles[] = {"edge", "agg", "core"};
+
+template <typename E>
+const char* name_of(E value) {
+  const auto names = names_of(value).names;
+  const auto i = static_cast<std::size_t>(value);
+  return i < names.size() ? names[i] : "?";
+}
+
+// Index of `node`'s string in `table`. An unknown name fails with a message
+// that starts with `prefix` and lists every valid name.
+std::size_t lookup(const Ctx& ctx, const JsonNode& node,
+                   const std::string& prefix, const Names& table) {
+  for (std::size_t i = 0; i < table.names.size(); ++i) {
+    if (node.string == table.names[i]) return i;
   }
-  return "?";
+  ctx.fail(node, prefix + "unknown " + table.what + " " + quoted(node.string) +
+                     " (expected " + expected_list(table.names) + ")");
 }
 
-PodMode pod_mode_from(const Ctx& ctx, const JsonNode& node) {
-  expect_kind(ctx, node, JsonNode::Kind::kString, "pod mode", "string");
-  if (node.string == "clos") return PodMode::kClos;
-  if (node.string == "local") return PodMode::kLocal;
-  if (node.string == "global") return PodMode::kGlobal;
-  ctx.fail(node, "unknown Pod mode " + quoted(node.string) + " (expected " +
-                     expected_list({"clos", "local", "global"}) + ")");
+std::size_t get_name(const Ctx& ctx, const JsonNode& node,
+                     std::string_view key, const Names& table) {
+  expect_kind(ctx, node, JsonNode::Kind::kString, key, "string");
+  return lookup(ctx, node, "key " + quoted(key) + ": ", table);
 }
 
-TopologyKind topology_kind_from(const Ctx& ctx, const JsonNode& node) {
-  const std::string s = get_string(ctx, node, "kind");
-  if (s == "fat_tree") return TopologyKind::kFatTree;
-  if (s == "flat_tree") return TopologyKind::kFlatTree;
-  if (s == "random_graph") return TopologyKind::kRandomGraph;
-  if (s == "two_stage") return TopologyKind::kTwoStage;
-  ctx.fail(node,
-           "key \"kind\": unknown topology kind " + quoted(s) + " (expected " +
-               expected_list(
-                   {"fat_tree", "flat_tree", "random_graph", "two_stage"}) +
-               ")");
+template <typename E>
+E get_enum(const Ctx& ctx, const JsonNode& node, std::string_view key) {
+  return static_cast<E>(get_name(ctx, node, key, names_of(E{})));
 }
 
-TrafficPattern traffic_pattern_from(const Ctx& ctx, const JsonNode& node) {
-  const std::string s = get_string(ctx, node, "pattern");
-  if (s == "permutation") return TrafficPattern::kPermutation;
-  if (s == "incast") return TrafficPattern::kIncast;
-  if (s == "class") return TrafficPattern::kClass;
-  if (s == "three_tier") return TrafficPattern::kThreeTier;
-  if (s == "trace") return TrafficPattern::kTrace;
-  if (s == "tenant_churn") return TrafficPattern::kTenantChurn;
-  ctx.fail(node, "key \"pattern\": unknown traffic pattern " + quoted(s) +
-                     " (expected " +
-                     expected_list({"permutation", "incast", "class",
-                                    "three_tier", "trace", "tenant_churn"}) +
-                     ")");
+template <typename E>
+E require_enum(const Ctx& ctx, const JsonNode& obj, std::string_view key) {
+  return get_enum<E>(ctx, require_key(ctx, obj, key), key);
 }
 
-FailureKind failure_kind_from(const Ctx& ctx, const JsonNode& node) {
-  const std::string s = get_string(ctx, node, "kind");
-  if (s == "core_column") return FailureKind::kCoreColumn;
-  if (s == "links") return FailureKind::kLinks;
-  if (s == "switches") return FailureKind::kSwitches;
-  if (s == "controller_crash") return FailureKind::kControllerCrash;
-  if (s == "control_partition") return FailureKind::kControlPartition;
-  ctx.fail(node,
-           "key \"kind\": unknown failure kind " + quoted(s) + " (expected " +
-               expected_list({"core_column", "links", "switches",
-                              "controller_crash", "control_partition"}) +
-               ")");
-}
-
-SloMetric slo_metric_from(const Ctx& ctx, const JsonNode& node) {
-  const std::string s = get_string(ctx, node, "metric");
-  if (s == "worst_fct_s") return SloMetric::kWorstFct;
-  if (s == "p99_fct_s") return SloMetric::kP99Fct;
-  if (s == "p50_fct_s") return SloMetric::kP50Fct;
-  if (s == "mean_fct_s") return SloMetric::kMeanFct;
-  if (s == "completed_frac") return SloMetric::kCompletedFrac;
-  ctx.fail(node, "key \"metric\": unknown SLO metric " + quoted(s) +
-                     " (expected " +
-                     expected_list({"worst_fct_s", "p99_fct_s", "p50_fct_s",
-                                    "mean_fct_s", "completed_frac"}) +
-                     ")");
-}
-
-Engine engine_from(const Ctx& ctx, const JsonNode& node) {
-  const std::string s = get_string(ctx, node, "engine");
-  if (s == "fluid") return Engine::kFluid;
-  if (s == "packet") return Engine::kPacket;
-  if (s == "packet_sharded") return Engine::kPacketSharded;
-  if (s == "autopilot") return Engine::kAutopilot;
-  ctx.fail(node,
-           "key \"engine\": unknown engine " + quoted(s) + " (expected " +
-               expected_list({"fluid", "packet", "packet_sharded",
-                              "autopilot"}) +
-               ")");
-}
-
-RefreshMode refresh_from(const Ctx& ctx, const JsonNode& node) {
-  const std::string s = get_string(ctx, node, "refresh");
-  if (s == "repair") return RefreshMode::kRepair;
-  if (s == "reroute") return RefreshMode::kReroute;
-  if (s == "none") return RefreshMode::kNone;
-  ctx.fail(node, "key \"refresh\": unknown refresh mode " + quoted(s) +
-                     " (expected " +
-                     expected_list({"repair", "reroute", "none"}) + ")");
-}
-
-// ---- sections ---------------------------------------------------------------
-
-std::vector<PodMode> parse_mode_list(const Ctx& ctx, const JsonNode& node,
-                                     std::string_view key,
-                                     std::uint32_t pods) {
+std::vector<PodMode> get_modes(const Ctx& ctx, const JsonNode& node,
+                               std::string_view key) {
   expect_kind(ctx, node, JsonNode::Kind::kArray, key, "array");
   std::vector<PodMode> modes;
   modes.reserve(node.items.size());
   for (const JsonNode& item : node.items) {
-    modes.push_back(pod_mode_from(ctx, item));
-  }
-  if (modes.size() != 1 && modes.size() != pods) {
-    ctx.fail(node, "key " + quoted(key) + ": expected 1 or " +
-                       std::to_string(pods) + " entries, got " +
-                       std::to_string(modes.size()));
+    expect_kind(ctx, item, JsonNode::Kind::kString, "pod mode", "string");
+    modes.push_back(
+        static_cast<PodMode>(lookup(ctx, item, "", names_of(PodMode{}))));
   }
   return modes;
 }
+
+// A Pod mode list names one mode for every Pod, or one for all of them.
+void check_mode_count(const Ctx& ctx, const JsonNode& node,
+                      std::string_view key, std::size_t count,
+                      std::uint32_t pods) {
+  if (count != 1 && count != pods) {
+    ctx.fail(node, "key " + quoted(key) + ": expected 1 or " +
+                       std::to_string(pods) + " entries, got " +
+                       std::to_string(count));
+  }
+}
+
+// ---- schema tables ----------------------------------------------------------
+//
+// Traffic entries, conversion and sim are each stated by one table of Field
+// rows. A row is a key, the variants (traffic patterns, engines) it is valid
+// for, the member it fills, how it is read, and any variant-specific
+// default. One generic pass over a table checks a section's keys and parses
+// it (read_fields); the canonical writer walks the same rows in the same
+// order (write_fields). Rules that span several fields stay as explicit
+// code after the pass.
+
+// Variant bit mask: the patterns / engines a key is valid for.
+template <typename... E>
+constexpr std::uint32_t only(E... values) {
+  return ((1u << static_cast<unsigned>(values)) | ...);
+}
+constexpr std::uint32_t kAll = ~0u;
+
+// A default that replaces the struct's for the `variants` given.
+struct Default {
+  std::uint32_t variants{0};
+  double value{0.0};
+};
+
+// The member's type picks its reader: double members use `get`
+// (get_number, get_positive, get_non_negative or get_fraction), integer
+// members get_u32 / get_i32 over [lo, hi], the rest get_bool, get_u64,
+// get_string, a Pod mode list or the enum's name table.
+template <typename Spec>
+struct Field {
+  std::string_view key;
+  std::uint32_t valid{kAll};
+  std::variant<double Spec::*, bool Spec::*, std::uint32_t Spec::*,
+               std::int32_t Spec::*, std::uint64_t Spec::*,
+               std::string Spec::*, std::vector<PodMode> Spec::*,
+               TrafficPattern Spec::*, Engine Spec::*, RefreshMode Spec::*>
+      member;
+  double (*get)(const Ctx&, const JsonNode&, std::string_view){get_number};
+  std::int32_t lo{0};
+  std::int32_t hi{0};
+  Default defaults[2]{};
+  bool required{false};
+  bool negative_is_auto{false};  // a negative double is not written
+};
+
+template <typename Spec, typename T>
+void read_value(const Ctx& ctx, const JsonNode& node, const Field<Spec>& f,
+                T& out) {
+  if constexpr (std::is_same_v<T, double>) {
+    out = f.get(ctx, node, f.key);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    out = get_bool(ctx, node, f.key);
+  } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+    out = get_u32(ctx, node, f.key, f.lo, f.hi);
+  } else if constexpr (std::is_same_v<T, std::int32_t>) {
+    out = get_i32(ctx, node, f.key, f.lo, f.hi);
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    out = get_u64(ctx, node, f.key);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    out = get_string(ctx, node, f.key);
+  } else if constexpr (std::is_same_v<T, std::vector<PodMode>>) {
+    out = get_modes(ctx, node, f.key);
+  } else {
+    out = get_enum<T>(ctx, node, f.key);
+  }
+}
+
+// Checks `obj`'s keys against the rows valid for `variant`, then reads
+// those rows in order. A key of another variant is "not valid for
+// <variant_name>"; a key no row names is "unknown ... in <section>", or,
+// for a section passed as nullptr, also "not valid for <variant_name>".
+template <typename Spec>
+void read_fields(const Ctx& ctx, const JsonNode& obj,
+                 std::span<const Field<Spec>> fields, std::uint32_t variant,
+                 const char* section, const std::string& variant_name,
+                 Spec& spec) {
+  for (const auto& [key, value] : obj.members) {
+    const auto row =
+        std::find_if(fields.begin(), fields.end(),
+                     [&](const Field<Spec>& f) { return f.key == key; });
+    if (row != fields.end() && (row->valid & variant) != 0) continue;
+    if (row == fields.end() && section != nullptr) {
+      ctx.fail(value, "unknown key " + quoted(key) + " in " + section);
+    }
+    ctx.fail(value,
+             "key " + quoted(key) + " is not valid for " + variant_name);
+  }
+  for (const Field<Spec>& f : fields) {
+    if ((f.valid & variant) == 0) continue;
+    if (const auto* member = std::get_if<double Spec::*>(&f.member)) {
+      for (const Default& d : f.defaults) {
+        if ((d.variants & variant) != 0) spec.**member = d.value;
+      }
+    }
+    const JsonNode* node =
+        f.required ? &require_key(ctx, obj, f.key) : obj.find(f.key);
+    if (node == nullptr) continue;
+    std::visit([&](auto member) { read_value(ctx, *node, f, spec.*member); },
+               f.member);
+  }
+}
+
+std::span<const Field<TrafficSpec>> traffic_fields() {
+  using enum TrafficPattern;
+  using T = TrafficSpec;
+  static constexpr Field<T> kFields[] = {
+      {.key = "pattern", .member = &T::pattern},
+      {.key = "class", .member = &T::tenant_class},
+      {.key = "seed", .member = &T::seed},
+      {.key = "start_s", .member = &T::start_s, .get = get_non_negative},
+      {.key = "bytes", .valid = only(kPermutation), .member = &T::bytes,
+       .get = get_positive},
+      {.key = "groups", .valid = only(kIncast), .member = &T::groups,
+       .lo = 1, .hi = 4096},
+      {.key = "fanin", .valid = only(kIncast), .member = &T::fanin, .lo = 1,
+       .hi = 4096},
+      {.key = "requests", .valid = only(kIncast), .member = &T::requests,
+       .lo = 1, .hi = 4096},
+      {.key = "period_s", .valid = only(kIncast), .member = &T::period_s,
+       .get = get_positive},
+      {.key = "pod_local", .valid = only(kIncast), .member = &T::pod_local},
+      {.key = "profile", .valid = only(kTrace), .member = &T::profile,
+       .required = true},
+      {.key = "duration_s",
+       .valid = only(kClass, kThreeTier, kTrace, kTenantChurn),
+       .member = &T::duration_s,
+       .get = get_positive,
+       .defaults = {{only(kTenantChurn), 10.0}}},
+      {.key = "requests_per_s", .valid = only(kThreeTier),
+       .member = &T::requests_per_s, .get = get_positive},
+      {.key = "frontend_frac", .valid = only(kThreeTier),
+       .member = &T::frontend_frac, .get = get_fraction},
+      {.key = "cache_frac", .valid = only(kThreeTier),
+       .member = &T::cache_frac, .get = get_fraction},
+      {.key = "request_bytes", .valid = only(kThreeTier),
+       .member = &T::request_bytes, .get = get_positive},
+      {.key = "cache_reply_bytes", .valid = only(kThreeTier),
+       .member = &T::cache_reply_bytes, .get = get_positive},
+      {.key = "storage_reply_bytes", .valid = only(kThreeTier),
+       .member = &T::storage_reply_bytes, .get = get_positive},
+      {.key = "miss_frac", .valid = only(kThreeTier), .member = &T::miss_frac,
+       .get = get_fraction},
+      {.key = "think_s", .valid = only(kThreeTier), .member = &T::think_s,
+       .get = get_non_negative},
+      {.key = "arrivals_per_s", .valid = only(kTenantChurn),
+       .member = &T::arrivals_per_s, .get = get_positive},
+      {.key = "mean_lifetime_s", .valid = only(kTenantChurn),
+       .member = &T::mean_lifetime_s, .get = get_positive},
+      {.key = "flows_per_s", .valid = only(kClass, kTrace, kTenantChurn),
+       .member = &T::flows_per_s,
+       .get = get_positive,
+       .defaults = {{only(kTrace), 1000.0}, {only(kTenantChurn), 800.0}}},
+      {.key = "mean_bytes", .valid = only(kIncast, kClass),
+       .member = &T::mean_bytes, .get = get_positive},
+      {.key = "alpha", .valid = only(kIncast, kClass), .member = &T::alpha,
+       .defaults = {{only(kClass), 1.6}}},
+      {.key = "max_bytes", .valid = only(kIncast, kClass),
+       .member = &T::max_bytes, .get = get_positive},
+      {.key = "intra_rack_frac", .valid = only(kClass),
+       .member = &T::intra_rack_frac, .get = get_fraction},
+      {.key = "intra_pod_frac", .valid = only(kClass),
+       .member = &T::intra_pod_frac, .get = get_fraction},
+      {.key = "hot_pod", .valid = only(kClass), .member = &T::hot_pod,
+       .lo = -1, .hi = 1 << 20},
+      {.key = "hot_pod_frac", .valid = only(kClass), .member = &T::hot_pod_frac,
+       .get = get_fraction},
+  };
+  return kFields;
+}
+
+std::span<const Field<ConversionSpec>> conversion_fields() {
+  using C = ConversionSpec;
+  static constexpr Field<C> kFields[] = {
+      {.key = "at_s", .member = &C::at_s, .get = get_non_negative},
+      {.key = "to", .member = &C::to, .required = true},
+      {.key = "staged", .member = &C::staged},
+      {.key = "stage_checkpoints", .member = &C::stage_checkpoints},
+      {.key = "ocs_partitions", .member = &C::ocs_partitions, .lo = 1,
+       .hi = 64},
+      {.key = "drop_probability", .member = &C::drop_probability},
+      // The remaining lossy-channel knobs are read for type only:
+      // ControlChannelOptions::validate() is the single authority on
+      // channel ranges, and the compiler calls it before any cell runs — so
+      // every rejection message has exactly one home (and the regression
+      // tests pin each one there).
+      {.key = "channel_delay_s", .member = &C::channel_delay_s},
+      {.key = "channel_timeout_s", .member = &C::channel_timeout_s},
+      {.key = "channel_backoff", .member = &C::channel_backoff},
+      {.key = "channel_jitter", .member = &C::channel_jitter},
+      {.key = "channel_max_attempts", .member = &C::channel_max_attempts,
+       .lo = 0, .hi = 1 << 20},
+      {.key = "seed", .member = &C::seed},
+      {.key = "controllers", .member = &C::controllers, .lo = 1, .hi = 4096},
+      // The per-operation delays get no parse-time range check either:
+      // ConversionDelayModel::validate() is the single authority on what a
+      // legal delay model is, and the compiler invokes it.
+      {.key = "ocs_s", .member = &C::ocs_s},
+      {.key = "rule_delete_s", .member = &C::rule_delete_s},
+      {.key = "rule_add_s", .member = &C::rule_add_s},
+  };
+  return kFields;
+}
+
+std::span<const Field<SimSpec>> sim_fields() {
+  using enum Engine;
+  using S = SimSpec;
+  static constexpr Field<S> kFields[] = {
+      {.key = "engine", .member = &S::engine},
+      {.key = "max_time_s", .member = &S::max_time_s, .get = get_positive},
+      {.key = "k_paths", .member = &S::k_paths, .lo = 1, .hi = 64},
+      {.key = "refresh", .valid = only(kFluid), .member = &S::refresh},
+      {.key = "repair_lag_s", .valid = only(kFluid),
+       .member = &S::repair_lag_s, .get = get_non_negative,
+       .negative_is_auto = true},
+      {.key = "controllers", .valid = only(kFluid), .member = &S::controllers,
+       .lo = 1, .hi = 4096},
+      {.key = "count_rules", .valid = only(kFluid), .member = &S::count_rules},
+      {.key = "epoch_s", .valid = only(kAutopilot), .member = &S::epoch_s,
+       .get = get_positive},
+  };
+  return kFields;
+}
+
+// ---- sections ---------------------------------------------------------------
 
 TopologySpec parse_topology(const Ctx& ctx, const JsonNode& obj) {
   expect_kind(ctx, obj, JsonNode::Kind::kObject, "topology", "object");
@@ -283,7 +506,7 @@ TopologySpec parse_topology(const Ctx& ctx, const JsonNode& obj) {
               "wiring_seed"},
              "topology");
   TopologySpec spec;
-  spec.kind = topology_kind_from(ctx, require_key(ctx, obj, "kind"));
+  spec.kind = require_enum<TopologyKind>(ctx, obj, "kind");
   if (const JsonNode* node = obj.find("k")) {
     spec.k = get_u32(ctx, *node, "k", 4, 32);
     if (spec.k % 2 != 0) ctx.fail(*node, "key \"k\": must be even");
@@ -315,7 +538,8 @@ TopologySpec parse_topology(const Ctx& ctx, const JsonNode& obj) {
     if (spec.kind != TopologyKind::kFlatTree) {
       ctx.fail(*node, "key \"pod_modes\" is only valid for kind \"flat_tree\"");
     }
-    spec.pod_modes = parse_mode_list(ctx, *node, "pod_modes", spec.k);
+    spec.pod_modes = get_modes(ctx, *node, "pod_modes");
+    check_mode_count(ctx, *node, "pod_modes", spec.pod_modes.size(), spec.k);
   } else if (spec.kind == TopologyKind::kFlatTree) {
     spec.pod_modes = {PodMode::kClos};
   }
@@ -331,166 +555,24 @@ TopologySpec parse_topology(const Ctx& ctx, const JsonNode& obj) {
   return spec;
 }
 
-// Keys each traffic pattern understands, beyond the shared
-// pattern/class/seed/start_s quartet.
-std::span<const std::string_view> pattern_keys(TrafficPattern pattern) {
-  static constexpr std::string_view kPermutation[] = {"bytes"};
-  static constexpr std::string_view kIncast[] = {
-      "groups", "fanin", "requests", "period_s", "pod_local", "mean_bytes",
-      "alpha", "max_bytes"};
-  static constexpr std::string_view kClass[] = {
-      "duration_s", "flows_per_s", "mean_bytes", "alpha", "max_bytes",
-      "intra_rack_frac", "intra_pod_frac", "hot_pod", "hot_pod_frac"};
-  static constexpr std::string_view kThreeTier[] = {
-      "duration_s", "requests_per_s", "frontend_frac", "cache_frac",
-      "request_bytes", "cache_reply_bytes", "storage_reply_bytes",
-      "miss_frac", "think_s"};
-  static constexpr std::string_view kTrace[] = {"profile", "duration_s",
-                                                "flows_per_s"};
-  static constexpr std::string_view kTenantChurn[] = {
-      "duration_s", "arrivals_per_s", "mean_lifetime_s", "flows_per_s"};
-  switch (pattern) {
-    case TrafficPattern::kPermutation: return kPermutation;
-    case TrafficPattern::kIncast: return kIncast;
-    case TrafficPattern::kClass: return kClass;
-    case TrafficPattern::kThreeTier: return kThreeTier;
-    case TrafficPattern::kTrace: return kTrace;
-    case TrafficPattern::kTenantChurn: return kTenantChurn;
-  }
-  return {};
-}
-
-bool any_pattern_has_key(std::string_view key) {
-  for (const TrafficPattern p :
-       {TrafficPattern::kPermutation, TrafficPattern::kIncast,
-        TrafficPattern::kClass, TrafficPattern::kThreeTier,
-        TrafficPattern::kTrace, TrafficPattern::kTenantChurn}) {
-    const auto keys = pattern_keys(p);
-    if (std::find(keys.begin(), keys.end(), key) != keys.end()) return true;
-  }
-  return false;
-}
-
 TrafficSpec parse_traffic_entry(const Ctx& ctx, const JsonNode& obj,
                                 std::uint64_t default_seed) {
   expect_kind(ctx, obj, JsonNode::Kind::kObject, "traffic entry", "object");
   TrafficSpec spec;
-  spec.pattern = traffic_pattern_from(ctx, require_key(ctx, obj, "pattern"));
-  const auto allowed = pattern_keys(spec.pattern);
-  for (const auto& [key, value] : obj.members) {
-    if (key == "pattern" || key == "class" || key == "seed" ||
-        key == "start_s") {
-      continue;
-    }
-    if (std::find(allowed.begin(), allowed.end(), key) != allowed.end()) {
-      continue;
-    }
-    if (any_pattern_has_key(key)) {
-      ctx.fail(value, "key " + quoted(key) + " is not valid for pattern " +
-                          quoted(to_string(spec.pattern)));
-    }
-    ctx.fail(value, "unknown key " + quoted(key) + " in traffic entry");
-  }
-  if (const JsonNode* node = obj.find("class")) {
-    spec.tenant_class = get_string(ctx, *node, "class");
-    if (!is_identifier(spec.tenant_class)) {
-      ctx.fail(*node, "key \"class\": must match [a-z0-9_]+");
-    }
-  }
+  spec.pattern = require_enum<TrafficPattern>(ctx, obj, "pattern");
   spec.seed = default_seed;
-  if (const JsonNode* node = obj.find("seed")) {
-    spec.seed = get_u64(ctx, *node, "seed");
+  read_fields(ctx, obj, traffic_fields(), only(spec.pattern), "traffic entry",
+              "pattern " + quoted(to_string(spec.pattern)), spec);
+  // The defaults satisfy these rules, so a violation names a present key.
+  if (!is_identifier(spec.tenant_class)) {
+    ctx.fail(*obj.find("class"), "key \"class\": must match [a-z0-9_]+");
   }
-  if (const JsonNode* node = obj.find("start_s")) {
-    spec.start_s = get_non_negative(ctx, *node, "start_s");
+  if (!(spec.alpha > 1)) {
+    ctx.fail(*obj.find("alpha"), "key \"alpha\": must be > 1");
   }
-  const auto num = [&](const char* key, double& out,
-                       double (*get)(const Ctx&, const JsonNode&,
-                                     std::string_view)) {
-    if (const JsonNode* node = obj.find(key)) out = get(ctx, *node, key);
-  };
-  switch (spec.pattern) {
-    case TrafficPattern::kPermutation:
-      num("bytes", spec.bytes, get_positive);
-      break;
-    case TrafficPattern::kIncast: {
-      if (const JsonNode* node = obj.find("groups")) {
-        spec.groups = get_u32(ctx, *node, "groups", 1, 4096);
-      }
-      if (const JsonNode* node = obj.find("fanin")) {
-        spec.fanin = get_u32(ctx, *node, "fanin", 1, 4096);
-      }
-      if (const JsonNode* node = obj.find("requests")) {
-        spec.requests = get_u32(ctx, *node, "requests", 1, 4096);
-      }
-      num("period_s", spec.period_s, get_positive);
-      if (const JsonNode* node = obj.find("pod_local")) {
-        spec.pod_local = get_bool(ctx, *node, "pod_local");
-      }
-      num("mean_bytes", spec.mean_bytes, get_positive);
-      num("max_bytes", spec.max_bytes, get_positive);
-      if (const JsonNode* node = obj.find("alpha")) {
-        spec.alpha = get_number(ctx, *node, "alpha");
-        if (!(spec.alpha > 1)) ctx.fail(*node, "key \"alpha\": must be > 1");
-      }
-      break;
-    }
-    case TrafficPattern::kClass: {
-      num("duration_s", spec.duration_s, get_positive);
-      num("flows_per_s", spec.flows_per_s, get_positive);
-      num("mean_bytes", spec.mean_bytes, get_positive);
-      num("max_bytes", spec.max_bytes, get_positive);
-      if (const JsonNode* node = obj.find("alpha")) {
-        spec.alpha = get_number(ctx, *node, "alpha");
-        if (!(spec.alpha > 1)) ctx.fail(*node, "key \"alpha\": must be > 1");
-      } else {
-        spec.alpha = 1.6;
-      }
-      num("intra_rack_frac", spec.intra_rack_frac, get_fraction);
-      num("intra_pod_frac", spec.intra_pod_frac, get_fraction);
-      if (const JsonNode* node = obj.find("hot_pod")) {
-        spec.hot_pod = get_i32(ctx, *node, "hot_pod", -1, 1 << 20);
-      }
-      num("hot_pod_frac", spec.hot_pod_frac, get_fraction);
-      break;
-    }
-    case TrafficPattern::kThreeTier: {
-      num("duration_s", spec.duration_s, get_positive);
-      num("requests_per_s", spec.requests_per_s, get_positive);
-      num("frontend_frac", spec.frontend_frac, get_fraction);
-      num("cache_frac", spec.cache_frac, get_fraction);
-      num("request_bytes", spec.request_bytes, get_positive);
-      num("cache_reply_bytes", spec.cache_reply_bytes, get_positive);
-      num("storage_reply_bytes", spec.storage_reply_bytes, get_positive);
-      num("miss_frac", spec.miss_frac, get_fraction);
-      num("think_s", spec.think_s, get_non_negative);
-      break;
-    }
-    case TrafficPattern::kTrace: {
-      const JsonNode& profile = require_key(ctx, obj, "profile");
-      spec.profile = get_string(ctx, profile, "profile");
-      if (spec.profile != "hadoop1" && spec.profile != "hadoop2" &&
-          spec.profile != "web" && spec.profile != "cache") {
-        ctx.fail(profile,
-                 "key \"profile\": unknown trace profile " +
-                     quoted(spec.profile) + " (expected " +
-                     expected_list({"hadoop1", "hadoop2", "web", "cache"}) +
-                     ")");
-      }
-      num("duration_s", spec.duration_s, get_positive);
-      spec.flows_per_s = 1000.0;
-      num("flows_per_s", spec.flows_per_s, get_positive);
-      break;
-    }
-    case TrafficPattern::kTenantChurn: {
-      spec.duration_s = 10.0;
-      num("duration_s", spec.duration_s, get_positive);
-      num("arrivals_per_s", spec.arrivals_per_s, get_positive);
-      num("mean_lifetime_s", spec.mean_lifetime_s, get_positive);
-      spec.flows_per_s = 800.0;
-      num("flows_per_s", spec.flows_per_s, get_positive);
-      break;
-    }
+  if (spec.pattern == TrafficPattern::kTrace) {
+    get_name(ctx, *obj.find("profile"), "profile",
+             {"trace profile", kTraceProfiles});
   }
   return spec;
 }
@@ -499,7 +581,7 @@ FailureSpec parse_failure_entry(const Ctx& ctx, const JsonNode& obj,
                                 std::uint64_t default_seed) {
   expect_kind(ctx, obj, JsonNode::Kind::kObject, "failure entry", "object");
   FailureSpec spec;
-  spec.kind = failure_kind_from(ctx, require_key(ctx, obj, "kind"));
+  spec.kind = require_enum<FailureKind>(ctx, obj, "kind");
   static constexpr std::string_view kShared[] = {"kind", "fail_at",
                                                  "recover_at", "flaps",
                                                  "period_s"};
@@ -567,13 +649,8 @@ FailureSpec parse_failure_entry(const Ctx& ctx, const JsonNode& obj,
       }
       if (spec.kind == FailureKind::kSwitches) {
         if (const JsonNode* node = obj.find("role")) {
-          spec.role = get_string(ctx, *node, "role");
-          if (spec.role != "edge" && spec.role != "agg" &&
-              spec.role != "core") {
-            ctx.fail(*node, "key \"role\": unknown switch role " +
-                                quoted(spec.role) + " (expected " +
-                                expected_list({"edge", "agg", "core"}) + ")");
-          }
+          spec.role = kSwitchRoles[get_name(ctx, *node, "role",
+                                            {"switch role", kSwitchRoles})];
         }
       }
       spec.seed = default_seed;
@@ -652,76 +729,19 @@ ConversionSpec parse_conversion(const Ctx& ctx, const JsonNode& obj,
   if (topology.kind != TopologyKind::kFlatTree) {
     ctx.fail(obj, "conversion requires topology kind \"flat_tree\"");
   }
-  check_keys(ctx, obj,
-             {"at_s", "to", "staged", "stage_checkpoints", "ocs_partitions",
-              "drop_probability", "channel_delay_s", "channel_timeout_s",
-              "channel_backoff", "channel_jitter", "channel_max_attempts",
-              "seed", "controllers", "ocs_s", "rule_delete_s", "rule_add_s"},
-             "conversion");
   ConversionSpec spec;
   spec.present = true;
   spec.seed = default_seed;
-  if (const JsonNode* node = obj.find("at_s")) {
-    spec.at_s = get_non_negative(ctx, *node, "at_s");
+  read_fields(ctx, obj, conversion_fields(), kAll, "conversion", "", spec);
+  check_mode_count(ctx, *obj.find("to"), "to", spec.to.size(), topology.k);
+  // The defaults satisfy these rules, so a violation names a present key.
+  if (spec.stage_checkpoints && !spec.staged) {
+    ctx.fail(*obj.find("stage_checkpoints"),
+             "key \"stage_checkpoints\" requires staged");
   }
-  spec.to = parse_mode_list(ctx, require_key(ctx, obj, "to"), "to", topology.k);
-  if (const JsonNode* node = obj.find("staged")) {
-    spec.staged = get_bool(ctx, *node, "staged");
-  }
-  if (const JsonNode* node = obj.find("stage_checkpoints")) {
-    spec.stage_checkpoints = get_bool(ctx, *node, "stage_checkpoints");
-    if (spec.stage_checkpoints && !spec.staged) {
-      ctx.fail(*node, "key \"stage_checkpoints\" requires staged");
-    }
-  }
-  if (const JsonNode* node = obj.find("ocs_partitions")) {
-    spec.ocs_partitions = get_u32(ctx, *node, "ocs_partitions", 1, 64);
-  }
-  if (const JsonNode* node = obj.find("drop_probability")) {
-    spec.drop_probability = get_number(ctx, *node, "drop_probability");
-    if (!(spec.drop_probability >= 0) || !(spec.drop_probability < 1)) {
-      ctx.fail(*node, "key \"drop_probability\": must lie in [0, 1)");
-    }
-  }
-  // The remaining lossy-channel knobs are parsed for type only:
-  // ControlChannelOptions::validate() is the single authority on channel
-  // ranges, and the compiler calls it before any cell runs — so every
-  // rejection message has exactly one home (and the regression tests pin
-  // each one there).
-  if (const JsonNode* node = obj.find("channel_delay_s")) {
-    spec.channel_delay_s = get_number(ctx, *node, "channel_delay_s");
-  }
-  if (const JsonNode* node = obj.find("channel_timeout_s")) {
-    spec.channel_timeout_s = get_number(ctx, *node, "channel_timeout_s");
-  }
-  if (const JsonNode* node = obj.find("channel_backoff")) {
-    spec.channel_backoff = get_number(ctx, *node, "channel_backoff");
-  }
-  if (const JsonNode* node = obj.find("channel_jitter")) {
-    spec.channel_jitter = get_number(ctx, *node, "channel_jitter");
-  }
-  if (const JsonNode* node = obj.find("channel_max_attempts")) {
-    spec.channel_max_attempts =
-        get_u32(ctx, *node, "channel_max_attempts", 0, 1 << 20);
-  }
-  if (const JsonNode* node = obj.find("seed")) {
-    spec.seed = get_u64(ctx, *node, "seed");
-  }
-  if (const JsonNode* node = obj.find("controllers")) {
-    spec.controllers = get_u32(ctx, *node, "controllers", 1, 4096);
-  }
-  // The per-operation delays deliberately get no parse-time range check:
-  // ConversionDelayModel::validate() is the single authority on what a legal
-  // delay model is, and the compiler invokes it (satellite: invalid embedded
-  // models are rejected before any cell runs, with this file's name).
-  if (const JsonNode* node = obj.find("ocs_s")) {
-    spec.ocs_s = get_number(ctx, *node, "ocs_s");
-  }
-  if (const JsonNode* node = obj.find("rule_delete_s")) {
-    spec.rule_delete_s = get_number(ctx, *node, "rule_delete_s");
-  }
-  if (const JsonNode* node = obj.find("rule_add_s")) {
-    spec.rule_add_s = get_number(ctx, *node, "rule_add_s");
+  if (!(spec.drop_probability >= 0) || !(spec.drop_probability < 1)) {
+    ctx.fail(*obj.find("drop_probability"),
+             "key \"drop_probability\": must lie in [0, 1)");
   }
   return spec;
 }
@@ -745,7 +765,7 @@ SloSpec parse_slo(const Ctx& ctx, const JsonNode& obj,
       }
     }
   }
-  spec.metric = slo_metric_from(ctx, require_key(ctx, obj, "metric"));
+  spec.metric = require_enum<SloMetric>(ctx, obj, "metric");
   if (const JsonNode* node = obj.find("max")) {
     spec.has_max = true;
     spec.max_value = get_number(ctx, *node, "max");
@@ -771,126 +791,26 @@ SimSpec parse_sim(const Ctx& ctx, const JsonNode* obj,
   spec.refresh = flat ? RefreshMode::kRepair : RefreshMode::kReroute;
   if (obj == nullptr) return spec;
   expect_kind(ctx, *obj, JsonNode::Kind::kObject, "sim", "object");
-  spec.engine = engine_from(ctx, require_key(ctx, *obj, "engine"));
-  static constexpr std::string_view kShared[] = {"engine", "max_time_s",
-                                                 "k_paths"};
-  static constexpr std::string_view kFluid[] = {"refresh", "repair_lag_s",
-                                                "controllers", "count_rules"};
-  static constexpr std::string_view kAutopilot[] = {"epoch_s"};
-  const std::span<const std::string_view> shared = kShared;
-  std::span<const std::string_view> specific;
-  switch (spec.engine) {
-    case Engine::kFluid:
-      specific = kFluid;
-      break;
-    case Engine::kPacket:
-    case Engine::kPacketSharded:
-      break;
-    case Engine::kAutopilot:
-      specific = kAutopilot;
-      break;
-  }
-  for (const auto& [key, value] : obj->members) {
-    if (std::find(shared.begin(), shared.end(), key) != shared.end()) continue;
-    if (std::find(specific.begin(), specific.end(), key) != specific.end()) {
-      continue;
-    }
-    ctx.fail(value, "key " + quoted(key) + " is not valid for engine " +
-                        quoted(to_string(spec.engine)));
-  }
-  if (const JsonNode* node = obj->find("max_time_s")) {
-    spec.max_time_s = get_positive(ctx, *node, "max_time_s");
-  }
-  if (const JsonNode* node = obj->find("k_paths")) {
-    spec.k_paths = get_u32(ctx, *node, "k_paths", 1, 64);
-  }
-  if (const JsonNode* node = obj->find("refresh")) {
-    spec.refresh = refresh_from(ctx, *node);
-    if (spec.refresh == RefreshMode::kRepair && !flat) {
-      ctx.fail(*node,
-               "key \"refresh\": \"repair\" requires topology kind "
-               "\"fat_tree\" or \"flat_tree\"");
-    }
-  }
-  if (const JsonNode* node = obj->find("repair_lag_s")) {
-    spec.repair_lag_s = get_non_negative(ctx, *node, "repair_lag_s");
-  }
-  if (const JsonNode* node = obj->find("controllers")) {
-    spec.controllers = get_u32(ctx, *node, "controllers", 1, 4096);
-  }
-  if (const JsonNode* node = obj->find("count_rules")) {
-    spec.count_rules = get_bool(ctx, *node, "count_rules");
-  }
-  if (const JsonNode* node = obj->find("epoch_s")) {
-    spec.epoch_s = get_positive(ctx, *node, "epoch_s");
+  spec.engine = require_enum<Engine>(ctx, *obj, "engine");
+  // sim names no section: every stray key is reported against the engine.
+  read_fields(ctx, *obj, sim_fields(), only(spec.engine), nullptr,
+              "engine " + quoted(to_string(spec.engine)), spec);
+  if (spec.refresh == RefreshMode::kRepair && !flat) {  // never the default
+    ctx.fail(*obj->find("refresh"),
+             "key \"refresh\": \"repair\" requires topology kind "
+             "\"fat_tree\" or \"flat_tree\"");
   }
   return spec;
 }
 
 }  // namespace
 
-const char* to_string(TopologyKind kind) {
-  switch (kind) {
-    case TopologyKind::kFatTree: return "fat_tree";
-    case TopologyKind::kFlatTree: return "flat_tree";
-    case TopologyKind::kRandomGraph: return "random_graph";
-    case TopologyKind::kTwoStage: return "two_stage";
-  }
-  return "?";
-}
-
-const char* to_string(TrafficPattern pattern) {
-  switch (pattern) {
-    case TrafficPattern::kPermutation: return "permutation";
-    case TrafficPattern::kIncast: return "incast";
-    case TrafficPattern::kClass: return "class";
-    case TrafficPattern::kThreeTier: return "three_tier";
-    case TrafficPattern::kTrace: return "trace";
-    case TrafficPattern::kTenantChurn: return "tenant_churn";
-  }
-  return "?";
-}
-
-const char* to_string(FailureKind kind) {
-  switch (kind) {
-    case FailureKind::kCoreColumn: return "core_column";
-    case FailureKind::kLinks: return "links";
-    case FailureKind::kSwitches: return "switches";
-    case FailureKind::kControllerCrash: return "controller_crash";
-    case FailureKind::kControlPartition: return "control_partition";
-  }
-  return "?";
-}
-
-const char* to_string(SloMetric metric) {
-  switch (metric) {
-    case SloMetric::kWorstFct: return "worst_fct_s";
-    case SloMetric::kP99Fct: return "p99_fct_s";
-    case SloMetric::kP50Fct: return "p50_fct_s";
-    case SloMetric::kMeanFct: return "mean_fct_s";
-    case SloMetric::kCompletedFrac: return "completed_frac";
-  }
-  return "?";
-}
-
-const char* to_string(Engine engine) {
-  switch (engine) {
-    case Engine::kFluid: return "fluid";
-    case Engine::kPacket: return "packet";
-    case Engine::kPacketSharded: return "packet_sharded";
-    case Engine::kAutopilot: return "autopilot";
-  }
-  return "?";
-}
-
-const char* to_string(RefreshMode mode) {
-  switch (mode) {
-    case RefreshMode::kRepair: return "repair";
-    case RefreshMode::kReroute: return "reroute";
-    case RefreshMode::kNone: return "none";
-  }
-  return "?";
-}
+const char* to_string(TopologyKind kind) { return name_of(kind); }
+const char* to_string(TrafficPattern pattern) { return name_of(pattern); }
+const char* to_string(FailureKind kind) { return name_of(kind); }
+const char* to_string(SloMetric metric) { return name_of(metric); }
+const char* to_string(Engine engine) { return name_of(engine); }
+const char* to_string(RefreshMode mode) { return name_of(mode); }
 
 Scenario parse_scenario(std::string_view text, std::string_view file) {
   const Ctx ctx{file};
@@ -914,16 +834,8 @@ Scenario parse_scenario(std::string_view text, std::string_view file) {
     scenario.seed = get_u64(ctx, *node, "seed");
   }
   if (const JsonNode* node = root.find("expect")) {
-    const std::string verdict = get_string(ctx, *node, "expect");
-    if (verdict == "pass") {
-      scenario.expect_pass = true;
-    } else if (verdict == "fail") {
-      scenario.expect_pass = false;
-    } else {
-      ctx.fail(*node, "key \"expect\": unknown verdict " + quoted(verdict) +
-                          " (expected " + expected_list({"pass", "fail"}) +
-                          ")");
-    }
+    scenario.expect_pass =
+        get_name(ctx, *node, "expect", {"verdict", kVerdicts}) == 0;
   }
 
   scenario.topology = parse_topology(ctx, require_key(ctx, root, "topology"));
@@ -1118,12 +1030,34 @@ class JsonWriter {
   bool just_keyed_{false};
 };
 
-void write_mode_list(JsonWriter& w, std::string_view key,
-                     const std::vector<PodMode>& modes) {
-  w.key(key);
-  w.begin_array();
-  for (const PodMode mode : modes) w.value(mode_name(mode));
-  w.end_array();
+template <typename T>
+void write_value(JsonWriter& w, const T& v) {
+  if constexpr (std::is_enum_v<T>) {
+    w.value(to_string(v));
+  } else if constexpr (std::is_same_v<T, std::vector<PodMode>>) {
+    w.begin_array();
+    for (const PodMode mode : v) w.value(to_string(mode));
+    w.end_array();
+  } else {
+    w.value(v);
+  }
+}
+
+// The canonical form of a table-driven section: every row valid for
+// `variant`, in row order.
+template <typename Spec>
+void write_fields(JsonWriter& w, std::span<const Field<Spec>> fields,
+                  std::uint32_t variant, const Spec& spec) {
+  w.begin_object();
+  for (const Field<Spec>& f : fields) {
+    if ((f.valid & variant) == 0) continue;
+    if (f.negative_is_auto && spec.*std::get<double Spec::*>(f.member) < 0) {
+      continue;
+    }
+    w.key(f.key);
+    std::visit([&](auto member) { write_value(w, spec.*member); }, f.member);
+  }
+  w.end_object();
 }
 
 void write_topology(JsonWriter& w, const TopologySpec& t) {
@@ -1144,83 +1078,13 @@ void write_topology(JsonWriter& w, const TopologySpec& t) {
     w.value(t.n);
   }
   if (t.kind == TopologyKind::kFlatTree) {
-    write_mode_list(w, "pod_modes", t.pod_modes);
+    w.key("pod_modes");
+    write_value(w, t.pod_modes);
   }
   if (t.kind == TopologyKind::kRandomGraph ||
       t.kind == TopologyKind::kTwoStage) {
     w.key("wiring_seed");
     w.value(t.wiring_seed);
-  }
-  w.end_object();
-}
-
-void write_traffic_entry(JsonWriter& w, const TrafficSpec& t) {
-  w.begin_object();
-  w.key("pattern");
-  w.value(to_string(t.pattern));
-  w.key("class");
-  w.value(t.tenant_class);
-  w.key("seed");
-  w.value(t.seed);
-  w.key("start_s");
-  w.value(t.start_s);
-  const auto num = [&](const char* key, double v) {
-    w.key(key);
-    w.value(v);
-  };
-  switch (t.pattern) {
-    case TrafficPattern::kPermutation:
-      num("bytes", t.bytes);
-      break;
-    case TrafficPattern::kIncast:
-      w.key("groups");
-      w.value(t.groups);
-      w.key("fanin");
-      w.value(t.fanin);
-      w.key("requests");
-      w.value(t.requests);
-      num("period_s", t.period_s);
-      w.key("pod_local");
-      w.value(t.pod_local);
-      num("mean_bytes", t.mean_bytes);
-      num("alpha", t.alpha);
-      num("max_bytes", t.max_bytes);
-      break;
-    case TrafficPattern::kClass:
-      num("duration_s", t.duration_s);
-      num("flows_per_s", t.flows_per_s);
-      num("mean_bytes", t.mean_bytes);
-      num("alpha", t.alpha);
-      num("max_bytes", t.max_bytes);
-      num("intra_rack_frac", t.intra_rack_frac);
-      num("intra_pod_frac", t.intra_pod_frac);
-      w.key("hot_pod");
-      w.value(static_cast<std::int64_t>(t.hot_pod));
-      num("hot_pod_frac", t.hot_pod_frac);
-      break;
-    case TrafficPattern::kThreeTier:
-      num("duration_s", t.duration_s);
-      num("requests_per_s", t.requests_per_s);
-      num("frontend_frac", t.frontend_frac);
-      num("cache_frac", t.cache_frac);
-      num("request_bytes", t.request_bytes);
-      num("cache_reply_bytes", t.cache_reply_bytes);
-      num("storage_reply_bytes", t.storage_reply_bytes);
-      num("miss_frac", t.miss_frac);
-      num("think_s", t.think_s);
-      break;
-    case TrafficPattern::kTrace:
-      w.key("profile");
-      w.value(t.profile);
-      num("duration_s", t.duration_s);
-      num("flows_per_s", t.flows_per_s);
-      break;
-    case TrafficPattern::kTenantChurn:
-      num("duration_s", t.duration_s);
-      num("arrivals_per_s", t.arrivals_per_s);
-      num("mean_lifetime_s", t.mean_lifetime_s);
-      num("flows_per_s", t.flows_per_s);
-      break;
   }
   w.end_object();
 }
@@ -1274,43 +1138,6 @@ void write_failure_entry(JsonWriter& w, const FailureSpec& f) {
   w.end_object();
 }
 
-void write_conversion(JsonWriter& w, const ConversionSpec& c) {
-  w.key("conversion");
-  w.begin_object();
-  w.key("at_s");
-  w.value(c.at_s);
-  write_mode_list(w, "to", c.to);
-  w.key("staged");
-  w.value(c.staged);
-  w.key("stage_checkpoints");
-  w.value(c.stage_checkpoints);
-  w.key("ocs_partitions");
-  w.value(c.ocs_partitions);
-  w.key("drop_probability");
-  w.value(c.drop_probability);
-  w.key("channel_delay_s");
-  w.value(c.channel_delay_s);
-  w.key("channel_timeout_s");
-  w.value(c.channel_timeout_s);
-  w.key("channel_backoff");
-  w.value(c.channel_backoff);
-  w.key("channel_jitter");
-  w.value(c.channel_jitter);
-  w.key("channel_max_attempts");
-  w.value(c.channel_max_attempts);
-  w.key("seed");
-  w.value(c.seed);
-  w.key("controllers");
-  w.value(c.controllers);
-  w.key("ocs_s");
-  w.value(c.ocs_s);
-  w.key("rule_delete_s");
-  w.value(c.rule_delete_s);
-  w.key("rule_add_s");
-  w.value(c.rule_add_s);
-  w.end_object();
-}
-
 void write_slo(JsonWriter& w, const SloSpec& s) {
   w.begin_object();
   w.key("class");
@@ -1328,39 +1155,6 @@ void write_slo(JsonWriter& w, const SloSpec& s) {
   w.end_object();
 }
 
-void write_sim(JsonWriter& w, const SimSpec& s) {
-  w.key("sim");
-  w.begin_object();
-  w.key("engine");
-  w.value(to_string(s.engine));
-  w.key("max_time_s");
-  w.value(s.max_time_s);
-  w.key("k_paths");
-  w.value(s.k_paths);
-  switch (s.engine) {
-    case Engine::kFluid:
-      w.key("refresh");
-      w.value(to_string(s.refresh));
-      if (s.repair_lag_s >= 0) {
-        w.key("repair_lag_s");
-        w.value(s.repair_lag_s);
-      }
-      w.key("controllers");
-      w.value(s.controllers);
-      w.key("count_rules");
-      w.value(s.count_rules);
-      break;
-    case Engine::kPacket:
-    case Engine::kPacketSharded:
-      break;
-    case Engine::kAutopilot:
-      w.key("epoch_s");
-      w.value(s.epoch_s);
-      break;
-  }
-  w.end_object();
-}
-
 }  // namespace
 
 std::string canonical_json(const Scenario& scenario) {
@@ -1371,11 +1165,13 @@ std::string canonical_json(const Scenario& scenario) {
   w.key("seed");
   w.value(scenario.seed);
   w.key("expect");
-  w.value(scenario.expect_pass ? "pass" : "fail");
+  w.value(kVerdicts[scenario.expect_pass ? 0 : 1]);
   write_topology(w, scenario.topology);
   w.key("traffic");
   w.begin_array();
-  for (const TrafficSpec& t : scenario.traffic) write_traffic_entry(w, t);
+  for (const TrafficSpec& t : scenario.traffic) {
+    write_fields(w, traffic_fields(), only(t.pattern), t);
+  }
   w.end_array();
   if (!scenario.failures.empty()) {
     w.key("failures");
@@ -1384,7 +1180,8 @@ std::string canonical_json(const Scenario& scenario) {
     w.end_array();
   }
   if (scenario.conversion.present) {
-    write_conversion(w, scenario.conversion);
+    w.key("conversion");
+    write_fields(w, conversion_fields(), kAll, scenario.conversion);
   }
   if (!scenario.slos.empty()) {
     w.key("slos");
@@ -1392,7 +1189,8 @@ std::string canonical_json(const Scenario& scenario) {
     for (const SloSpec& s : scenario.slos) write_slo(w, s);
     w.end_array();
   }
-  write_sim(w, scenario.sim);
+  w.key("sim");
+  write_fields(w, sim_fields(), only(scenario.sim.engine), scenario.sim);
   w.end_object();
   return w.take();
 }

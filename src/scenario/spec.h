@@ -9,7 +9,7 @@
 // classes, overlapping failure windows — never a silent default), and
 // canonical_json() emits the canonical form: every field materialized with
 // its resolved default, keys in grammar order, shortest-round-trip numbers,
-// compact separators. parse(canonical(parse(text))) == parse(text) for
+// two-space indentation. parse(canonical(parse(text))) == parse(text) for
 // every valid spec (tests/test_scenario_roundtrip.cc), which is what keeps
 // golden summaries stable as the grammar grows.
 //
