@@ -10,6 +10,8 @@
 namespace flattree::obs {
 namespace {
 
+// obs::append_json_number, except that a non-finite value becomes 0: the
+// Chrome trace format requires a number where JSON exports write null.
 void append_double(std::string& out, double v) {
   if (!std::isfinite(v)) {
     out += "0";
