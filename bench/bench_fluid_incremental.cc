@@ -23,12 +23,17 @@
 // Output discipline: stdout and BENCH_fluid_incremental.json are a pure
 // function of --seed; perf (wall, events/sec, speedup) goes to stderr.
 //
+// Columns: full_resolves counts the events re-solved from level 0,
+// fallbacks every event re-solved from some divergence level (0 included).
+//
 // Flags beyond the shared runner set:
-//   --quick           k = 4 cells only (CI determinism + perf-smoke gates)
-//   --baseline PATH   assert k4/churn incremental events/sec >= baseline/2
-//                     (best of 3) AND k4/churn links_touched fraction <=
-//                     the pinned max (exact — the fraction is
-//                     deterministic). tests/golden/fluid_incremental_baseline.json
+//   --quick           k = 4 cells plus the k = 8 churn gate cell (CI
+//                     determinism + perf-smoke gates)
+//   --baseline PATH   assert k8/churn incremental events/sec >= baseline/2
+//                     (best of 3), k8/churn links_touched fraction <= the
+//                     pinned max, and k8/churn fallbacks == the pinned
+//                     count (both exact — they are deterministic).
+//                     tests/golden/fluid_incremental_baseline.json
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -80,6 +85,7 @@ struct CellResult {
   std::uint64_t links_touched{0};
   std::uint64_t flows_touched{0};
   std::uint64_t full_resolves{0};
+  std::uint64_t fallbacks{0};
   double inc_wall_s{0.0};
   double scratch_wall_s{0.0};
   bool exact{true};
@@ -276,6 +282,7 @@ CellResult run_cell(const Graph& g, const CellSpec& spec,
     r.links_touched += st.links_touched;
     r.flows_touched += st.flows_touched;
     if (st.full_resolve) ++r.full_resolves;
+    if (st.fallback) ++r.fallbacks;
     for (const auto& [slot, rate] : expect) {
       if (!bits_equal(inc.flow_rate(slot), rate)) r.exact = false;
     }
@@ -352,8 +359,9 @@ KspCellResult run_ksp_cell(const Graph& base, std::uint64_t seed) {
   return r;
 }
 
-// Flat baseline JSON: {"k4_churn_events_per_sec": N,
-//                      "k4_churn_links_frac_max": F}
+// Flat baseline JSON: {"k8_churn_events_per_sec": N,
+//                      "k8_churn_links_frac_max": F,
+//                      "k8_churn_fallbacks": C}
 double read_baseline_field(const std::string& text, const char* name) {
   const std::string key = std::string{"\""} + name + "\"";
   const std::size_t at = text.find(key);
@@ -384,9 +392,9 @@ int run(const BenchOptions& bench, exec::RunnerOptions options) {
       "links_frac = links touched per event / directed edges (O(affected)\n"
       "contract). Wall-clock and speedup on stderr; stdout is\n"
       "seed-deterministic.");
-  bench::print_row({"k", "mix", "events", "full_resolves", "links/event",
-                    "links_frac", "exact"},
-                   13);
+  bench::print_row({"k", "mix", "events", "full_resolves", "fallbacks",
+                    "links/event", "links_frac", "exact"},
+                   14);
 
   const auto cell_events = [&](const CellSpec& s) {
     return static_cast<std::size_t>(s.k == 4 ? 1200 : 400);
@@ -405,22 +413,26 @@ int run(const BenchOptions& bench, exec::RunnerOptions options) {
   bool all_exact = true;
   double gate_events_per_sec = 0.0;
   double gate_links_frac = 0.0;
+  std::uint64_t gate_fallbacks = 0;
   if (obs::MetricsRegistry* reg = runner.obs().metrics()) {
     // Mirror the fluid simulator's touch counters so the obs-determinism
     // gate pins them across thread counts.
     std::uint64_t links = 0;
     std::uint64_t flows = 0;
     std::uint64_t full = 0;
+    std::uint64_t fallbacks = 0;
     std::uint64_t events = 0;
     for (const CellResult& r : results) {
       links += r.links_touched;
       flows += r.flows_touched;
       full += r.full_resolves;
+      fallbacks += r.fallbacks;
       events += r.events;
     }
     reg->counter("fluid.realloc.links_touched").add(links);
     reg->counter("fluid.realloc.flows_touched").add(flows);
     reg->counter("fluid.realloc.full_resolves").add(full);
+    reg->counter("fluid.realloc.fallbacks").add(fallbacks);
     reg->counter("bench.fluid_inc.events").add(events);
   }
   for (const CellResult& r : results) {
@@ -429,9 +441,10 @@ int run(const BenchOptions& bench, exec::RunnerOptions options) {
         static_cast<double>(r.events);
     bench::print_row(
         {std::to_string(r.k), r.mix, std::to_string(r.events),
-         std::to_string(r.full_resolves), bench::fmt(links_per_event, 1),
+         std::to_string(r.full_resolves), std::to_string(r.fallbacks),
+         bench::fmt(links_per_event, 1),
          bench::fmt(r.links_frac(), 4), r.exact ? "yes" : "NO"},
-        13);
+        14);
     std::fprintf(stderr,
                  "[perf] k=%u %s inc=%.3fs (%.3e ev/s) scratch=%.3fs "
                  "(%.3e ev/s) speedup=%.2fx\n",
@@ -445,6 +458,7 @@ int run(const BenchOptions& bench, exec::RunnerOptions options) {
       gate_events_per_sec =
           static_cast<double>(r.events) / r.inc_wall_s;
       gate_links_frac = r.links_frac();
+      gate_fallbacks = r.fallbacks;
     }
     exec::ResultRow row;
     row.set("k", r.k)
@@ -452,6 +466,7 @@ int run(const BenchOptions& bench, exec::RunnerOptions options) {
         .set("events", r.events)
         .set("directed_edges", r.directed_edges)
         .set("full_resolves", r.full_resolves)
+        .set("fallbacks", r.fallbacks)
         .set("links_touched", r.links_touched)
         .set("flows_touched", r.flows_touched)
         .set("links_frac", r.links_frac())
@@ -467,14 +482,14 @@ int run(const BenchOptions& bench, exec::RunnerOptions options) {
                             mix64(runner.seed(), 97));
       });
   bench::print_row({"4", "ksp_flaps", std::to_string(ksp.flaps),
-                    std::to_string(ksp.evicted),
+                    std::to_string(ksp.evicted), "-",
                     std::to_string(ksp.pairs) + " pairs",
                     bench::fmt(static_cast<double>(ksp.evicted) /
                                    (static_cast<double>(ksp.flaps) *
                                     static_cast<double>(ksp.pairs)),
                                4),
                     ksp.exact ? "yes" : "NO"},
-                   13);
+                   14);
   std::fprintf(stderr,
                "[perf] ksp warm=%.3fs cold=%.3fs speedup=%.2fx "
                "(evicted %llu of %zu pair-steps)\n",
@@ -518,6 +533,8 @@ int run(const BenchOptions& bench, exec::RunnerOptions options) {
         read_baseline_field(text, "k8_churn_events_per_sec");
     const double frac_max =
         read_baseline_field(text, "k8_churn_links_frac_max");
+    const auto fallbacks_pinned = static_cast<std::uint64_t>(
+        read_baseline_field(text, "k8_churn_fallbacks"));
     // Wall-clock half: best of three re-runs, 2x slack (catches
     // order-of-magnitude regressions, not machine noise). The gate cell's
     // spec index is 3 in both quick and full mode, so the re-run replays
@@ -548,10 +565,22 @@ int run(const BenchOptions& bench, exec::RunnerOptions options) {
                    gate_links_frac, frac_max);
       return 1;
     }
+    // Fallback half: exact. The count is a property of the event stream
+    // and the divergence rules, not of how a fallback is carried out, so
+    // a change here means the replay lost (or gained) reuse.
+    if (gate_fallbacks != fallbacks_pinned) {
+      std::fprintf(stderr,
+                   "fluid_incremental: FALLBACK COUNT churn k=8 %llu != "
+                   "pinned %llu\n",
+                   static_cast<unsigned long long>(gate_fallbacks),
+                   static_cast<unsigned long long>(fallbacks_pinned));
+      return 1;
+    }
     std::fprintf(stderr,
                  "[perf] churn k=8 %.3e events/sec >= baseline %.3e / 2, "
-                 "links_frac %.4f <= %.4f: ok\n",
-                 best, base_eps, gate_links_frac, frac_max);
+                 "links_frac %.4f <= %.4f, fallbacks %llu: ok\n",
+                 best, base_eps, gate_links_frac, frac_max,
+                 static_cast<unsigned long long>(gate_fallbacks));
   }
   return runner.write() ? 0 : 1;
 }

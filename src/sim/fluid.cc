@@ -90,6 +90,8 @@ std::vector<FluidFlowResult> FluidSimulator::run_with_schedule(
   obs::Counter* c_links_touched = nullptr;
   obs::Counter* c_flows_touched = nullptr;
   obs::Counter* c_full_resolves = nullptr;
+  obs::Counter* c_fallbacks = nullptr;
+  obs::Histogram* h_fallback_level = nullptr;
   obs::Histogram* h_fct = nullptr;
   obs::Histogram* h_active = nullptr;
   obs::Histogram* h_rate_delta = nullptr;
@@ -108,6 +110,11 @@ std::vector<FluidFlowResult> FluidSimulator::run_with_schedule(
     c_links_touched = &reg->counter("fluid.realloc.links_touched");
     c_flows_touched = &reg->counter("fluid.realloc.flows_touched");
     c_full_resolves = &reg->counter("fluid.realloc.full_resolves");
+    // Every re-solve from a divergence level (full_resolves are the level-0
+    // ones); the histogram says how much of the cached trace survived.
+    c_fallbacks = &reg->counter("fluid.realloc.fallbacks");
+    h_fallback_level = &reg->histogram("fluid.realloc.fallback_level",
+                                       {0, 1, 2, 4, 8, 16, 32, 64, 128});
     h_fct = &reg->histogram(
         "fluid.fct_s", {0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0});
     h_active = &reg->histogram("fluid.active_flows",
@@ -234,6 +241,10 @@ std::vector<FluidFlowResult> FluidSimulator::run_with_schedule(
     obs::add(c_links_touched, st.links_touched);
     obs::add(c_flows_touched, st.flows_touched);
     if (st.full_resolve) obs::add(c_full_resolves);
+    if (st.fallback) {
+      obs::add(c_fallbacks);
+      obs::record(h_fallback_level, static_cast<double>(st.fallback_level));
+    }
     // Convergence residual: how hard this update perturbed the allocation.
     // Comparable only when the active set is unchanged (prev is parallel).
     if (h_rate_delta != nullptr && prev.size() == rates.size() &&
