@@ -8,7 +8,9 @@
 //      link fail/recover, conversion-style capacity rescales) against a
 //      from-scratch solve of the same instance after EVERY event, on k=4 /
 //      k=8 fat-trees and a two-stage (multi-stage) random graph, >= 5 seeds
-//      each.
+//      each; plus arrival/departure-only streams shaped like the Figure-8
+//      trace replay (flat-tree global mode, 8 paths per flow, 128 slots),
+//      whose fallbacks mostly start above level 0.
 //   2. Simulator-level: run_with_schedule under a fail/recover schedule
 //      (arrivals, completions, reroutes and black-holes interleaved) must
 //      reproduce pinned FNV-1a digests of every flow's started/completed
@@ -31,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/flat_tree.h"
 #include "exec/parallel.h"
 #include "exec/pool.h"
 #include "lp/mcf.h"
@@ -91,13 +94,26 @@ std::vector<NodeId> server_nodes(const Graph& g) {
   return servers;
 }
 
+// The shape of a fuzzed stream. The default mixes every event kind over 48
+// slots with 4 paths per flow; `churn_only` streams draw arrivals and
+// departures only (an arrival whenever fewer than `warm_live` flows are
+// live, then one in two while a slot is free), as a trace replay does.
+struct StreamShape {
+  std::uint32_t paths{4};
+  std::uint32_t slots{48};
+  bool churn_only{false};
+  std::size_t warm_live{0};
+};
+
 // One fuzzed event stream: mutates the incremental solver and the shadow
 // world in lockstep and asserts exact rate equality after every event.
+// Adds the solves that fell back from a level above 0 to `*partial`.
 void fuzz_stream(const Graph& g, std::uint64_t seed, int num_events,
-                 const char* label) {
+                 const char* label, const StreamShape& shape = {},
+                 std::size_t* partial = nullptr) {
   SCOPED_TRACE(std::string(label) + " seed=" + std::to_string(seed));
   const LogicalTopology topo{g};
-  PathCache cache{g, 4};
+  PathCache cache{g, shape.paths};
   const std::vector<NodeId> servers = server_nodes(g);
   ASSERT_GE(servers.size(), 2u);
 
@@ -109,7 +125,7 @@ void fuzz_stream(const Graph& g, std::uint64_t seed, int num_events,
   }
   std::vector<bool> edge_failed(topo.edge_count(), false);
 
-  constexpr std::uint32_t kSlots = 48;
+  const std::uint32_t kSlots = shape.slots;
   IncrementalMaxMinSolver inc;
   inc.reset(base, kSlots);
   ShadowWorld w{base, {}};
@@ -127,7 +143,12 @@ void fuzz_stream(const Graph& g, std::uint64_t seed, int num_events,
   Rng rng{seed};
   for (int ev = 0; ev < num_events; ++ev) {
     const double roll = rng.next_double();
-    if ((roll < 0.40 && !free_slots.empty()) || used.empty()) {
+    const bool arrival =
+        shape.churn_only
+            ? !free_slots.empty() &&
+                  (used.size() < shape.warm_live || roll < 0.5)
+            : (roll < 0.40 && !free_slots.empty()) || used.empty();
+    if (arrival) {
       // Arrival on a random distinct server pair.
       const NodeId src = servers[rng.next_below(servers.size())];
       NodeId dst = src;
@@ -142,7 +163,7 @@ void fuzz_stream(const Graph& g, std::uint64_t seed, int num_events,
       used.push_back(slot);
       inc.add_flow(slot, pe);
       w.flows[slot] = std::move(pe);
-    } else if (roll < 0.60) {
+    } else if (shape.churn_only || roll < 0.60) {
       // Departure of a random live flow.
       const std::size_t i = rng.next_below(used.size());
       const std::uint32_t slot = used[i];
@@ -187,7 +208,12 @@ void fuzz_stream(const Graph& g, std::uint64_t seed, int num_events,
     }
     // The per-solve touch accounting must never exceed the network: the
     // O(affected) contract's upper bound.
-    EXPECT_LE(inc.last_stats().links_touched, topo.directed_count());
+    const IncrementalSolveStats& st = inc.last_stats();
+    EXPECT_LE(st.links_touched, topo.directed_count());
+    EXPECT_EQ(st.full_resolve, st.fallback && st.fallback_level == 0);
+    if (partial != nullptr && st.fallback && st.fallback_level > 0) {
+      ++*partial;
+    }
   }
 }
 
@@ -218,6 +244,28 @@ TEST(FluidIncrementalDiff, FuzzTwoStageMultiStage) {
   for (const std::uint64_t seed : {7u, 17u, 27u, 37u, 47u}) {
     fuzz_stream(g, seed, 160, "two_stage");
   }
+}
+
+// Arrivals and departures only, as in the Figure-8 trace replay: the
+// quarter-scale topo-1 fabric in flat-tree global mode, 8 paths per flow,
+// 96-128 live flows. Most fallbacks here diverge above level 0, so the
+// re-solve starts from materialized mid-trace edge state; the stream must
+// reach that path often, and stay bit-exact after every event.
+TEST(FluidIncrementalDiff, FuzzTraceShapedChurn) {
+  const ClosParams clos{8, 4, 4, 4, 16, 4, 16, 8};
+  const Graph g =
+      FlatTree{FlatTreeParams::defaults_for(clos)}.realize_uniform(
+          PodMode::kGlobal);
+  StreamShape shape;
+  shape.paths = 8;
+  shape.slots = 128;
+  shape.churn_only = true;
+  shape.warm_live = 96;
+  std::size_t partial = 0;
+  for (const std::uint64_t seed : {61u, 62u}) {
+    fuzz_stream(g, seed, 250, "trace_shaped", shape, &partial);
+  }
+  EXPECT_GE(partial, 100u);
 }
 
 // ---- simulator-level: pinned digests -----------------------------------------
