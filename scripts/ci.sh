@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI gate: tier-1 verify (build + full ctest — which now includes the
 # golden-file benchmark gates and the cross-thread observability
-# determinism check) plus one sanitizer-preset build so the sanitize/tsan
-# configurations actually gate changes instead of bit-rotting.
+# determinism check), the same ctest at -O3 -march=native, plus one
+# sanitizer-preset build so the sanitize/tsan configurations actually gate
+# changes instead of bit-rotting.
 #
 # Usage: scripts/ci.sh [sanitize-preset]
 #   sanitize-preset   'tsan' (default) or 'sanitize' (ASan+UBSan).
@@ -41,6 +42,15 @@ for bench in fig10 gradual; do
   bash tests/golden_diff.sh "${PWD}/build/bench/bench_${bench}" "${bench}" \
     "${PWD}/tests/golden"
 done
+
+echo "== native lane: -O3 -march=native (preset: native) =="
+# The whole suite again with the host's full ISA (FMA, AVX-512 where
+# present). -ffp-contract=off (CMakeLists.txt) keeps every a*b+c unfused,
+# so each golden and digest must hold here byte for byte; a result that
+# depends on the build's code generation fails this lane.
+cmake --preset native
+cmake --build --preset native -j "${JOBS}"
+ctest --test-dir build-native --output-on-failure -j "${JOBS}"
 
 echo "== sanitizer gate (preset: ${SANITIZE_PRESET}) =="
 # test_conversion_exhaustive (the depth-1 fault-placement matrix, 7,084
