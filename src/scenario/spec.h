@@ -18,11 +18,13 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/flat_tree.h"
+#include "net/graph.h"
 #include "scenario/json.h"
 
 namespace flattree::scenario {
@@ -37,7 +39,7 @@ enum class TopologyKind : std::uint8_t {
 struct TopologySpec {
   TopologyKind kind{TopologyKind::kFatTree};
   std::uint32_t k{4};                  // device budget: fat-tree arity
-  std::uint32_t servers_per_edge{0};   // 0 = fat-tree default (k/2)
+  std::uint32_t servers_per_edge{0};   // resolved at parse: defaults to k/2
   static constexpr std::uint32_t kAuto = 0xffffffffu;
   std::uint32_t m{kAuto};              // 6-port converters per column
   std::uint32_t n{kAuto};              // 4-port converters per column
@@ -113,10 +115,10 @@ struct FailureSpec {
   FailureKind kind{FailureKind::kLinks};
   double fail_at{0.0};
   double recover_at{-1.0};  // < 0 = down for the rest of the run
-  std::uint32_t first{0};   // core_column
-  std::uint32_t count{1};   // core_column
+  std::uint32_t first{0};   // core_column (cores) / control_partition (Pods)
+  std::uint32_t count{1};   // core_column (cores) / control_partition (Pods)
   double fraction{0.0};     // links / switches
-  std::string role{"core"};  // switches
+  NodeRole role{NodeRole::kCore};  // switches: edge, agg or core
   std::uint32_t flaps{1};   // repeat the window this many times
   double period_s{0.0};     // flap period (required when flaps > 1)
   std::uint64_t seed{0};    // resolved at parse: defaults to scenario seed
@@ -162,10 +164,8 @@ enum class SloMetric : std::uint8_t {
 struct SloSpec {
   std::string tenant_class;  // "" = every flow of the scenario
   SloMetric metric{SloMetric::kP99Fct};
-  bool has_max{false};
-  bool has_min{false};
-  double max_value{0.0};
-  double min_value{0.0};
+  std::optional<double> max;  // at least one bound is set
+  std::optional<double> min;
 
   bool operator==(const SloSpec&) const = default;
 };
