@@ -266,14 +266,16 @@ enum class ConversionOutcome : std::uint8_t {
 // A durable rollback point: the complete description of a mode the fabric
 // has fully committed (origin, a per-Pod gradual stage, or the target).
 // routes are the mode's *canonical* plan routes — what reconciliation
-// restores once storm failures recover — per tracked pair.
+// restores once storm failures recover — per tracked pair. Each RouteSet
+// shares its storage with the timeline points that installed the same
+// routes; `==` on two route vectors still compares contents.
 struct CheckpointRecord {
   std::uint32_t stage{0};  // 0 = origin, s = after committing stage s
   double t{0.0};
   std::uint32_t epoch{0};
   ModeAssignment assignment;
   std::vector<ConverterConfig> configs;
-  std::vector<std::vector<Path>> routes;
+  std::vector<RouteSet> routes;
 };
 
 // One state of the execution timeline: everything the data plane would
@@ -282,10 +284,11 @@ struct CheckpointRecord {
 // detects damage only at boundaries, but the timeline binds each failure
 // and recovery when it actually happened). The graph is the live topology
 // over the point's interval: the prevailing realization minus the storm
-// failures physically active at t. blackout_s models the
-// in-progress window the boundary closes (an OCS rewire or the atomic
-// baseline's rule hole) for the packet simulator, which stalls the affected
-// pipes for that long.
+// failures physically active at t; adjacent points with the same
+// realization and the same active failures share one graph object.
+// blackout_s models the in-progress window the boundary closes (an OCS
+// rewire or the atomic baseline's rule hole) for the packet simulator,
+// which stalls the affected pipes for that long.
 struct TimelinePoint {
   double t{0.0};
   std::shared_ptr<const Graph> graph;
@@ -295,7 +298,10 @@ struct TimelinePoint {
   // Installed routes per pair (parallel to ExecutionReport::pairs). An
   // empty set means the pair is black-holed at this boundary (atomic
   // baseline's rule window only; the staged protocol never produces one).
-  std::vector<std::vector<Path>> routes;
+  // A pair whose routes did not change since the previous point shares
+  // that point's storage, so a point costs one handle per pair, not a copy
+  // of every path; `==` compares contents.
+  std::vector<RouteSet> routes;
 };
 
 struct ExecutionReport {

@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "net/graph.h"
@@ -14,6 +16,60 @@ namespace flattree {
 // being routed on. Paths may be switch-to-switch (routing core) or
 // server-to-server (allocation).
 using Path = std::vector<NodeId>;
+
+// One pair's installed paths as an immutable, shared value. Copies share
+// storage, so a snapshot of many pairs costs one handle per pair and only a
+// pair whose routes actually change allocates. It reads like a
+// `const std::vector<Path>&` and converts to one implicitly; equality
+// compares contents (shortcut: shared storage is equal). Every empty set
+// shares the null storage.
+class RouteSet {
+ public:
+  using value_type = Path;
+  using const_iterator = std::vector<Path>::const_iterator;
+  using iterator = const_iterator;
+
+  RouteSet() = default;
+  // Implicit, like the vector it wraps: `routes[i] = std::move(paths)`.
+  RouteSet(std::vector<Path> paths)
+      : paths_{paths.empty() ? nullptr
+                             : std::make_shared<const std::vector<Path>>(
+                                   std::move(paths))} {}
+
+  [[nodiscard]] const std::vector<Path>& paths() const {
+    return paths_ ? *paths_ : empty_paths();
+  }
+  operator const std::vector<Path>&() const {
+    return paths();
+  }
+
+  [[nodiscard]] const_iterator begin() const { return paths().begin(); }
+  [[nodiscard]] const_iterator end() const { return paths().end(); }
+  [[nodiscard]] std::size_t size() const { return paths().size(); }
+  [[nodiscard]] bool empty() const { return paths_ == nullptr; }
+  [[nodiscard]] const Path& operator[](std::size_t i) const {
+    return paths()[i];
+  }
+
+  // Identity, not equality: the key of every reuse of a per-pair result.
+  friend bool same_storage(const RouteSet& a, const RouteSet& b) {
+    return a.paths_ == b.paths_;
+  }
+  friend bool operator==(const RouteSet& a, const RouteSet& b) {
+    return same_storage(a, b) || a.paths() == b.paths();
+  }
+  friend bool operator==(const RouteSet& a, const std::vector<Path>& b) {
+    return a.paths() == b;
+  }
+
+ private:
+  static const std::vector<Path>& empty_paths() {
+    static const std::vector<Path> none;
+    return none;
+  }
+
+  std::shared_ptr<const std::vector<Path>> paths_;
+};
 
 // Checks adjacency of consecutive hops, loop-freedom, and that interior
 // nodes are switches. Returns false (never throws) so it can gate-keep

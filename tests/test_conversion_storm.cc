@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -512,9 +513,9 @@ class ReportDigest {
   }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   void node(NodeId n) { u64(n.valid() ? n.value() : 0xffffffffULL); }
-  void routes(const std::vector<std::vector<Path>>& rs) {
+  void routes(const std::vector<RouteSet>& rs) {
     u64(rs.size());
-    for (const std::vector<Path>& paths : rs) {
+    for (const RouteSet& paths : rs) {
       u64(paths.size());
       for (const Path& path : paths) {
         u64(path.size());
@@ -757,6 +758,282 @@ TEST(ConversionStorm, FullReportDigestIsPinned) {
 
   EXPECT_EQ(digest.value(), 0x283b8a42a7ffa58dULL)
       << std::hex << "0x" << digest.value();
+}
+
+// -- reuse oracle and sharing guard -------------------------------------------
+//
+// The executor's invariant check and the report's blackhole integral reuse
+// a pair's previous result when its route set and graph are the same
+// objects as at the previous point. The oracle below recomputes both by a
+// plain full scan over every point and pair and demands bit-for-bit
+// equality with the report (a storm run's violation list, which the report
+// alone cannot reproduce, is pinned by hash instead).
+
+// bench_conversion_storm's flap storm: one flap per victim, failures
+// staggered over the first 55% of `window`, each outage six gaps long.
+FailureSchedule flap_storm(const std::vector<LinkId>& victims, double t0,
+                           double window) {
+  FailureSchedule storm;
+  const double gap = 0.55 * window / static_cast<double>(victims.size() + 1);
+  for (std::size_t i = 0; i < victims.size(); ++i) {
+    const double t = t0 + gap * static_cast<double>(i + 1);
+    storm.fail_at(t, FailureSet{{victims[i]}, {}});
+    storm.recover_at(t + 6.0 * gap, FailureSet{{victims[i]}, {}});
+  }
+  return storm;
+}
+
+// The route-availability integral, every point and pair evaluated afresh.
+std::pair<double, double> scan_blackhole(const ExecutionReport& r) {
+  std::vector<double> dark(r.pairs.size(), 0.0);
+  for (std::size_t k = 0; k < r.timeline.size(); ++k) {
+    const TimelinePoint& pt = r.timeline[k];
+    const double t_end =
+        k + 1 < r.timeline.size() ? r.timeline[k + 1].t : r.finish_s;
+    const double dt = std::max(0.0, t_end - pt.t);
+    if (dt == 0.0) continue;
+    for (std::size_t i = 0; i < r.pairs.size(); ++i) {
+      const std::vector<Path>& rs = pt.routes[i];
+      if (rs.empty()) {
+        dark[i] += dt;
+        continue;
+      }
+      const auto invalid = static_cast<std::size_t>(
+          std::count_if(rs.begin(), rs.end(), [&](const Path& p) {
+            return !is_valid_path(*pt.graph, p);
+          }));
+      if (invalid != 0) {
+        dark[i] += dt * static_cast<double>(invalid) /
+                   static_cast<double>(rs.size());
+      }
+    }
+  }
+  double total = 0.0;
+  double worst = 0.0;
+  for (double d : dark) {
+    total += d;
+    worst = std::max(worst, d);
+  }
+  return {total, worst};
+}
+
+// The transient-invariant checker, every point and pair walked afresh.
+// Without a storm each timeline point is one check on its own graph, taken
+// right after the step that finished at the point's time.
+std::vector<TransientViolation> scan_violations(const ExecutionReport& r) {
+  std::vector<TransientViolation> out;
+  for (const TimelinePoint& pt : r.timeline) {
+    const auto done = static_cast<std::size_t>(std::count_if(
+        r.steps.begin(), r.steps.end(),
+        [&](const StepRecord& s) { return s.finish_s <= pt.t; }));
+    const std::size_t step = done == 0 ? 0 : done - 1;
+    const bool connected = servers_connected(*pt.graph);
+    if (!connected) {
+      out.push_back({ViolationKind::kDisconnected, step, 0});
+    }
+    for (std::size_t i = 0; i < r.pairs.size(); ++i) {
+      const std::vector<Path>& rs = pt.routes[i];
+      if (rs.empty()) {
+        if (connected) out.push_back({ViolationKind::kBlackhole, step, i});
+        continue;
+      }
+      for (const Path& path : rs) {
+        Path sorted = path;
+        std::sort(sorted.begin(), sorted.end());
+        if (std::adjacent_find(sorted.begin(), sorted.end()) !=
+            sorted.end()) {
+          out.push_back({ViolationKind::kLoop, step, i});
+        } else if (!is_valid_path(*pt.graph, path)) {
+          out.push_back({ViolationKind::kBlackhole, step, i});
+        }
+      }
+    }
+  }
+  return out;
+}
+
+void expect_matches_scan(const ExecutionReport& r, const std::string& label) {
+  const auto [total, worst] = scan_blackhole(r);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.total_blackhole_s),
+            std::bit_cast<std::uint64_t>(total))
+      << label;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.max_pair_blackhole_s),
+            std::bit_cast<std::uint64_t>(worst))
+      << label;
+}
+
+void expect_violations_match_scan(const ExecutionReport& r,
+                                  const std::string& label) {
+  const std::vector<TransientViolation> want = scan_violations(r);
+  ASSERT_EQ(r.violations.size(), want.size()) << label;
+  for (std::size_t v = 0; v < want.size(); ++v) {
+    EXPECT_EQ(r.violations[v].kind, want[v].kind) << label << " #" << v;
+    EXPECT_EQ(r.violations[v].step, want[v].step) << label << " #" << v;
+    EXPECT_EQ(r.violations[v].pair, want[v].pair) << label << " #" << v;
+  }
+}
+
+TEST(ConversionStorm, ReuseMatchesFullScan) {
+  const Controller ctl = testbed_controller(8);
+  const CompiledMode from = ctl.compile_uniform(PodMode::kClos);
+  const CompiledMode to = ctl.compile_uniform(PodMode::kGlobal);
+  const double t0 = 0.1;
+  std::size_t violations = 0;
+  double blackhole = 0.0;
+  // Under a storm the checker judged each boundary on the graph the
+  // executor had detected by then, which the report does not carry, so
+  // those violation lists cannot be rescanned from it. Their hash is pinned
+  // instead, to the value the checker produced before it reused anything.
+  ReportDigest storm_violations;
+  const auto check = [&](const ExecutionReport& r, bool storm,
+                         const std::string& label) {
+    expect_matches_scan(r, label);
+    blackhole += r.total_blackhole_s;
+    if (!storm) {
+      expect_violations_match_scan(r, label);
+      violations += r.violations.size();
+      return;
+    }
+    storm_violations.u64(r.violations.size());
+    for (const TransientViolation& v : r.violations) {
+      storm_violations.u64(static_cast<std::uint64_t>(v.kind));
+      storm_violations.u64(v.step);
+      storm_violations.u64(v.pair);
+    }
+  };
+  for (std::uint64_t seed : {31u, 5u, 17u}) {
+    const std::string at = " seed " + std::to_string(seed);
+    // bench_conversion_storm's cells: tolerant and full-rollback protocols
+    // x calm / flaps / loss / loss+ocs (a rollback) / loss+kill (a
+    // failover). Each faulted cell also runs without its storm, where the
+    // violation list is checked too.
+    const auto pairs = permutation_pairs(from.graph(), seed);
+    for (int tolerant = 1; tolerant >= 0; --tolerant) {
+      ConversionExecOptions opts;
+      opts.stage_checkpoints = tolerant != 0;
+      opts.live_replanning = tolerant != 0;
+      opts.seed = seed;
+      const ExecutionReport cal = ConversionExecutor{ctl, opts}.execute(
+          from, to, pairs, ConversionFaults{}, t0);
+      check(cal, false, "calm" + at);
+      std::uint32_t last_partition = 0;
+      for (const StepRecord& s : cal.steps) {
+        if (s.kind == StepKind::kOcs && !s.rollback) {
+          last_partition = std::max(last_partition, s.partition);
+        }
+      }
+      const double window = cal.finish_s - t0;
+      const FailureSchedule storm =
+          flap_storm(storm_victims(from, pairs, 12), t0, window);
+      check(ConversionExecutor{ctl, opts}.execute_under_storm(
+                from, to, pairs, storm, ConversionFaults{}, t0),
+            true, "flaps" + at);
+      ConversionExecOptions lossy = opts;
+      lossy.channel.drop_probability = 0.10;
+      ConversionFaults ocs;
+      ocs.fail_ocs_partitions = {last_partition};
+      ConversionFaults kill;
+      kill.kill_primary_at_s = t0 + 0.45 * window;
+      const ConversionExecutor exec{ctl, lossy};
+      for (const auto& [faults, name] :
+           {std::pair{ConversionFaults{}, "loss"}, std::pair{ocs, "loss+ocs"},
+            std::pair{kill, "loss+kill"}}) {
+        const std::string label = std::string{name} + at;
+        check(exec.execute_under_storm(from, to, pairs, storm, faults, t0),
+              true, label + " storm");
+        check(exec.execute(from, to, pairs, faults, t0), false, label);
+      }
+    }
+    // The atomic baseline at bench_conversion_churn's loss rates, and its
+    // rollback under a permanent OCS fault.
+    for (double loss : {0.0, 0.01, 0.10}) {
+      ConversionExecOptions opts;
+      opts.staged = false;
+      opts.channel.drop_probability = loss;
+      opts.seed = seed;
+      check(ConversionExecutor{ctl, opts}.execute(from, to, pairs,
+                                                  ConversionFaults{}, t0),
+            false, "atomic loss " + std::to_string(loss) + at);
+    }
+    ConversionExecOptions atomic;
+    atomic.staged = false;
+    atomic.seed = seed;
+    ConversionFaults ocs_fault;
+    ocs_fault.fail_ocs_partitions = {0};
+    check(ConversionExecutor{ctl, atomic}.execute(from, to, pairs, ocs_fault,
+                                                  t0),
+          false, "atomic rollback" + at);
+  }
+  // The oracle compared something: the atomic baseline's rule hole yields
+  // violations, and it and the full-rollback protocol's dangling routes
+  // charge blackhole time.
+  EXPECT_GT(violations, 0u);
+  EXPECT_GT(blackhole, 0.0);
+  EXPECT_EQ(storm_violations.value(), 0x816ad4ba5b4de5d7ULL)
+      << std::hex << "0x" << storm_violations.value();
+}
+
+// Storage identity of a route set: the address of its shared vector. The
+// report holds every set it names, so no address is reused while the count
+// runs.
+const void* storage_of(const RouteSet& rs) { return &rs.paths(); }
+
+TEST(ConversionStorm, UnchangedRoutesShareStorage) {
+  const Controller ctl = testbed_controller(8);
+  const CompiledMode from = ctl.compile_uniform(PodMode::kClos);
+  const CompiledMode to = ctl.compile_uniform(PodMode::kGlobal);
+  const double t0 = 0.1;
+  const auto pairs = permutation_pairs(from.graph(), 31);
+  ConversionExecOptions opts;
+  opts.stage_checkpoints = true;
+  opts.channel.drop_probability = 0.02;
+  opts.seed = 31;
+  const ConversionExecutor exec{ctl, opts};
+  const double window =
+      exec.execute(from, to, pairs, ConversionFaults{}, t0).finish_s - t0;
+  const ExecutionReport r = exec.execute_under_storm(
+      from, to, pairs, flap_storm(storm_victims(from, pairs, 12), t0, window),
+      ConversionFaults{}, t0);
+  ASSERT_GE(r.replans, 1u);
+  ASSERT_GE(r.stages_committed, 2u);
+
+  // Adjacent timeline points: a pair whose routes did not change shares
+  // its storage. Installs count the route changes the report records.
+  std::size_t installs = 0;
+  for (std::size_t k = 1; k < r.timeline.size(); ++k) {
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      const RouteSet& before = r.timeline[k - 1].routes[i];
+      const RouteSet& after = r.timeline[k].routes[i];
+      if (before == after) {
+        EXPECT_TRUE(same_storage(before, after))
+            << "point " << k << " pair " << i;
+      } else {
+        ++installs;
+      }
+    }
+  }
+  for (std::size_t c = 1; c < r.checkpoints.size(); ++c) {
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      if (!(r.checkpoints[c - 1].routes[i] == r.checkpoints[c].routes[i])) {
+        ++installs;
+      }
+    }
+  }
+  std::vector<const void*> storages;
+  const auto collect = [&](const std::vector<RouteSet>& routes) {
+    for (const RouteSet& rs : routes) {
+      if (!rs.empty()) storages.push_back(storage_of(rs));
+    }
+  };
+  for (const TimelinePoint& pt : r.timeline) collect(pt.routes);
+  for (const CheckpointRecord& cp : r.checkpoints) collect(cp.routes);
+  std::sort(storages.begin(), storages.end());
+  const auto distinct = static_cast<std::size_t>(
+      std::unique(storages.begin(), storages.end()) - storages.begin());
+  EXPECT_GT(installs, 0u);
+  EXPECT_LE(distinct, pairs.size() + installs);
+  // Far below one copy per point and pair, the deep-copy footprint.
+  EXPECT_LT(distinct, r.timeline.size() * pairs.size() / 4);
 }
 
 }  // namespace

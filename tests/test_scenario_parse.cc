@@ -532,7 +532,31 @@ TEST(ScenarioParse, FailureEntryMustBeObject) {
       "{\"name\": \"x\",\n \"topology\": {\"kind\": \"fat_tree\"},\n"
       " \"traffic\": [{\"pattern\": \"permutation\"}],\n"
       " \"failures\": [3]}",
-      "bad.json:4:15: key \"failure entry\": expected object, got number");
+      "bad.json:4:15: failure entry 0: expected object, got number");
+}
+
+TEST(ScenarioParse, TrafficEntryMustBeObject) {
+  expect_parse_error(
+      "{\"name\": \"x\",\n \"topology\": {\"kind\": \"fat_tree\"},\n"
+      " \"traffic\": [{\"pattern\": \"permutation\"}, \"incast\"]}",
+      "bad.json:3:42: traffic entry 1: expected object, got string");
+}
+
+TEST(ScenarioParse, SloEntryMustBeObject) {
+  expect_parse_error(
+      "{\"name\": \"x\",\n \"topology\": {\"kind\": \"fat_tree\"},\n"
+      " \"traffic\": [{\"pattern\": \"permutation\"}],\n"
+      " \"slos\": [[]]}",
+      "bad.json:4:11: slo entry 0: expected object, got array");
+}
+
+TEST(ScenarioParse, PodModeEntryMustBeString) {
+  expect_parse_error(
+      "{\"name\": \"x\",\n"
+      " \"topology\": {\"kind\": \"flat_tree\",\n"
+      "  \"pod_modes\": [\"clos\", 2, \"clos\", \"clos\"]},\n"
+      " \"traffic\": [{\"pattern\": \"permutation\"}]}",
+      "bad.json:3:25: key \"pod_modes\" entry 1: expected string, got number");
 }
 
 // ---- conversion / slo / sim cross checks ------------------------------------
