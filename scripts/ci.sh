@@ -50,8 +50,9 @@ PY
 done
 
 echo "== full-length packet goldens (bench_fig10, bench_gradual) =="
-# The two packet-simulator benches run 1-2 minutes each, too long for
-# ctest; their default-run stdout and BENCH json are diffed here instead.
+# The two packet-simulator benches run 20-35 s each on a 4-core host,
+# too long for ctest; their default-run stdout and BENCH json are diffed
+# here instead.
 for bench in fig10 gradual; do
   bash tests/golden_diff.sh "${PWD}/build/bench/bench_${bench}" "${bench}" \
     "${PWD}/tests/golden"
@@ -75,7 +76,7 @@ echo "== sanitizer gate (preset: ${SANITIZE_PRESET}) =="
 cmake --preset "${SANITIZE_PRESET}"
 cmake --build "build-${SANITIZE_PRESET}" -j "${JOBS}" \
   --target test_exec test_obs test_ksp_properties test_ksp_diff \
-           test_event_queue \
+           test_event_queue test_packet \
            test_packet_diff test_conversion_exec test_conversion_storm \
            test_autopilot test_hierarchy test_warm_repair_diff \
            test_fluid_incremental_diff \
@@ -87,10 +88,13 @@ cmake --build "build-${SANITIZE_PRESET}" -j "${JOBS}" \
 # precompute's pool fan-out (one solver workspace per call — the
 # TSan-relevant path).
 "./build-${SANITIZE_PRESET}/tests/test_ksp_diff"
-# The event queue's fuzz battery against a priority_queue oracle and the
-# packet simulator's pinned result digests (which also drive
-# ShardedPacketSim across a pool, the TSan-relevant path).
+# The event queue's fuzz battery (lanes and heap) against a priority_queue
+# oracle, the packet simulator's unit cases (conversions and failures,
+# whose blackout-delayed sends take the queue's heap instead of a lane),
+# and its pinned result digests (which also drive ShardedPacketSim across a
+# pool, the TSan-relevant path).
 "./build-${SANITIZE_PRESET}/tests/test_event_queue"
+"./build-${SANITIZE_PRESET}/tests/test_packet"
 "./build-${SANITIZE_PRESET}/tests/test_packet_diff"
 # The staged-conversion chaos battery (seeded adversary: lossy channel,
 # dead switches, failed OCS partitions) — every trial must land fully

@@ -3,15 +3,17 @@
 // Three allocation-free building blocks: the event queue, the per-pipe
 // packet queues and the receiver's out-of-order set.
 //
-//   EventQueue<Payload>   a monotone radix heap over a preallocated event
-//                         arena with freelist recycling. Pop order is the
-//                         engine's total event order: (time, push sequence)
-//                         strictly non-decreasing. A payload is written
-//                         exactly once (at emplace) and read exactly once
-//                         (at pop); bucket links live in the arena slots.
+//   EventQueue<Payload>   four FIFO lanes in front of a monotone radix heap,
+//                         over a preallocated event arena with freelist
+//                         recycling. Pop order is the engine's total event
+//                         order: (time, push sequence) strictly
+//                         non-decreasing. A payload is written exactly once
+//                         (at emplace) and read exactly once (at pop);
+//                         bucket links live in the arena slots.
 //   RingQueue<T>          a power-of-two ring buffer with deque semantics
-//                         (push_back/front/pop_front) and amortized-zero
-//                         allocation; the per-pipe drop-tail queues.
+//                         (push_back/front/back/pop_front) and
+//                         amortized-zero allocation; the per-pipe drop-tail
+//                         queues and the event queue's lanes.
 //   SeqWindow             a sliding bitmap over out-of-order sequence
 //                         numbers above the receiver's cumulative-ack
 //                         point; word-granular front trimming keeps it
@@ -32,47 +34,109 @@
 
 namespace flattree::sim {
 
-// Radix heap over an arena of recycled slots. Payload must be movable and
-// default-constructible. The queue is a strict total order: equal times
-// pop in push order, so simulation results never depend on its internals.
+// Power-of-two ring buffer with the std::deque surface the pipe queues
+// and the event queue's lanes use. Grows by doubling (amortized
+// allocation-free) and allocates nothing before its first push; clear()
+// keeps the storage for reuse.
+template <typename T>
+class RingQueue {
+ public:
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+  [[nodiscard]] T& front() { return buf_[head_]; }
+  [[nodiscard]] const T& front() const { return buf_[head_]; }
+  [[nodiscard]] const T& back() const {
+    return buf_[(head_ + size_ - 1) & (buf_.size() - 1)];
+  }
+
+  void push_back(const T& value) {
+    if (size_ == buf_.size()) grow();
+    buf_[(head_ + size_) & (buf_.size() - 1)] = value;
+    ++size_;
+  }
+
+  void pop_front() {
+    head_ = (head_ + 1) & (buf_.size() - 1);
+    --size_;
+  }
+
+  void clear() {
+    head_ = 0;
+    size_ = 0;
+  }
+
+ private:
+  void grow() {
+    const std::size_t cap = buf_.empty() ? 8 : buf_.size() * 2;
+    std::vector<T> next(cap);
+    for (std::size_t i = 0; i < size_; ++i) {
+      next[i] = std::move(buf_[(head_ + i) & (buf_.size() - 1)]);
+    }
+    buf_ = std::move(next);
+    head_ = 0;
+  }
+
+  std::vector<T> buf_;
+  std::size_t head_{0};
+  std::size_t size_{0};
+};
+
+// FIFO lanes in front of a radix heap, over an arena of recycled slots.
+// Payload must be movable and default-constructible. The queue is a strict
+// total order: equal times pop in push order, so simulation results never
+// depend on its internals — in particular not on which lane a push names.
 //
-// Each time maps to a 64-bit key whose unsigned order is the time order
-// (key()). An entry with key k lives in bucket bit_width(k ^ base): bucket
-// 0 holds k == base, bucket i > 0 the keys that first differ from base at
-// bit i - 1. `base` is never above a stored key. Each bucket is a singly
-// linked list through the arena slots, and every list keeps equal keys in
-// push order: pushes append, a refill moves one list's entries in list
-// order into empty lower buckets, and a rebase appends whole lists, which
-// never splits a run of equal keys (equal keys share a bucket). So bucket
-// 0, all keys equal, is in push order, and popping its head is exactly
-// the (time, sequence) minimum.
+// Lanes. emplace(t, lane) appends to lane `lane` (< kLanes) when that
+// lane is empty or its tail key is <= key(t), and otherwise pushes to the
+// heap; a push naming no lane goes to the heap. A lane is therefore
+// sorted by (key, push sequence), and every entry, in a lane or in the
+// heap, carries its push sequence: top_time()/pop() take the (key,
+// sequence) minimum over the lane heads and the heap top, which is the
+// minimum of the whole queue. A lane pays off when its pushes arrive in
+// key order — "now plus a constant delay" from a caller whose now never
+// decreases — and costs a heap push whenever that order breaks.
+//
+// Heap. Each time maps to a 64-bit key whose unsigned order is the time
+// order (key()). An entry with key k lives in bucket bit_width(k ^ base):
+// bucket 0 holds k == base, bucket i > 0 the keys that first differ from
+// base at bit i - 1. `base` is never above a stored heap key. Each bucket
+// is a singly linked list through the arena slots, and every list keeps
+// equal keys in push order: pushes append, a refill moves one list's
+// entries in list order into empty lower buckets, and a rebase appends
+// whole lists, which never splits a run of equal keys (equal keys share a
+// bucket). So bucket 0, all keys equal, is in push order, and its head is
+// the heap's (key, sequence) minimum.
 template <typename Payload>
 class EventQueue {
  public:
+  static constexpr std::size_t kLanes = 4;
+  // The lane argument that names no lane: the push goes to the heap.
+  static constexpr std::size_t kNoLane = kLanes;
+
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
   // Arena high-water mark: slots ever live at once (freelist recycling
   // means this is max concurrent events, not total events pushed).
   [[nodiscard]] std::size_t arena_slots() const { return arena_.size(); }
+  // Pushes that went to the heap: those naming no lane plus those that
+  // would have broken their lane's key order.
+  [[nodiscard]] std::uint64_t heap_pushes() const { return heap_pushes_; }
 
-  // Time of the next event. Moves `base` up to it (a refill), so a later
-  // push below it pays a rebase. Precondition: !empty().
+  // Time of the next event. Finding it may refill the heap, moving `base`
+  // up to the heap's minimum, so a later heap push below it pays a rebase.
+  // Precondition: !empty().
   [[nodiscard]] double top_time() {
-    if (head_[0] == kNone) refill();
-    return time_of(base_);
+    if (top_ == kStale) select_top();
+    return time_of(top_key_);
   }
 
   // Vends the slot for an event at time `t` and returns its payload for the
   // caller to fill in place — one write instead of construct-then-move. The
   // payload may hold stale contents from a recycled slot; the caller must
   // assign every field. The reference is valid until the next emplace.
-  Payload& emplace(double t) {
+  Payload& emplace(double t, std::size_t lane = kNoLane) {
     const std::uint64_t k = key(t);
-    if (size_ == 0) {
-      base_ = k;  // any base is valid for an empty queue
-    } else if (k < base_) {
-      rebase(k);
-    }
     std::uint32_t slot;
     if (free_head_ != kNone) {
       slot = free_head_;
@@ -81,20 +145,34 @@ class EventQueue {
       slot = static_cast<std::uint32_t>(arena_.size());
       arena_.emplace_back();
     }
-    arena_[slot].key = k;
-    append(bucket_of(k), slot);
+    const std::uint64_t seq = next_seq_++;
+    if (lane < kLanes &&
+        (lanes_[lane].empty() || lanes_[lane].back().key <= k)) {
+      lanes_[lane].push_back(LaneEntry{k, seq, slot});
+    } else {
+      heap_push(k, seq, slot);
+    }
     ++size_;
+    top_ = kStale;
     return arena_[slot].payload;
   }
 
   // Pops the minimum (time, seq) event. Precondition: !empty(). A pushed
   // -0.0 comes back as +0.0 (the two tie, see key()).
   Payload pop(double* t = nullptr) {
-    if (head_[0] == kNone) refill();
-    const std::uint32_t slot = head_[0];
+    if (top_ == kStale) select_top();
+    std::uint32_t slot;
+    if (top_ == kHeap) {
+      slot = head_[0];
+      head_[0] = arena_[slot].next;
+      --heap_size_;
+    } else {
+      slot = lanes_[top_].front().slot;
+      lanes_[top_].pop_front();
+    }
+    top_ = kStale;
+    if (t != nullptr) *t = time_of(top_key_);
     Slot& s = arena_[slot];
-    head_[0] = s.next;
-    if (t != nullptr) *t = time_of(base_);
     Payload out = std::move(s.payload);
     s.next = free_head_;
     free_head_ = slot;
@@ -106,6 +184,9 @@ class EventQueue {
   static constexpr std::uint32_t kNone = 0xffffffffu;
   static constexpr std::uint64_t kSign = 1ull << 63;
   static constexpr int kBuckets = 65;
+  // top_ values besides a lane index.
+  static constexpr std::size_t kHeap = kLanes;
+  static constexpr std::size_t kStale = kLanes + 1;
   static constexpr std::array<std::uint32_t, kBuckets> kEmptyBuckets = [] {
     std::array<std::uint32_t, kBuckets> lists{};
     lists.fill(kNone);
@@ -114,8 +195,15 @@ class EventQueue {
 
   struct Slot {
     Payload payload{};
-    std::uint64_t key{0};
+    std::uint64_t key{0};       // heap entries only
+    std::uint64_t seq{0};       // heap entries only
     std::uint32_t next{kNone};  // bucket list link, or freelist link
+  };
+
+  struct LaneEntry {
+    std::uint64_t key;
+    std::uint64_t seq;
+    std::uint32_t slot;
   };
 
   // Order-preserving map from a double to an unsigned key: flip every bit
@@ -128,6 +216,44 @@ class EventQueue {
   }
   [[nodiscard]] static double time_of(std::uint64_t k) {
     return std::bit_cast<double>((k & kSign) != 0 ? k & ~kSign : ~k);
+  }
+
+  // Points top_/top_key_ at the (key, sequence) minimum over the heap top
+  // and the lane heads. Starting from (~0, ~0) is safe: no entry carries
+  // sequence ~0, so every entry compares below it.
+  void select_top() {
+    std::size_t best = kHeap;
+    std::uint64_t best_key = ~0ull;
+    std::uint64_t best_seq = ~0ull;
+    if (heap_size_ != 0) {
+      if (head_[0] == kNone) refill();
+      best_key = base_;
+      best_seq = arena_[head_[0]].seq;
+    }
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      if (lanes_[i].empty()) continue;
+      const LaneEntry& e = lanes_[i].front();
+      if (e.key < best_key || (e.key == best_key && e.seq < best_seq)) {
+        best = i;
+        best_key = e.key;
+        best_seq = e.seq;
+      }
+    }
+    top_ = best;
+    top_key_ = best_key;
+  }
+
+  void heap_push(std::uint64_t k, std::uint64_t seq, std::uint32_t slot) {
+    if (heap_size_ == 0) {
+      base_ = k;  // any base is valid for an empty heap
+    } else if (k < base_) {
+      rebase(k);
+    }
+    arena_[slot].key = k;
+    arena_[slot].seq = seq;
+    append(bucket_of(k), slot);
+    ++heap_size_;
+    ++heap_pushes_;
   }
 
   [[nodiscard]] int bucket_of(std::uint64_t k) const {
@@ -166,12 +292,12 @@ class EventQueue {
     }
   }
 
-  // A push below base (only between run_until calls: a conversion, failure
-  // or add_flow scheduling at now after a peek moved base to the next
-  // event). With p = bit_width(base ^ k), every stored key first differs
-  // from k at bit p - 1 if it was in a bucket below p, and keeps its bucket
-  // otherwise (old bucket p is empty: its keys would be below base). So
-  // buckets 0..p-1 concatenate, in order, onto bucket p.
+  // A heap push below base (a push naming no lane, or one that broke its
+  // lane's order, at a time below the heap's peeked minimum). With p =
+  // bit_width(base ^ k), every stored key first differs from k at bit
+  // p - 1 if it was in a bucket below p, and keeps its bucket otherwise
+  // (old bucket p is empty: its keys would be below base). So buckets
+  // 0..p-1 concatenate, in order, onto bucket p.
   void rebase(std::uint64_t k) {
     const int p = std::bit_width(base_ ^ k);
     for (int b = 0; b < p; ++b) {
@@ -191,58 +317,22 @@ class EventQueue {
   }
 
   std::vector<Slot> arena_;
+  // Unallocated until each lane's first push: reserving 64 entries per
+  // lane up front raised packet_convert's setup_s from ~2.0 to ~3.2 us.
+  std::array<RingQueue<LaneEntry>, kLanes> lanes_{};
   std::array<std::uint32_t, kBuckets> head_ = kEmptyBuckets;
   // tail_[b] is meaningful only while head_[b] != kNone; zero-filling it
   // instead of copying kNone keeps PacketSim construction cheap.
   std::array<std::uint32_t, kBuckets> tail_{};
   std::uint64_t nonempty_{0};  // bit b - 1 set iff bucket b > 0 non-empty
   std::uint64_t base_{0};
+  std::uint64_t next_seq_{0};
+  std::uint64_t heap_pushes_{0};
+  std::uint64_t top_key_{0};
+  std::size_t top_{kStale};  // a lane index, kHeap, or kStale
   std::uint32_t free_head_{kNone};
   std::size_t size_{0};
-};
-
-// Power-of-two ring buffer with the std::deque surface the pipe queues
-// use. Grows by doubling (amortized allocation-free); clear() keeps the
-// storage for reuse.
-template <typename T>
-class RingQueue {
- public:
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::size_t size() const { return size_; }
-
-  [[nodiscard]] T& front() { return buf_[head_]; }
-  [[nodiscard]] const T& front() const { return buf_[head_]; }
-
-  void push_back(const T& value) {
-    if (size_ == buf_.size()) grow();
-    buf_[(head_ + size_) & (buf_.size() - 1)] = value;
-    ++size_;
-  }
-
-  void pop_front() {
-    head_ = (head_ + 1) & (buf_.size() - 1);
-    --size_;
-  }
-
-  void clear() {
-    head_ = 0;
-    size_ = 0;
-  }
-
- private:
-  void grow() {
-    const std::size_t cap = buf_.empty() ? 8 : buf_.size() * 2;
-    std::vector<T> next(cap);
-    for (std::size_t i = 0; i < size_; ++i) {
-      next[i] = std::move(buf_[(head_ + i) & (buf_.size() - 1)]);
-    }
-    buf_ = std::move(next);
-    head_ = 0;
-  }
-
-  std::vector<T> buf_;
-  std::size_t head_{0};
-  std::size_t size_{0};
+  std::size_t heap_size_{0};
 };
 
 // Sliding bitmap of out-of-order sequence numbers. Semantically a

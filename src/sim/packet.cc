@@ -42,6 +42,12 @@ void PacketSim::attach_obs(const obs::ObsSink& sink) {
                             {1, 2, 4, 8, 16, 32, 64, 128, 256});
 }
 
+void PacketSim::set_rate(Pipe& pipe, double rate_bps) const {
+  pipe.rate_bps = rate_bps;
+  pipe.ser_s[0] = options_.mtu_bytes * 8.0 / rate_bps;
+  pipe.ser_s[1] = options_.ack_bytes * 8.0 / rate_bps;
+}
+
 void PacketSim::update_pipes(const Graph& graph, double blackout_s,
                              ConversionScope scope) {
   // Aggregate the new topology's directed capacities (parallel links merge
@@ -83,12 +89,12 @@ void PacketSim::update_pipes(const Graph& graph, double blackout_s,
         // The circuit is back (failure recovered): revive in place. The
         // queue is already empty; traffic resumes on the next send.
         pipe.dead = false;
-        pipe.rate_bps = it->second;
+        set_rate(pipe, it->second);
         pipe.blocked_until = std::max(pipe.blocked_until, stall_until);
       }
       if (pipe.rate_bps != it->second) {
         // Cable re-terminated at a different rate: treat as rewired.
-        pipe.rate_bps = it->second;
+        set_rate(pipe, it->second);
         count_drop(pipe.queue.size());
         pipe.queue.clear();
         pipe.queued_bytes = 0;
@@ -104,11 +110,14 @@ void PacketSim::update_pipes(const Graph& graph, double blackout_s,
     }
   }
   // Create pipes for newly-wired circuits; they stall for the blackout.
+  // Reserving the exact count spares a large fabric the transient of a
+  // doubling growth (old and new buffers live at once).
+  pipes_.reserve(pipes_.size() + wanted.size());
   for (const auto& [k, capacity] : wanted) {
     const std::uint32_t from = static_cast<std::uint32_t>(k >> 32);
     const std::uint32_t to = static_cast<std::uint32_t>(k & 0xffffffffu);
     Pipe pipe;
-    pipe.rate_bps = capacity;
+    set_rate(pipe, capacity);
     pipe.blocked_until = stall_until;
     new_map[from].emplace_back(to, static_cast<std::uint32_t>(pipes_.size()));
     pipes_.push_back(std::move(pipe));
@@ -184,11 +193,12 @@ std::uint32_t PacketSim::add_flow(std::uint32_t src_server,
 }
 
 void PacketSim::schedule(double t, EventType type, std::uint32_t a,
-                         std::uint32_t b, const Packet& packet) {
+                         std::uint32_t b, const Packet& packet,
+                         std::size_t lane) {
   // Tie-break contract: equal-timestamp events fire in scheduling order;
   // the queue sequences pushes itself, so the order is a pure function of
   // the simulation.
-  EventPayload& payload = queue_.emplace(t);
+  EventPayload& payload = queue_.emplace(t, lane);
   payload.type = type;
   payload.a = a;
   payload.b = b;
@@ -259,15 +269,15 @@ void PacketSim::maybe_send(std::uint32_t flow_index) {
       if (inflight + 1.0 > sf.cwnd + 1e-9) continue;
       if (flow.unassigned > 0) --flow.unassigned;
       ++sf.inflight_assigned;
-      subflow_send_packet(flow_index, sf_index, sf.next_seq++, false);
+      subflow_send_packet(flow_index, sf_index, sf.next_seq++);
       progress = true;
     }
   }
 }
 
 void PacketSim::subflow_send_packet(std::uint32_t flow_index,
-                                    std::uint32_t sf_index, std::uint32_t seq,
-                                    bool is_retransmit) {
+                                    std::uint32_t sf_index,
+                                    std::uint32_t seq) {
   Subflow& sf = subflows_[sf_index];
   Packet packet;
   packet.flow = flow_index;
@@ -277,8 +287,6 @@ void PacketSim::subflow_send_packet(std::uint32_t flow_index,
   packet.send_time = now_;
   packet.hop = 0;
   packet.is_ack = false;
-  (void)is_retransmit;
-  sf.last_send_time = now_;
   enqueue_packet(sf.fwd_pipes.front(), packet);
   if (!sf.timer_armed) arm_timer(flow_index, sf_index);
 }
@@ -309,11 +317,18 @@ void PacketSim::pipe_try_send(std::uint32_t pipe_index) {
   pipe.queue.pop_front();
   pipe.queued_bytes -= packet.size;
   pipe.transmitting = true;
-  const double start = std::max(now_, pipe.blocked_until);
-  const double tx_done = start + packet.size * 8.0 / pipe.rate_bps;
-  schedule(tx_done, EventType::kPipeFree, pipe_index, 0);
+  // A send held back by a blackout is pushed far ahead of now_ and would
+  // block a lane until it fires, so it goes to the queue's heap.
+  const bool at_now = pipe.blocked_until <= now_;
+  const double start = at_now ? now_ : pipe.blocked_until;
+  const double tx_done = start + pipe.ser_s[packet.is_ack ? 1 : 0];
+  schedule(tx_done, EventType::kPipeFree, pipe_index, 0, Packet{},
+           at_now ? lane_of(packet.is_ack, EventType::kPipeFree)
+                  : Queue::kNoLane);
   schedule(tx_done + options_.prop_delay_s, EventType::kArrival, pipe_index, 0,
-           packet);
+           packet,
+           at_now ? lane_of(packet.is_ack, EventType::kArrival)
+                  : Queue::kNoLane);
 }
 
 void PacketSim::handle_arrival(const EventPayload& event) {
@@ -430,7 +445,7 @@ void PacketSim::on_ack_at_sender(const Packet& packet) {
       } else {
         // NewReno partial ACK: the next hole is lost too; retransmit it
         // immediately without waiting for three more duplicate ACKs.
-        subflow_send_packet(packet.flow, packet.subflow, sf.cum_acked, true);
+        subflow_send_packet(packet.flow, packet.subflow, sf.cum_acked);
       }
     } else {
       for (std::uint32_t i = 0; i < newly; ++i) increase_cwnd(flow, sf);
@@ -466,7 +481,7 @@ void PacketSim::on_ack_at_sender(const Packet& packet) {
       sf.cwnd = sf.ssthresh;
       ++segment_.fast_retransmits;
       obs::add(c_fast_rtx_);
-      subflow_send_packet(packet.flow, packet.subflow, sf.cum_acked, true);
+      subflow_send_packet(packet.flow, packet.subflow, sf.cum_acked);
     }
   }
 }
@@ -510,7 +525,7 @@ void PacketSim::handle_timer(const EventPayload& event) {
   sf.timer_armed = false;
   ++segment_.rto_timeouts;
   obs::add(c_rto_);
-  subflow_send_packet(event.a, sf_index, sf.cum_acked, true);
+  subflow_send_packet(event.a, sf_index, sf.cum_acked);
   if (!sf.timer_armed) arm_timer(event.a, sf_index);
 }
 

@@ -145,6 +145,12 @@ class PacketSim {
   [[nodiscard]] std::uint64_t arena_high_water() const {
     return queue_.arena_slots();
   }
+  // Events pushed to the queue's radix heap rather than a lane: timers,
+  // flow starts, sends held back by a blackout, and lane pushes that
+  // arrived out of their lane's time order (see lane_of).
+  [[nodiscard]] std::uint64_t heap_pushes() const {
+    return queue_.heap_pushes();
+  }
 
  private:
   // ---- data plane ----------------------------------------------------------
@@ -160,6 +166,9 @@ class PacketSim {
 
   struct Pipe {
     double rate_bps{0.0};
+    // Serialization time of a data and an ACK packet at rate_bps; every
+    // packet is one of the two sizes (set_rate keeps them in step).
+    double ser_s[2]{0.0, 0.0};
     double blocked_until{0.0};  // control-plane blackout gate
     std::uint64_t queued_bytes{0};
     sim::RingQueue<Packet> queue;  // flat drop-tail ring, no per-packet alloc
@@ -181,7 +190,6 @@ class PacketSim {
     double srtt{0.0};
     double rttvar{0.0};
     double rto{0.2};
-    double last_send_time{0.0};
     // NewReno fast-recovery state: holes up to recover_point are
     // retransmitted one per partial ACK instead of one per RTO.
     bool in_recovery{false};
@@ -230,13 +238,25 @@ class PacketSim {
     Packet packet;
   };
 
+  using Queue = sim::EventQueue<EventPayload>;
+  // The event queue's four lanes, one per (packet kind, event kind) of a
+  // transmission that starts at now_: each is pushed at now_ plus a
+  // per-pipe constant, so on a fabric of one pipe rate every lane receives
+  // its pushes in time order and the radix heap sees only timers, flow
+  // starts and blackout-delayed sends. The lane never changes the pop
+  // order (sim/event_queue.h).
+  [[nodiscard]] static std::size_t lane_of(bool is_ack, EventType type) {
+    static_assert(Queue::kLanes == 4);
+    return (is_ack ? 2u : 0u) + (type == EventType::kArrival ? 1u : 0u);
+  }
+
   // `packet` must not alias a payload inside the event queue's arena (the
   // push may grow it); run_until pops events by value, so handlers only
   // ever hold locals.
   void schedule(double t, EventType type, std::uint32_t a, std::uint32_t b,
-                const Packet& packet);
+                const Packet& packet, std::size_t lane);
   void schedule(double t, EventType type, std::uint32_t a, std::uint32_t b) {
-    schedule(t, type, a, b, Packet{});
+    schedule(t, type, a, b, Packet{}, Queue::kNoLane);
   }
   // Forced inline: the event loop calls this half a billion times per
   // long run, and the seed engine had the switch inlined in run_until.
@@ -250,7 +270,7 @@ class PacketSim {
   void on_ack_at_sender(const Packet& packet);
   void maybe_send(std::uint32_t flow_index);
   void subflow_send_packet(std::uint32_t flow_index, std::uint32_t sf_index,
-                           std::uint32_t seq, bool is_retransmit);
+                           std::uint32_t seq);
   void arm_timer(std::uint32_t flow_index, std::uint32_t sf_index);
   void handle_timer(const EventPayload& event);
   void increase_cwnd(SimFlow& flow, Subflow& subflow);
@@ -263,6 +283,7 @@ class PacketSim {
   // blackout parameters which pipes stall.
   void update_pipes(const Graph& graph, double blackout_s,
                     ConversionScope scope);
+  void set_rate(Pipe& pipe, double rate_bps) const;
 
   void count_drop(std::uint64_t n = 1) {
     drops_ += n;
@@ -294,8 +315,8 @@ class PacketSim {
   obs::Histogram* h_queue_depth_{nullptr};
   obs::Histogram* h_cwnd_{nullptr};
 
-  // Radix heap over the recycled event arena (sim/event_queue.h).
-  sim::EventQueue<EventPayload> queue_;
+  // FIFO lanes and a radix heap over the recycled event arena.
+  Queue queue_;
   std::vector<Pipe> pipes_;
   // Directed node-pair -> pipe index for the current topology.
   std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> pipe_map_;

@@ -1,15 +1,18 @@
 // Property tests for the pooled event engine's building blocks
-// (sim/event_queue.h): the radix-heap event queue over its slot arena, the
-// ring queue, and the out-of-order bitmap. These are the structures the
-// packet simulator's correctness rests on, so each is fuzzed against the
-// obvious oracle (std::priority_queue over (time, push sequence) /
-// std::deque / std::set) under deterministic Rng streams — run under
-// ASan/UBSan/TSan via scripts/ci.sh.
+// (sim/event_queue.h): the event queue (FIFO lanes in front of a radix
+// heap, over one slot arena), the ring queue, and the out-of-order
+// bitmap. These are the structures the packet simulator's correctness
+// rests on, so each is fuzzed against the obvious oracle
+// (std::priority_queue over (time, push sequence) / std::deque /
+// std::set) under deterministic Rng streams — run under ASan/UBSan/TSan
+// via scripts/ci.sh.
 #include "sim/event_queue.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <queue>
@@ -24,17 +27,21 @@ namespace {
 using Queue = EventQueue<std::uint32_t>;
 
 // The oracle: a binary heap over (time, push sequence), compared as
-// doubles, so -0.0 and +0.0 tie and break on sequence.
+// doubles, so -0.0 and +0.0 tie and break on sequence. Each entry also
+// records where the model below placed it (a lane, or kHeap).
 class Oracle {
  public:
-  void push(double t, std::uint32_t payload) {
-    heap_.push(Ref{t, seq_++, payload});
+  static constexpr std::size_t kHeap = ~std::size_t{0};
+
+  void push(double t, std::uint32_t payload, std::size_t where) {
+    heap_.push(Ref{t, seq_++, payload, where});
   }
   [[nodiscard]] bool empty() const { return heap_.empty(); }
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
   [[nodiscard]] double top_time() const { return heap_.top().t; }
-  std::uint32_t pop() {
+  std::uint32_t pop(std::size_t* where) {
     const std::uint32_t payload = heap_.top().payload;
+    *where = heap_.top().where;
     heap_.pop();
     return payload;
   }
@@ -44,6 +51,7 @@ class Oracle {
     double t;
     std::uint64_t seq;
     std::uint32_t payload;
+    std::size_t where;
     bool operator>(const Ref& o) const {
       if (t != o.t) return t > o.t;
       return seq > o.seq;
@@ -53,16 +61,38 @@ class Oracle {
   std::uint64_t seq_{0};
 };
 
-// Pushes the same event into both queues, tracking the live peak.
+// Pushes the same event into both queues, tracking the live peak. A model
+// of the lanes (live count and tail time of each) predicts which pushes
+// the queue sends to its heap: one naming no lane, or one below its
+// non-empty lane's tail. The oracle's pop order is the queue's, so popping
+// an entry the model placed in a lane is popping that lane's head.
 struct Pair {
+  static constexpr std::size_t kLanes = Queue::kLanes;
   Queue q;
   Oracle ref;
   std::uint32_t next_payload{0};
   std::size_t peak_live{0};
+  std::array<std::size_t, kLanes> lane_live{};
+  std::array<double, kLanes> lane_tail{};
+  std::uint64_t heap_pushes{0};
+  std::uint64_t order_breaks{0};  // lane pushes the model sent to the heap
+  std::uint64_t lane_reuses{0};   // pushes into a lane that had drained
 
-  void push(double t) {
-    q.emplace(t) = next_payload;
-    ref.push(t, next_payload);
+  void push(double t, std::size_t lane = Queue::kNoLane) {
+    q.emplace(t, lane) = next_payload;
+    std::size_t where = Oracle::kHeap;
+    if (lane < kLanes) {
+      if (lane_live[lane] == 0 || lane_tail[lane] <= t) {
+        if (lane_live[lane] == 0 && lane_tail[lane] != 0.0) ++lane_reuses;
+        where = lane;
+        ++lane_live[lane];
+        lane_tail[lane] = t;
+      } else {
+        ++order_breaks;
+      }
+    }
+    if (where == Oracle::kHeap) ++heap_pushes;
+    ref.push(t, next_payload, where);
     ++next_payload;
     peak_live = std::max(peak_live, ref.size());
   }
@@ -71,7 +101,9 @@ struct Pair {
     double t = -1.0;
     const std::uint32_t got = q.pop(&t);
     EXPECT_EQ(t, ref.top_time());
-    EXPECT_EQ(got, ref.pop());
+    std::size_t where = Oracle::kHeap;
+    EXPECT_EQ(got, ref.pop(&where));
+    if (where != Oracle::kHeap) --lane_live[where];
     return t;
   }
   void check_top() {
@@ -82,6 +114,9 @@ struct Pair {
     ASSERT_EQ(q.size(), ref.size());
     ASSERT_EQ(q.arena_slots(), peak_live)
         << "the arena must grow only to the live-event high-water mark";
+    ASSERT_EQ(q.heap_pushes(), heap_pushes)
+        << "a push went to the heap iff it named no lane or broke its "
+           "lane's order";
   }
 };
 
@@ -247,6 +282,80 @@ TEST(EventQueue, ArenaRecyclesSlots) {
   }
   p.check_top();
   EXPECT_EQ(p.q.arena_slots(), 100u);
+}
+
+TEST(EventQueue, FuzzLanesAgainstPriorityQueue) {
+  // The lanes in front of the heap, under the packet simulator's lane
+  // discipline and against it:
+  //  - in-order lane pushes at now plus the lane's constant delay, and
+  //    lane pushes at random times that break the lane's order;
+  //  - heap pushes (no lane) for timers;
+  //  - equal-time bursts spread over the lanes and the heap;
+  //  - pushes below a peeked time, into any lane or the heap;
+  //  - +0.0 and -0.0 into any lane or the heap, from time zero;
+  //  - full drains, so lanes empty out and take any time again.
+  // The simulator's four delays on 1 Gb/s links: data and ACK, pipe-free
+  // and arrival.
+  constexpr std::size_t kLanes = Queue::kLanes;
+  constexpr double kDelay[kLanes] = {1.2e-5, 1.7e-5, 5.12e-7, 5.512e-6};
+  Rng rng{20260415};
+  Pair p;
+  double now = 0.0;
+  const auto any_lane = [&] {
+    return static_cast<std::size_t>(rng.next_below(kLanes + 1));
+  };
+  for (int op = 0; op < 400000; ++op) {
+    const std::uint64_t roll =
+        p.ref.size() > 600 ? 50 : rng.next_below(100);
+    if (roll < 40 || p.ref.empty()) {
+      const std::size_t lane = any_lane();
+      const std::uint64_t kind = rng.next_below(16);
+      if (lane == kLanes) {
+        p.push(now + 0.2 * rng.next_double());
+      } else if (kind < 15) {
+        p.push(now + kDelay[lane], lane);
+      } else {
+        p.push(now + 2.0 * kDelay[lane] * rng.next_double(), lane);
+      }
+    } else if (roll < 80) {
+      now = std::max(now, p.pop());  // as run_until keeps now_
+    } else if (roll < 86) {
+      // Peek, then push at or above `now` but below the peeked time.
+      p.check_top();
+      const double peeked = p.q.top_time();
+      const double stop = now + (peeked - now) * rng.next_double();
+      const auto n = rng.next_below(6);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        p.push(stop + (peeked - stop) * rng.next_double() * 0.5, any_lane());
+      }
+      now = stop;
+    } else if (roll < 94) {
+      // Equal-time burst across the lanes and the heap, at one lane's
+      // delay: that lane stays in order, the others may not.
+      const double t = now + kDelay[rng.next_below(kLanes)];
+      const auto n = 1 + rng.next_below(8);
+      for (std::uint64_t i = 0; i < n; ++i) p.push(t, any_lane());
+    } else if (roll < 99) {
+      // Signed zeros: below every lane tail once time has moved on.
+      const auto n = 1 + rng.next_below(4);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        p.push(rng.next_below(2) == 0 ? 0.0 : -0.0, any_lane());
+      }
+    } else {
+      // Drain everything, then start again from time zero.
+      while (!p.ref.empty()) (void)p.pop();
+      now = 0.0;
+    }
+    if (op % 64 == 0) p.check_top();
+    if (::testing::Test::HasFailure()) return;
+  }
+  while (!p.ref.empty()) (void)p.pop();
+  p.check_top();
+  // Every path must have been taken for the agreement to mean anything.
+  EXPECT_GT(p.order_breaks, 10000u);
+  EXPECT_GT(p.lane_reuses, 1000u);
+  EXPECT_GT(p.heap_pushes - p.order_breaks, 10000u);  // named no lane
+  EXPECT_GT(p.next_payload - p.heap_pushes, 50000u);  // stayed in a lane
 }
 
 TEST(RingQueue, FuzzAgainstDeque) {

@@ -32,11 +32,14 @@ namespace flattree {
 namespace {
 
 // Everything one run exposes, reduced to a digest plus the two counts the
-// tests use to prove the run was non-trivial.
+// tests use to prove the run was non-trivial. The event queue's heap-push
+// count stays out of the digest: it says how the queue stored the events,
+// not what the simulation computed, and it is pinned on its own.
 struct RunTrace {
   std::uint64_t digest{0};
   std::uint64_t events{0};
   std::uint64_t flows_completed{0};
+  std::uint64_t heap_pushes{0};
 };
 
 // FNV-1a over 64-bit words.
@@ -73,7 +76,7 @@ RunTrace capture(const PacketSim& sim, obs::MetricsRegistry& reg) {
   for (std::uint32_t f = 0; f < sim.flow_count(); ++f) {
     completed += sim.flow_completed(f) ? 1 : 0;
   }
-  return RunTrace{h, sim.events_processed(), completed};
+  return RunTrace{h, sim.events_processed(), completed, sim.heap_pushes()};
 }
 
 // The testbed flat-tree, 100 Mb/s links (scaled: keeps the event count
@@ -125,10 +128,16 @@ TEST(PacketDiff, PinnedDigestsOn200FlowStreams) {
   constexpr std::uint64_t kPinned[5] = {
       0xd9567bac120df90eULL, 0x501932ab4908de3dULL, 0xcd4cd179af54bad0ULL,
       0x61a4563279455aa8ULL, 0xe79e7af83f7add21ULL};
+  // The heap takes the 200 flow starts and the RTO timers; every packet
+  // event (~450k per stream) rides a lane.
+  constexpr std::uint64_t kHeapPushes[5] = {626, 619, 629, 613, 621};
   for (std::uint64_t stream = 0; stream < 5; ++stream) {
     const RunTrace trace = run_workload(stream);
     EXPECT_EQ(hex(trace.digest), hex(kPinned[stream]))
         << "simulated results moved on stream " << stream;
+    EXPECT_EQ(trace.heap_pushes, kHeapPushes[stream])
+        << "event-queue lane use moved on stream " << stream << " ("
+        << trace.events << " events)";
     // The run must be non-trivial for the pin to mean anything.
     EXPECT_GT(trace.events, 100000u);
     EXPECT_GT(trace.flows_completed, 100u);
@@ -165,6 +174,9 @@ TEST(PacketDiff, PinnedDigestAcrossFailureAndRecovery) {
   run_with_schedule(sim, g, schedule, repath, /*horizon_s=*/4.0);
   const RunTrace trace = capture(sim, reg);
   EXPECT_EQ(hex(trace.digest), hex(0xd09455242ef9918dULL));
+  // Timers and flow starts only: the repairs install no rule blackout, so
+  // every send starts at now.
+  EXPECT_EQ(trace.heap_pushes, 1118u) << trace.events << " events";
   EXPECT_GT(sim.segment_stats().events_processed, 0u);
   EXPECT_GT(trace.flows_completed, 6u) << "most flows should survive";
 }
@@ -208,6 +220,8 @@ TEST(PacketDiff, PinnedDigestWithPushesBelowTheLastPop) {
   sim.run_until(2.0);
   const RunTrace trace = capture(sim, reg);
   EXPECT_EQ(hex(trace.digest), hex(0x34ba2bdb1bc4e6d7ULL));
+  // Also the sends the 4 ms blackout holds back, which start after now.
+  EXPECT_EQ(trace.heap_pushes, 1824u) << trace.events << " events";
   EXPECT_TRUE(sim.flow_completed(40)) << "the back-dated flow must finish";
   EXPECT_GT(trace.events, 100000u);
 }
