@@ -343,7 +343,7 @@ void run(int argc, char** argv) {
 
   const std::vector<Outcome> outcomes =
       runner.timed_stage("autopilot cells", [&] {
-        return bench::parallel_replicates(
+        return exec::parallel_map(
             runner.pool(), kCells, [&](std::size_t i) {
               const Cell& cell = cells[i];
               const Workload& flows = traces[cell.workload];

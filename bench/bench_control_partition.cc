@@ -189,7 +189,7 @@ void run(int argc, char** argv) {
   };
   const std::vector<Outcome> outcomes = runner.timed_stage(
       "control_partition cells", [&] {
-        return bench::parallel_replicates(
+        return exec::parallel_map(
             runner.pool(), kCells, [&](std::size_t cell) {
               const ControlPlaneKind kind = planes[cell / kScenarios];
               const Cell& sc = cells[cell % kScenarios];

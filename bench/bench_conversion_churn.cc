@@ -93,7 +93,7 @@ void run(int argc, char** argv) {
   // the pool as independent replicates.
   const std::vector<CellOutcome> outcomes = runner.timed_stage(
       "conversion_churn cells", [&] {
-        return bench::parallel_replicates(
+        return exec::parallel_map(
             runner.pool(), kCells, [&](std::size_t cell) {
               const bool staged = stagings[cell / 3];
               const double loss = losses[cell % 3];

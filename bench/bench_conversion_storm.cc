@@ -224,7 +224,7 @@ void run(int argc, char** argv) {
 
   const std::vector<CellOutcome> outcomes = runner.timed_stage(
       "conversion_storm cells", [&] {
-        return bench::parallel_replicates(
+        return exec::parallel_map(
             runner.pool(), kCells, [&](std::size_t cell) {
               const bool tolerant = protocols[cell / kScenarios];
               const Scenario& sc = scenarios[cell % kScenarios];

@@ -107,7 +107,7 @@ void run(int argc, char** argv) {
   const PodMode modes[] = {PodMode::kClos, PodMode::kLocal, PodMode::kGlobal};
   const std::vector<ModeOutcome> outcomes = runner.timed_stage(
       "failure_recovery modes", [&] {
-        return bench::parallel_replicates(
+        return exec::parallel_map(
             runner.pool(), 3, [&](std::size_t cell) {
               const PodMode mode = modes[cell];
               CompiledMode live = controller.compile_uniform(mode);

@@ -401,7 +401,7 @@ int run(const BenchOptions& bench, exec::RunnerOptions options) {
   };
   const std::vector<CellResult> results = runner.timed_stage(
       "fluid_incremental cells", [&] {
-        return bench::parallel_replicates(
+        return exec::parallel_map(
             runner.pool(), specs.size(), [&](std::size_t i) {
               const CellSpec& spec = specs[i];
               const Graph g = build_clos(ClosParams::fat_tree(spec.k));

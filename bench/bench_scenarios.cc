@@ -94,7 +94,7 @@ int run(int argc, char** argv) {
 
   std::vector<scenario::ScenarioResult> results;
   runner.timed_stage("scenario battery", [&] {
-    results = bench::parallel_replicates(
+    results = exec::parallel_map(
         runner.pool(), compiled.size(), [&](std::size_t i) {
           // pool = null: the battery is already parallel across scenarios;
           // the sharded engine runs its shards serially inside the cell.

@@ -187,16 +187,6 @@ inline McfInstance fabric_mcf(const Graph& g, const Workload& flows,
   return instance;
 }
 
-// Runs `n` independent experiment replicates across the pool; replicate i
-// computes fn(i) (deriving any randomness from a deterministic per-index
-// stream, e.g. exec::task_rng(seed, i)). Results come back in index order,
-// bit-identical for any thread count.
-template <typename Fn>
-[[nodiscard]] auto parallel_replicates(exec::ThreadPool* pool, std::size_t n,
-                                       Fn&& fn) {
-  return exec::parallel_map(pool, n, std::forward<Fn>(fn));
-}
-
 // Deterministically subsample a workload down to `count` flows.
 inline Workload subsample(const Workload& flows, std::size_t count,
                           std::uint64_t seed) {

@@ -49,15 +49,6 @@ PY
   fi
 done
 
-echo "== full-length packet goldens (bench_fig10, bench_gradual) =="
-# The two packet-simulator benches run 20-35 s each on a 4-core host,
-# too long for ctest; their default-run stdout and BENCH json are diffed
-# here instead.
-for bench in fig10 gradual; do
-  bash tests/golden_diff.sh "${PWD}/build/bench/bench_${bench}" "${bench}" \
-    "${PWD}/tests/golden"
-done
-
 echo "== native lane: -O3 -march=native (preset: native) =="
 # The whole suite again with the host's full ISA (FMA, AVX-512 where
 # present). -ffp-contract=off (CMakeLists.txt) keeps every a*b+c unfused,

@@ -180,10 +180,12 @@ RepairPlan Controller::plan_repair(CompiledMode& mode,
   // Incremental routing update: evict exactly the broken pairs, re-solve
   // them on the repaired topology, and price the rule delta per evicted
   // pair — recovery latency scales with the blast radius, not the network.
-  // Warm eviction is only sound for pure degrades: a converter rewire adds
-  // adjacencies, where rebind_warm's exact eviction and the legacy
-  // survivors-stay-valid policy genuinely diverge.
-  const bool warm = options_.warm_repair && !plan.used_converter_rewire;
+  // Pure degrades evict warm (PathCache::rebind_warm: the minimal exact
+  // set, pinned equal to the legacy scan by tests/test_warm_repair_diff.cc).
+  // A converter rewire adds adjacencies, where warm's exact eviction and
+  // the legacy survivors-stay-valid policy genuinely diverge, so rewires
+  // keep the legacy scan.
+  const bool warm = !plan.used_converter_rewire;
   RepairApplication application =
       mode.apply_repair(plan.graph, plan.configs, failures.switches, warm);
   plan.pairs_invalidated = application.pairs_invalidated;

@@ -139,14 +139,6 @@ struct ControllerOptions {
   std::uint32_t k_clos{8};
   ConversionDelayModel delay{};
   bool count_rules{true};  // disable for large topologies
-  // plan_repair evicts via PathCache::rebind_warm (provably minimal exact
-  // eviction under the failure's adjacency delta) instead of the legacy
-  // rebind_and_invalidate survivors-stay-valid scan. Pure-removal repairs
-  // produce the identical post-repair route state either way (pinned by
-  // tests/test_warm_repair_diff.cc); repairs that rewire converters always
-  // use the legacy policy, where the added circuits make the two semantics
-  // diverge. Off by default so existing goldens stay byte-identical.
-  bool warm_repair{false};
   // Observability: when attached, compiled modes count their path-cache
   // traffic (routing.ksp.*) and plan_repair/plan_conversion record
   // control.* counters, rule-delta histograms, Table-3 priced delays, and

@@ -145,7 +145,7 @@ class PacketSim {
   [[nodiscard]] std::uint64_t arena_high_water() const {
     return queue_.arena_slots();
   }
-  // Events pushed to the queue's radix heap rather than a lane: timers,
+  // Events pushed to the queue's binary heap rather than a lane: timers,
   // flow starts, sends held back by a blackout, and lane pushes that
   // arrived out of their lane's time order (see lane_of).
   [[nodiscard]] std::uint64_t heap_pushes() const {
@@ -242,7 +242,7 @@ class PacketSim {
   // The event queue's four lanes, one per (packet kind, event kind) of a
   // transmission that starts at now_: each is pushed at now_ plus a
   // per-pipe constant, so on a fabric of one pipe rate every lane receives
-  // its pushes in time order and the radix heap sees only timers, flow
+  // its pushes in time order and the binary heap sees only timers, flow
   // starts and blackout-delayed sends. The lane never changes the pop
   // order (sim/event_queue.h).
   [[nodiscard]] static std::size_t lane_of(bool is_ack, EventType type) {
@@ -315,7 +315,7 @@ class PacketSim {
   obs::Histogram* h_queue_depth_{nullptr};
   obs::Histogram* h_cwnd_{nullptr};
 
-  // FIFO lanes and a radix heap over the recycled event arena.
+  // FIFO lanes and a binary heap over the recycled event arena.
   Queue queue_;
   std::vector<Pipe> pipes_;
   // Directed node-pair -> pipe index for the current topology.

@@ -1,5 +1,5 @@
 // Property tests for the pooled event engine's building blocks
-// (sim/event_queue.h): the event queue (FIFO lanes in front of a radix
+// (sim/event_queue.h): the event queue (FIFO lanes in front of a binary
 // heap, over one slot arena), the ring queue, and the out-of-order
 // bitmap. These are the structures the packet simulator's correctness
 // rests on, so each is fuzzed against the obvious oracle
@@ -149,12 +149,12 @@ TEST(EventQueue, EqualTimestampsPopInPushOrder) {
 
 TEST(EventQueue, SignedZerosTieAndBreakOnPushOrder) {
   // -0.0 == +0.0 as doubles, so the two are one time: push order decides.
-  // Both orders of the pair, from an empty queue and below a peeked base.
+  // Both orders of the pair, from an empty queue and below a peeked time.
   for (const bool peek_first : {false, true}) {
     Queue q;
     if (peek_first) {
       q.emplace(1.0) = 9;
-      EXPECT_EQ(q.top_time(), 1.0);  // base moves to 1.0; the zeros rebase
+      EXPECT_EQ(q.top_time(), 1.0);  // the zeros go below the peeked top
     }
     q.emplace(0.0) = 0;
     q.emplace(-0.0) = 1;
@@ -200,7 +200,7 @@ TEST(EventQueue, FuzzSimulatorDisciplineAgainstPriorityQueue) {
       }
       p.push(t);
     } else if (roll < 85) {
-      now = p.pop();
+      now = std::max(now, p.pop());  // as run_until keeps now_
       ++pops;
     } else if (roll < 92) {
       // Peek, then push at or above `now` but below the peeked time.
@@ -233,8 +233,8 @@ TEST(EventQueue, FuzzSimulatorDisciplineAgainstPriorityQueue) {
 
 TEST(EventQueue, FuzzRandomTimesAgainstPriorityQueue) {
   // Fully random times (negative, both zeros, huge and tiny magnitudes,
-  // repeats), so pushes fall below the base all the time. Each such push
-  // costs a rebase; the live set is kept small.
+  // repeats), so pushes fall below the heap's top all the time; the live
+  // set is kept small.
   Rng rng{7};
   Pair p;
   std::vector<double> seen{0.0, -0.0};

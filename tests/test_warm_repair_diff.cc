@@ -1,12 +1,13 @@
-// Differential pin for ControllerOptions::warm_repair: on pure-removal
-// failure streams the warm eviction policy (PathCache::rebind_warm, the
-// provably minimal exact set under the adjacency delta) must produce a
-// post-repair route state byte-identical to the legacy
-// survivors-stay-valid scan — same RepairPlan accounting, same per-pair
-// server paths, across every mode and across *sequences* of repairs where
-// the second failure strikes an already-repaired cache. Converter-rewire
-// repairs fall back to the legacy policy by construction, so the two
-// controllers agree there too (used_converter_rewire included).
+// Differential pin for plan_repair's warm eviction: on pure-removal
+// failure streams the warm policy (PathCache::rebind_warm, the provably
+// minimal exact set under the adjacency delta) must produce a post-repair
+// route state byte-identical to the legacy survivors-stay-valid scan —
+// same RepairPlan accounting, same per-pair server paths, across every
+// mode and across *sequences* of repairs where the second failure strikes
+// an already-repaired cache. The legacy policy lives here as the oracle:
+// CompiledMode::apply_repair(..., /*warm=*/false) on a second compiled
+// mode, plus plan_repair's rule accounting. Converter-rewire repairs keep
+// the legacy scan in plan_repair, so the oracle agrees there too.
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -21,7 +22,7 @@
 namespace flattree {
 namespace {
 
-Controller make_controller(bool warm, std::uint32_t k = 4) {
+Controller make_controller(std::uint32_t k = 4) {
   FlatTreeParams p;
   p.clos = ClosParams::testbed();
   p.six_port_per_column = 1;
@@ -31,7 +32,6 @@ Controller make_controller(bool warm, std::uint32_t k = 4) {
   options.k_local = k;
   options.k_clos = k;
   options.count_rules = false;
-  options.warm_repair = warm;
   return Controller{FlatTree{p}, options};
 }
 
@@ -46,17 +46,32 @@ std::vector<LinkId> fabric_links(const Graph& g) {
   return out;
 }
 
-void expect_plans_equal(const RepairPlan& w, const RepairPlan& c) {
-  EXPECT_EQ(w.converters_changed, c.converters_changed);
-  EXPECT_EQ(w.rules_deleted, c.rules_deleted);
-  EXPECT_EQ(w.rules_added, c.rules_added);
-  EXPECT_EQ(w.ocs_s, c.ocs_s);
-  EXPECT_EQ(w.delete_s, c.delete_s);
-  EXPECT_EQ(w.add_s, c.add_s);
-  EXPECT_EQ(w.pairs_invalidated, c.pairs_invalidated);
-  EXPECT_EQ(w.pairs_retained, c.pairs_retained);
-  EXPECT_EQ(w.used_converter_rewire, c.used_converter_rewire);
-  EXPECT_EQ(w.configs, c.configs);
+// The legacy oracle: applies `plan`'s post-repair topology and configs to
+// `legacy` with the survivors-stay-valid scan, and checks the plan's
+// eviction counts and rule delta against it, priced as plan_repair does.
+void expect_plan_matches_legacy(const Controller& ctl, const RepairPlan& plan,
+                                CompiledMode& legacy,
+                                const FailureSet& failures) {
+  const RepairApplication application = legacy.apply_repair(
+      plan.graph, plan.configs, failures.switches, /*warm=*/false);
+  std::uint64_t rules_deleted = 0;
+  std::uint64_t rules_added = 0;
+  for (const EvictedPair& pair : application.evicted) {
+    rules_deleted += pair.rules;
+    for (const Path& path : legacy.paths().switch_paths(pair.src, pair.dst)) {
+      if (!path.empty()) rules_added += path.size() - 1;
+    }
+  }
+  const ConversionDelayModel& delay = ctl.options().delay;
+  const double controllers = delay.effective_controllers();
+  EXPECT_EQ(plan.rules_deleted, rules_deleted);
+  EXPECT_EQ(plan.rules_added, rules_added);
+  EXPECT_EQ(plan.delete_s, static_cast<double>(rules_deleted) *
+                               delay.rule_delete_s / controllers);
+  EXPECT_EQ(plan.add_s,
+            static_cast<double>(rules_added) * delay.rule_add_s / controllers);
+  EXPECT_EQ(plan.pairs_invalidated, application.pairs_invalidated);
+  EXPECT_EQ(plan.pairs_retained, application.pairs_retained);
 }
 
 // Byte-identical route state: every server pair serves the exact same
@@ -76,15 +91,14 @@ void expect_routes_equal(const CompiledMode& w, const CompiledMode& c) {
 }
 
 TEST(WarmRepairDiff, PureRemovalStreamsMatchLegacyExactly) {
-  const Controller warm_ctl = make_controller(true);
-  const Controller cold_ctl = make_controller(false);
+  const Controller ctl = make_controller();
   const PodMode modes[] = {PodMode::kClos, PodMode::kLocal, PodMode::kGlobal};
 
   Rng rng{0xD1FF};
   for (std::uint32_t round = 0; round < 9; ++round) {
     const PodMode pm = modes[round % 3];
-    CompiledMode warm_mode = warm_ctl.compile_uniform(pm);
-    CompiledMode cold_mode = cold_ctl.compile_uniform(pm);
+    CompiledMode warm_mode = ctl.compile_uniform(pm);
+    CompiledMode cold_mode = ctl.compile_uniform(pm);
 
     RepairOptions ropts;
     ropts.allow_converter_rewire = false;  // pure removals only
@@ -102,40 +116,37 @@ TEST(WarmRepairDiff, PureRemovalStreamsMatchLegacyExactly) {
       for (std::size_t j = 0; j < count; ++j) {
         failures.links.push_back(links[rng.next_below(links.size())]);
       }
-      const RepairPlan wp = warm_ctl.plan_repair(warm_mode, failures, ropts);
-      const RepairPlan cp = cold_ctl.plan_repair(cold_mode, failures, ropts);
+      const std::vector<ConverterConfig> configs = cold_mode.configs();
+      const RepairPlan wp = ctl.plan_repair(warm_mode, failures, ropts);
       EXPECT_FALSE(wp.used_converter_rewire);
-      expect_plans_equal(wp, cp);
+      EXPECT_EQ(wp.converters_changed, 0u);
+      EXPECT_EQ(wp.ocs_s, 0.0);
+      EXPECT_EQ(wp.configs, configs);
+      expect_plan_matches_legacy(ctl, wp, cold_mode, failures);
       expect_routes_equal(warm_mode, cold_mode);
     }
   }
 }
 
 TEST(WarmRepairDiff, ConverterRewireFallsBackToLegacy) {
-  const Controller warm_ctl = make_controller(true);
-  const Controller cold_ctl = make_controller(false);
+  const Controller ctl = make_controller();
 
   // Kill a core switch under kGlobal with rewire allowed: stranded servers
   // are rescued by flipping their converter pair, which adds adjacencies —
   // warm eviction is unsound there, so plan_repair must take the legacy
-  // path on both controllers and still agree bit for bit.
-  CompiledMode warm_mode = warm_ctl.compile_uniform(PodMode::kGlobal);
-  CompiledMode cold_mode = cold_ctl.compile_uniform(PodMode::kGlobal);
+  // path and agree with the oracle bit for bit.
+  CompiledMode warm_mode = ctl.compile_uniform(PodMode::kGlobal);
+  CompiledMode cold_mode = ctl.compile_uniform(PodMode::kGlobal);
   const std::vector<NodeId> cores =
       warm_mode.graph().nodes_with_role(NodeRole::kCore);
   ASSERT_FALSE(cores.empty());
   FailureSet failures;
   failures.switches.push_back(cores.front());
 
-  const RepairPlan wp = warm_ctl.plan_repair(warm_mode, failures, {});
-  const RepairPlan cp = cold_ctl.plan_repair(cold_mode, failures, {});
-  expect_plans_equal(wp, cp);
+  const RepairPlan wp = ctl.plan_repair(warm_mode, failures, {});
+  EXPECT_TRUE(wp.used_converter_rewire);
+  expect_plan_matches_legacy(ctl, wp, cold_mode, failures);
   expect_routes_equal(warm_mode, cold_mode);
-}
-
-TEST(WarmRepairDiff, DefaultStaysLegacy) {
-  // warm_repair defaults off: existing goldens depend on it.
-  EXPECT_FALSE(ControllerOptions{}.warm_repair);
 }
 
 }  // namespace
