@@ -30,6 +30,7 @@
 // global on aggregate FCT under both shifting traces (it tracks the
 // demand), and the hysteresis cell converts at most once per regime.
 #include <cstdio>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -84,8 +85,8 @@ struct Outcome {
   std::uint32_t holds{0};
   std::string final_modes;
   // Packet-side telemetry spot check (autopilot arms with >= 1 conversion):
-  // the first conversion's timeline replayed through the packet simulator,
-  // its exported flow records folded through PairTelemetry.
+  // the first conversion's timeline replayed through the packet simulator;
+  // distinct (src, dst) pairs and the bytes its flow records delivered.
   std::size_t packet_pairs{0};
   double packet_bytes{0.0};
 };
@@ -180,9 +181,8 @@ Outcome run_autopilot(const Controller& controller, const Workload& flows,
   }
   out.final_modes = mode_string(result.final_assignment);
 
-  // Both simulators feed the estimator: replay the first conversion's
-  // timeline through the packet simulator and fold its exported records
-  // through the pair-telemetry path.
+  // Packet-side spot check: replay the first conversion's timeline through
+  // the packet simulator and summarize its exported flow records.
   if (!result.conversions.empty()) {
     const ExecutionReport& report = result.conversions.front();
     const std::vector<Workload> bucket = bucketize(flows, duration_s);
@@ -204,10 +204,12 @@ Outcome run_autopilot(const Controller& controller, const Workload& flows,
       spot_flows.push_back(f);
     }
     drive_packet_sim(sim, report, spot_flows, report.finish_s + 5.0);
-    obs::PairTelemetry telemetry;
-    telemetry.record_all(sim.export_flow_records());
-    out.packet_pairs = telemetry.pair_count();
-    out.packet_bytes = telemetry.total_bytes();
+    std::set<std::pair<std::uint32_t, std::uint32_t>> pairs;
+    for (const obs::FlowRecord& r : sim.export_flow_records()) {
+      pairs.emplace(r.src, r.dst);
+      out.packet_bytes += r.bytes;
+    }
+    out.packet_pairs = pairs.size();
   }
   return out;
 }

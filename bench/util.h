@@ -6,10 +6,13 @@
 #pragma once
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -71,11 +74,27 @@ inline exec::RunnerOptions parse_runner_options(const char* bench_name,
       }
       return argv[++i];
     };
+    // An unsigned integer in any strtoull base (so 0x10 works); a sign,
+    // trailing characters or a value past `max` exits 2.
+    const auto number = [&](unsigned long long max) {
+      const char* flag = argv[i];
+      const char* text = value();
+      char* end = nullptr;
+      errno = 0;
+      const unsigned long long n = std::strtoull(text, &end, 0);
+      if (std::isdigit(static_cast<unsigned char>(text[0])) == 0 ||
+          *end != '\0' || errno == ERANGE || n > max) {
+        std::fprintf(stderr, "%s: invalid value for %s: '%s'\n", bench_name,
+                     flag, text);
+        std::exit(2);
+      }
+      return n;
+    };
     if (std::strcmp(argv[i], "--seed") == 0) {
-      options.seed = std::strtoull(value(), nullptr, 0);
+      options.seed = number(std::numeric_limits<std::uint64_t>::max());
     } else if (std::strcmp(argv[i], "--threads") == 0) {
       options.threads = static_cast<std::uint32_t>(
-          std::strtoul(value(), nullptr, 0));
+          number(std::numeric_limits<std::uint32_t>::max()));
     } else if (std::strcmp(argv[i], "--json-out") == 0) {
       options.json_out = value();
     } else if (std::strcmp(argv[i], "--metrics-out") == 0) {

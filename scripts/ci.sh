@@ -120,9 +120,14 @@ cmake --build "build-${SANITIZE_PRESET}" -j "${JOBS}" \
 
 if [ "${SANITIZE_PRESET}" = "tsan" ]; then
   cmake --build build-tsan -j "${JOBS}" \
-    --target bench_ablation_mn bench_failure_recovery bench_conversion_churn \
+    --target bench_table1 bench_ablation_mn bench_failure_recovery \
+             bench_conversion_churn \
              bench_conversion_storm bench_control_partition bench_autopilot \
              bench_fluid_incremental bench_scenarios
+  # Table 1's cells fan across the pool and each cell's KSP precompute
+  # calls parallel_for on the same pool: nested fork-join through the
+  # pool's one queue, with workers waiting in help_while.
+  ./build-tsan/bench/bench_table1 --threads 4 --json-out none > /dev/null
   ./build-tsan/bench/bench_ablation_mn --threads 4 --json-out none \
     > /dev/null
   # Concurrent metric/trace recording from pool workers under TSan.

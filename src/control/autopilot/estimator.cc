@@ -94,14 +94,6 @@ void TrafficMatrixEstimator::observe(
   for (const obs::FlowRecord& r : records) fold(r.src, r.dst, r.bytes);
 }
 
-void TrafficMatrixEstimator::observe(const obs::PairTelemetry& telemetry,
-                                     double now_s) {
-  advance_to(now_s);
-  for (const auto& [key, counters] : telemetry.pairs()) {
-    fold(key.first, key.second, counters.bytes);
-  }
-}
-
 DemandEstimate TrafficMatrixEstimator::estimate() const {
   DemandEstimate est;
   est.t = t_;

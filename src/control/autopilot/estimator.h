@@ -1,22 +1,22 @@
 // TrafficMatrixEstimator: decayed inter-Pod demand from flow telemetry.
 //
-// The closed loop's sensor. Both simulators export per-flow telemetry
-// (obs::FlowRecord / obs::PairTelemetry); this folds it into a decayed
-// byte-mass estimate of the inter-Pod traffic matrix plus the per-Pod
-// locality profiles the Advisor consumes. Decay is an explicit exponential
+// The closed loop's sensor. Both simulators export per-flow telemetry (a
+// vector of obs::FlowRecord); this folds it into a decayed byte-mass
+// estimate of the inter-Pod traffic matrix plus the per-Pod locality
+// profiles the Advisor consumes. Decay is an explicit exponential
 // half-life applied at observation time (mass *= 2^(-dt / half_life)), so
 // demand that stopped flowing fades out and a diurnal shift shows up in the
 // estimate within a few half-lives.
 //
 // Determinism contract (the autopilot's decisions must be byte-identical
 // across --threads 1/2/8): every fold is a serial, ordered reduction — the
-// telemetry arrives as an ordered PairTelemetry (sorted by pair) or a
-// FlowRecord vector in flow order, decay factors are pure functions of
-// (t_prev, t_now, half_life), and no wall-clock or scheduling-dependent
-// value ever enters the state. Two estimators fed the same observation
-// sequence hold bit-identical state — which is also the failover story:
-// EstimatorState is plain data a standby can restore() and continue from,
-// byte-exact (pinned by AutopilotTest.EstimatorStateSurvivesFailover).
+// telemetry arrives as a FlowRecord vector in flow order, decay factors
+// are pure functions of (t_prev, t_now, half_life), and no wall-clock or
+// scheduling-dependent value ever enters the state. Two estimators fed the
+// same observation sequence hold bit-identical state — which is also the
+// failover story: EstimatorState is plain data a standby can restore() and
+// continue from, byte-exact (pinned by
+// AutopilotTest.EstimatorStateSurvivesFailover).
 #pragma once
 
 #include <cstdint>
@@ -80,7 +80,6 @@ class TrafficMatrixEstimator {
   // delivered (the packet sim reports partial delivery; the fluid sim
   // reports zero), so a black-holed pair does not inflate demand.
   void observe(const std::vector<obs::FlowRecord>& records, double now_s);
-  void observe(const obs::PairTelemetry& telemetry, double now_s);
 
   [[nodiscard]] DemandEstimate estimate() const;
   [[nodiscard]] double now() const { return t_; }

@@ -1,38 +1,23 @@
 #include "exec/pool.h"
 
-#include <chrono>
-#include <memory>
 #include <stdexcept>
 
 namespace flattree::exec {
-namespace {
-
-// Which pool (if any) the current thread belongs to, and its worker index.
-// Lets submit() route nested submissions to the submitting worker's own
-// deque (depth-first execution, the work-stealing discipline).
-thread_local ThreadPool* tl_pool = nullptr;
-thread_local std::size_t tl_worker = 0;
-
-}  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
   const std::size_t count = threads == 0 ? 1 : threads;
-  queues_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    queues_.push_back(std::make_unique<Worker>());
-  }
   workers_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard lock{sleep_mutex_};
+    std::lock_guard lock{mutex_};
     stopping_ = true;
   }
-  sleep_cv_.notify_all();
+  work_cv_.notify_all();
   for (std::thread& t : workers_) t.join();
 }
 
@@ -42,11 +27,6 @@ void ThreadPool::attach_obs(const obs::ObsSink& sink) {
                                                 obs::MetricScope::kDiagnostic)
                                 : nullptr,
                  std::memory_order_relaxed);
-  c_steals_.store(reg != nullptr
-                      ? &reg->counter("exec.pool.steals",
-                                      obs::MetricScope::kDiagnostic)
-                      : nullptr,
-                  std::memory_order_relaxed);
 }
 
 std::size_t ThreadPool::resolve_threads(std::size_t requested) {
@@ -56,90 +36,47 @@ std::size_t ThreadPool::resolve_threads(std::size_t requested) {
 }
 
 void ThreadPool::submit(Task task) {
-  std::size_t target;
-  if (tl_pool == this) {
-    target = tl_worker;
-  } else {
-    std::lock_guard lock{sleep_mutex_};
+  {
+    std::lock_guard lock{mutex_};
     if (stopping_) {
       throw std::runtime_error("ThreadPool::submit: pool is shutting down");
     }
-    target = next_queue_;
-    next_queue_ = (next_queue_ + 1) % queues_.size();
+    queue_.push_back(std::move(task));
   }
-  {
-    std::lock_guard lock{queues_[target]->mutex};
-    queues_[target]->deque.push_back(std::move(task));
-  }
-  sleep_cv_.notify_one();
+  work_cv_.notify_one();
+  // A helper may be the only free thread: every worker can be inside a
+  // nested fork-join, waiting in help_while itself.
+  helper_cv_.notify_all();
 }
 
-bool ThreadPool::try_pop(std::size_t self, Task& out) {
-  // Own deque first, newest task (depth-first).
-  if (self < queues_.size()) {
-    std::lock_guard lock{queues_[self]->mutex};
-    if (!queues_[self]->deque.empty()) {
-      out = std::move(queues_[self]->deque.back());
-      queues_[self]->deque.pop_back();
-      obs::add(c_tasks_.load(std::memory_order_relaxed));
-      return true;
-    }
-  }
-  // Steal the oldest task from any other deque.
-  for (std::size_t step = 1; step <= queues_.size(); ++step) {
-    const std::size_t victim = (self + step) % queues_.size();
-    if (victim == self) continue;
-    std::lock_guard lock{queues_[victim]->mutex};
-    if (!queues_[victim]->deque.empty()) {
-      out = std::move(queues_[victim]->deque.front());
-      queues_[victim]->deque.pop_front();
-      obs::add(c_tasks_.load(std::memory_order_relaxed));
-      obs::add(c_steals_.load(std::memory_order_relaxed));
-      return true;
-    }
-  }
-  return false;
+void ThreadPool::run_front(std::unique_lock<std::mutex>& lock) {
+  Task task = std::move(queue_.front());
+  queue_.pop_front();
+  lock.unlock();
+  obs::add(c_tasks_.load(std::memory_order_relaxed));
+  task();
+  task = nullptr;  // release the captures before anyone is told it is done
+  lock.lock();
+  helper_cv_.notify_all();
 }
 
-void ThreadPool::worker_loop(std::size_t index) {
-  tl_pool = this;
-  tl_worker = index;
+void ThreadPool::worker_loop() {
+  std::unique_lock lock{mutex_};
   for (;;) {
-    Task task;
-    while (try_pop(index, task)) {
-      task();
-      task = nullptr;
-    }
-    std::unique_lock lock{sleep_mutex_};
-    if (stopping_) {
-      // Drain: a task may have been pushed between the last try_pop and
-      // acquiring the lock. Re-scan before exiting for good.
-      lock.unlock();
-      if (try_pop(index, task)) {
-        task();
-        continue;
-      }
-      return;
-    }
-    sleep_cv_.wait_for(lock, std::chrono::milliseconds{2});
+    work_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // stopping, and the queue is drained
+    run_front(lock);
   }
 }
 
 void ThreadPool::help_while(const std::function<bool()>& done) {
-  // The helper has no deque of its own; self == queues_.size() makes
-  // try_pop steal-only.
-  const std::size_t self =
-      tl_pool == this ? tl_worker : queues_.size();
-  for (;;) {
-    if (done()) return;
-    Task task;
-    if (try_pop(self, task)) {
-      task();
-      continue;
+  std::unique_lock lock{mutex_};
+  while (!done()) {
+    if (queue_.empty()) {
+      helper_cv_.wait(lock);
+    } else {
+      run_front(lock);
     }
-    std::unique_lock lock{sleep_mutex_};
-    if (done()) return;
-    sleep_cv_.wait_for(lock, std::chrono::milliseconds{1});
   }
 }
 

@@ -1,14 +1,14 @@
-// Work-stealing thread pool for the experiment-execution engine.
+// Thread pool for the experiment-execution engine.
 //
-// The evaluation grid of the paper (topology x mode x workload x seed) is
-// embarrassingly parallel, as are the hot substrate loops beneath it
-// (per-pair Yen's runs, (m, n) profiling cells, replicate simulations).
-// This pool fans such tasks across cores: each worker owns a deque, pushes
-// and pops work at its own back, and steals from the front of a victim's
-// deque when it runs dry. Determinism is NOT this layer's job — tasks may
-// run in any order on any thread; the parallel_map layer (exec/parallel.h)
-// makes results order- and thread-count-independent by indexing tasks and
-// deriving per-task RNG streams from (base_seed, task_index).
+// The paper's evaluation grid (topology x mode x workload x seed) and the
+// hot loops beneath it (per-pair Yen's runs, (m, n) profiling cells) are
+// embarrassingly parallel. parallel_for (exec/parallel.h) balances them: it
+// submits one shard task per worker and the shards claim loop indices from
+// a shared counter. So this pool only hands tasks to free threads: one
+// mutex-guarded FIFO, served by workers that block while it is empty.
+// Tasks run in any order on any thread; determinism comes from the
+// parallel_map layer, which stores results by index and derives each
+// task's RNG stream from (base_seed, task_index).
 #pragma once
 
 #include <atomic>
@@ -39,46 +39,38 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
-  // Enqueues a task. Tasks submitted from a worker thread go to that
-  // worker's own deque (depth-first, cache-friendly); external submissions
-  // round-robin across workers. Throws std::runtime_error after shutdown
+  // Appends a task to the queue. Throws std::runtime_error after shutdown
   // has begun.
   void submit(Task task);
 
-  // Runs queued tasks on the calling thread until `done` returns true.
-  // Used by fork-join helpers so the submitting thread contributes work
-  // instead of blocking (and so a 1-worker pool cannot deadlock on nested
-  // parallelism).
+  // Runs queued tasks on the calling thread until `done` returns true,
+  // sleeping while the queue is empty, so a fork-join caller works instead
+  // of blocking (and nested parallelism cannot deadlock). `done` must turn
+  // true only through this pool's tasks finishing: it is re-checked under
+  // the pool's lock after each one, so no finish is missed before a sleep.
   void help_while(const std::function<bool()>& done);
 
   // Number of threads to use for `requested` (0 = one per hardware core).
   [[nodiscard]] static std::size_t resolve_threads(std::size_t requested);
 
-  // Registers exec.pool.tasks / exec.pool.steals. Both are kDiagnostic:
-  // which worker runs (or steals) a task is scheduling-dependent, so these
-  // appear in the text summary but never in the deterministic metrics JSON.
-  // Safe to call while workers are running (the handles are atomics).
+  // Registers exec.pool.tasks, kDiagnostic: the shard count depends on the
+  // thread count, so it is in the text summary, never the metrics JSON.
+  // Safe to call while workers are running (the handle is an atomic).
   void attach_obs(const obs::ObsSink& sink);
 
  private:
-  struct Worker {
-    std::deque<Task> deque;
-    std::mutex mutex;
-  };
+  // Runs the oldest task with `lock` released, then relocks and wakes the
+  // helpers, whose `done` may have turned true.
+  void run_front(std::unique_lock<std::mutex>& lock);
+  void worker_loop();
 
-  // Pops from the back of `self`'s deque, else steals from the front of
-  // another worker's. Returns false if every deque is empty.
-  bool try_pop(std::size_t self, Task& out);
-  void worker_loop(std::size_t index);
-
-  std::vector<std::unique_ptr<Worker>> queues_;
+  std::mutex mutex_;
+  std::condition_variable work_cv_;    // workers: a task or shutdown
+  std::condition_variable helper_cv_;  // helpers: a task queued or finished
+  std::deque<Task> queue_;
   std::vector<std::thread> workers_;
-  std::mutex sleep_mutex_;
-  std::condition_variable sleep_cv_;
-  std::size_t next_queue_{0};  // round-robin cursor for external submits
   bool stopping_{false};
   std::atomic<obs::Counter*> c_tasks_{nullptr};
-  std::atomic<obs::Counter*> c_steals_{nullptr};
 };
 
 }  // namespace flattree::exec

@@ -9,28 +9,6 @@
 namespace flattree::exec {
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
 void append_fields(
     std::string& out,
     const std::vector<std::pair<std::string, JsonValue>>& fields) {
@@ -38,7 +16,7 @@ void append_fields(
   for (const auto& [key, value] : fields) {
     if (!first) out.push_back(',');
     first = false;
-    append_escaped(out, key);
+    obs::append_json_string(out, key);
     out.push_back(':');
     value.append_json(out);
   }
@@ -67,7 +45,7 @@ void JsonValue::append_json(std::string& out) const {
       obs::append_json_number(out, double_);
       return;
     case Kind::kString:
-      append_escaped(out, string_);
+      obs::append_json_string(out, string_);
       return;
   }
 }
@@ -81,7 +59,7 @@ void ResultRow::append_json(std::string& out) const {
 std::string BenchReport::to_json() const {
   std::string out;
   out += "{\"bench\":";
-  append_escaped(out, bench);
+  obs::append_json_string(out, bench);
   out += ",\"seed\":";
   JsonValue{seed}.append_json(out);
   if (!meta.empty()) {

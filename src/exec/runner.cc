@@ -81,21 +81,15 @@ bool ExperimentRunner::write() {
 }
 
 void ExperimentRunner::note_stage(
-    const std::string& stage, std::size_t cells,
+    const std::string& stage,
     std::chrono::steady_clock::time_point start) const {
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   // Timing goes to stderr: stdout stays a deterministic function of the
   // seed (the reproducibility probe diffs it across runs/thread counts).
-  if (cells > 0) {
-    std::fprintf(stderr, "[exec] %s: %zu cells on %zu thread%s in %.3f s\n",
-                 stage.c_str(), cells, threads_, threads_ == 1 ? "" : "s",
-                 seconds);
-  } else {
-    std::fprintf(stderr, "[exec] %s: %.3f s on %zu thread%s\n", stage.c_str(),
-                 seconds, threads_, threads_ == 1 ? "" : "s");
-  }
+  std::fprintf(stderr, "[exec] %s: %.3f s on %zu thread%s\n", stage.c_str(),
+               seconds, threads_, threads_ == 1 ? "" : "s");
 }
 
 }  // namespace flattree::exec

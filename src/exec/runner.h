@@ -1,6 +1,6 @@
-// ExperimentRunner: fans independent experiment cells across a
-// work-stealing pool and serializes their results to BENCH_<name>.json
-// alongside whatever table the bench prints.
+// ExperimentRunner: owns the thread pool that benches fan independent
+// experiment cells across (exec::parallel_map) and serializes their result
+// rows to BENCH_<name>.json alongside whatever table the bench prints.
 //
 // The runner owns the three knobs every bench shares — base seed, thread
 // count, JSON output path — and guarantees that the result payload is a
@@ -69,40 +69,23 @@ class ExperimentRunner {
     return task_rng(options_.seed, stream);
   }
 
-  // Runs fn(index, rng) for each of `n` cells across the pool and records
-  // the returned rows in index order. `stage` labels the printed timing
-  // line. fn must be callable concurrently from multiple threads.
-  template <typename Fn>
-  std::vector<ResultRow> map_cells(const std::string& stage, std::size_t n,
-                                   Fn&& fn) {
-    const auto t0 = std::chrono::steady_clock::now();
-    std::vector<ResultRow> rows = parallel_map(
-        pool_.get(), n, [this, &fn](std::size_t i) {
-          Rng cell_rng = rng(i);
-          return fn(i, cell_rng);
-        });
-    note_stage(stage, n, t0);
-    for (const ResultRow& row : rows) report_.rows.push_back(row);
-    return rows;
-  }
-
-  // Times an arbitrary stage (e.g. a parallel precompute) and prints the
-  // same "[exec] stage ..." line map_cells does.
+  // Times an arbitrary stage (e.g. a parallel precompute or a cell grid)
+  // and prints an "[exec] stage ..." line.
   template <typename Fn>
   auto timed_stage(const std::string& stage, Fn&& fn)
       -> decltype(fn()) {
     const auto t0 = std::chrono::steady_clock::now();
     if constexpr (std::is_void_v<decltype(fn())>) {
       fn();
-      note_stage(stage, 0, t0);
+      note_stage(stage, t0);
     } else {
       auto result = fn();
-      note_stage(stage, 0, t0);
+      note_stage(stage, t0);
       return result;
     }
   }
 
-  // Appends a row / metadata outside map_cells (serial sections).
+  // Appends a result row / metadata; rows serialize in call order.
   void add_row(ResultRow row) { report_.rows.push_back(std::move(row)); }
   void add_meta(std::string key, JsonValue value) {
     report_.meta.emplace_back(std::move(key), std::move(value));
@@ -115,7 +98,7 @@ class ExperimentRunner {
   bool write();
 
  private:
-  void note_stage(const std::string& stage, std::size_t cells,
+  void note_stage(const std::string& stage,
                   std::chrono::steady_clock::time_point start) const;
 
   RunnerOptions options_;

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 
 namespace flattree::obs {
 
@@ -19,6 +20,28 @@ void append_json_number(std::string& out, std::uint64_t v) {
   char buf[24];
   const auto r = std::to_chars(buf, buf + sizeof(buf), v);
   out.append(buf, r.ptr);
+}
+
+void append_json_string(std::string& out, std::string_view s) {
+  out.push_back('"');
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  out.push_back('"');
 }
 
 }  // namespace flattree::obs

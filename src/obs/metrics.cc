@@ -117,7 +117,9 @@ std::string MetricsRegistry::metrics_object_json(
     }
     if (!first) out.push_back(',');
     first = false;
-    out += "\n  \"" + name + "\":{";
+    out += "\n  ";
+    append_json_string(out, name);
+    out += ":{";
     if (entry.counter != nullptr) {
       out += "\"type\":\"counter\",\"value\":";
       append_json_number(out, entry.counter->value());

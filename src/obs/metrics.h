@@ -15,9 +15,10 @@
 //     exported JSON is byte-identical across thread counts.
 //   * Gauge::set (last-write-wins) is the one order-dependent mutation; it
 //     is for serial contexts or kDiagnostic metrics only.
-//   * Metrics whose value depends on scheduling or wall clock (pool steal
-//     counts, task latencies) are registered kDiagnostic and excluded from
-//     the deterministic JSON export; they appear in the text summary only.
+//   * Metrics whose value depends on scheduling, thread count or wall clock
+//     (pool task counts, task latencies) are registered kDiagnostic and
+//     excluded from the deterministic JSON export; they appear in the text
+//     summary only.
 //   * Export order is sorted by metric name, independent of registration
 //     order (cells may register concurrently in any order).
 #pragma once

@@ -7,29 +7,15 @@
 #include <map>
 #include <utility>
 
+#include "obs/json_number.h"
+
 namespace flattree::obs {
 namespace {
 
-// obs::append_json_number, except that a non-finite value becomes 0: the
+// append_json_number, except that a non-finite value becomes 0: the
 // Chrome trace format requires a number where JSON exports write null.
 void append_double(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "0";
-    return;
-  }
-  char buf[32];
-  const auto r = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, r.ptr);
-}
-
-void append_escaped(std::string& out, const char* s) {
-  out.push_back('"');
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  out.push_back('"');
+  append_json_number(out, std::isfinite(v) ? v : 0.0);
 }
 
 }  // namespace
@@ -120,9 +106,9 @@ std::string EventTracer::chrome_trace_json() const {
     if (!first) out.push_back(',');
     first = false;
     out += "\n{\"name\":";
-    append_escaped(out, event.name);
+    append_json_string(out, event.name);
     out += ",\"cat\":";
-    append_escaped(out, event.cat);
+    append_json_string(out, event.cat);
     out += ",\"ph\":\"";
     out.push_back(event.phase);
     out += "\",\"ts\":";

@@ -72,7 +72,7 @@ struct FluidOptions {
 // unfinished flows report zero delivered bytes (the fluid model has no
 // partial-delivery accounting). `results` must be parallel to `flows`, as
 // returned by run()/run_with_schedule(). This is the fluid half of the
-// per-pair counter feed the demand estimator folds; the packet half is
+// flow-record feed the demand estimator folds; the packet half is
 // PacketSim::export_flow_records.
 [[nodiscard]] std::vector<obs::FlowRecord> collect_flow_records(
     const Workload& flows, const std::vector<FluidFlowResult>& results);

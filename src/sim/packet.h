@@ -134,7 +134,7 @@ class PacketSim {
   // Per-flow telemetry (obs/telemetry.h), one record per flow in flow
   // order. Bytes are the transport-acked count at the current simulated
   // time, so an in-progress flow reports its partial delivery — the packet
-  // half of the per-pair counter feed the demand estimator folds.
+  // half of the flow-record feed the demand estimator folds.
   [[nodiscard]] std::vector<obs::FlowRecord> export_flow_records() const;
   [[nodiscard]] std::uint64_t packets_dropped() const { return drops_; }
   [[nodiscard]] std::uint64_t events_processed() const { return events_done_; }

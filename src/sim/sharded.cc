@@ -17,18 +17,7 @@ ShardedRunStats ShardedPacketSim::run(std::uint32_t shards,
                                       double horizon_s,
                                       exec::ThreadPool* pool,
                                       const obs::ObsSink& sink) const {
-  struct ShardResult {
-    std::uint64_t events{0};
-    std::uint64_t drops{0};
-    std::uint64_t bytes{0};
-    std::uint64_t flows{0};
-    std::uint64_t completed{0};
-    std::uint64_t heap_max{0};
-    std::uint64_t arena{0};
-    std::vector<double> fcts_s;
-  };
-
-  const std::vector<ShardResult> results = exec::parallel_map(
+  const std::vector<ShardedRunStats> per_shard = exec::parallel_map(
       pool, shards, [this, &builder, horizon_s, &sink](std::size_t s) {
         PacketSim sim{options_};
         sim.attach_obs(sink);
@@ -37,16 +26,16 @@ ShardedRunStats ShardedPacketSim::run(std::uint32_t shards,
         builder(static_cast<std::uint32_t>(s), sim, rng);
         sim.run_until(horizon_s);
 
-        ShardResult r;
-        r.events = sim.events_processed();
-        r.drops = sim.packets_dropped();
-        r.bytes = sim.total_bytes_acked();
+        ShardedRunStats r;
+        r.events_processed = sim.events_processed();
+        r.packets_dropped = sim.packets_dropped();
+        r.bytes_acked = sim.total_bytes_acked();
         r.flows = sim.flow_count();
         r.heap_max = sim.heap_max();
-        r.arena = sim.arena_high_water();
+        r.arena_high_water = sim.arena_high_water();
         for (std::uint32_t f = 0; f < sim.flow_count(); ++f) {
           if (!sim.flow_completed(f)) continue;
-          ++r.completed;
+          ++r.flows_completed;
           r.fcts_s.push_back(sim.flow_finish_time(f) -
                              sim.flow_start_time(f));
         }
@@ -54,14 +43,15 @@ ShardedRunStats ShardedPacketSim::run(std::uint32_t shards,
       });
 
   ShardedRunStats merged;
-  for (const ShardResult& r : results) {
-    merged.events_processed += r.events;
-    merged.packets_dropped += r.drops;
-    merged.bytes_acked += r.bytes;
+  for (const ShardedRunStats& r : per_shard) {
+    merged.events_processed += r.events_processed;
+    merged.packets_dropped += r.packets_dropped;
+    merged.bytes_acked += r.bytes_acked;
     merged.flows += r.flows;
-    merged.flows_completed += r.completed;
+    merged.flows_completed += r.flows_completed;
     merged.heap_max = std::max(merged.heap_max, r.heap_max);
-    merged.arena_high_water = std::max(merged.arena_high_water, r.arena);
+    merged.arena_high_water =
+        std::max(merged.arena_high_water, r.arena_high_water);
     merged.fcts_s.insert(merged.fcts_s.end(), r.fcts_s.begin(),
                          r.fcts_s.end());
   }

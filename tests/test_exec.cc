@@ -217,11 +217,14 @@ TEST(Runner, JsonIsByteIdenticalAcrossThreadCounts) {
     options.json_out = dir;
     exec::ExperimentRunner runner{options};
     EXPECT_EQ(runner.rng(5)(), exec::task_rng(99, 5)());
-    runner.map_cells("cells", 23, [](std::size_t i, Rng& rng) {
-      exec::ResultRow row;
-      row.set("cell", i).set("draw", rng.next_double());
-      return row;
-    });
+    const std::vector<exec::ResultRow> rows =
+        exec::parallel_map(runner.pool(), 23, [&runner](std::size_t i) {
+          Rng rng = runner.rng(i);
+          exec::ResultRow row;
+          row.set("cell", i).set("draw", rng.next_double());
+          return row;
+        });
+    for (const exec::ResultRow& row : rows) runner.add_row(row);
     ASSERT_TRUE(runner.write());
     std::FILE* f = std::fopen(runner.json_path().c_str(), "rb");
     ASSERT_NE(f, nullptr);

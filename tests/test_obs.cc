@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/json_number.h"
 #include "obs/sink.h"
 #include "obs/trace.h"
 
@@ -205,6 +206,23 @@ TEST(Tracer, WriteChromeTraceRoundTrips) {
   std::string error2;
   EXPECT_FALSE(tracer.write_chrome_trace("/nonexistent-dir/x.json", &error2));
   EXPECT_FALSE(error2.empty());
+}
+
+// The one JSON string escaper behind BENCH reports, metric names and trace
+// names: quote and backslash escaped, \n \t \r by name, every other control
+// character as \u00XX, all other bytes verbatim.
+TEST(JsonString, EscapesQuotesBackslashesAndControlCharacters) {
+  std::string out;
+  append_json_string(out, "a\"b\\c\nd\te\rf\x01g/h");
+  EXPECT_EQ(out, "\"a\\\"b\\\\c\\nd\\te\\rf\\u0001g/h\"");
+  out.clear();
+  append_json_string(out, "");
+  EXPECT_EQ(out, "\"\"");
+  // A tracer name goes through the same escaper.
+  EventTracer tracer{2};
+  tracer.instant("sim", "say \"hi\"\n", 1.0);
+  const std::string json = tracer.chrome_trace_json();
+  EXPECT_NE(json.find("\"name\":\"say \\\"hi\\\"\\n\""), std::string::npos);
 }
 
 // Detached sinks are the default state of every component: all handles are
