@@ -83,6 +83,7 @@ struct KspSolver::Workspace {
   std::vector<std::uint32_t> first_hop_banned;
   std::vector<NodeId> parent;
   std::vector<NodeId> queue;  // FIFO: a node is pushed at most once
+  KspStats stats;
 };
 
 KspSolver::KspSolver(const Graph& graph)
@@ -115,8 +116,10 @@ bool KspSolver::constrained_shortest(Workspace& ws, NodeId src,
   ws.seen[src.index()] = epoch;
   ws.queue.clear();
   ws.queue.push_back(src);
+  ++ws.stats.spur_searches;
   for (std::size_t head = 0; head < ws.queue.size(); ++head) {
     const NodeId u = ws.queue[head];
+    ++ws.stats.nodes_expanded;
     // Traffic transits switches only.
     if (u != src && !transit_[u.index()]) continue;
     const bool at_src = u == src;
@@ -142,13 +145,22 @@ void KspSolver::append_found(const Workspace& ws, NodeId src, NodeId dst,
 }
 
 std::vector<Path> KspSolver::k_shortest_paths(NodeId src, NodeId dst,
-                                              std::uint32_t k) const {
+                                              std::uint32_t k,
+                                              KspStats* stats) const {
   std::vector<Path> result;
   if (k == 0) return result;
   if (src.index() >= node_count() || dst.index() >= node_count()) {
     throw std::invalid_argument("shortest_path: bad node id");
   }
   Workspace ws{node_count()};
+  // Every return passes the call's work on to `stats`.
+  struct AddStats {
+    const KspStats& from;
+    KspStats* to;
+    ~AddStats() {
+      if (to != nullptr) *to += from;
+    }
+  } add_stats{ws.stats, stats};
   ws.next_search();
   if (!constrained_shortest(ws, src, dst)) return result;
   result.push_back(Path{src});
@@ -196,12 +208,20 @@ void PathCache::attach_obs(const obs::ObsSink& sink) {
   obs::MetricsRegistry* reg = sink.metrics();
   if (reg == nullptr) {
     c_hits_ = c_misses_ = c_computed_ = c_evicted_ = nullptr;
+    c_spur_searches_ = c_nodes_expanded_ = nullptr;
     return;
   }
   c_hits_ = &reg->counter("routing.ksp.cache_hits");
   c_misses_ = &reg->counter("routing.ksp.cache_misses");
   c_computed_ = &reg->counter("routing.ksp.pairs_computed");
   c_evicted_ = &reg->counter("routing.ksp.pairs_evicted");
+  c_spur_searches_ = &reg->counter("routing.ksp.spur_searches");
+  c_nodes_expanded_ = &reg->counter("routing.ksp.nodes_expanded");
+}
+
+void PathCache::count_work(const KspStats& stats) {
+  obs::add(c_spur_searches_, stats.spur_searches);
+  obs::add(c_nodes_expanded_, stats.nodes_expanded);
 }
 
 const KspSolver& PathCache::solver() {
@@ -221,7 +241,9 @@ const std::vector<Path>& PathCache::switch_paths(NodeId src_switch,
   }
   obs::add(c_misses_);
   obs::add(c_computed_);
-  auto paths = solver().k_shortest_paths(src_switch, dst_switch, k_);
+  KspStats stats;
+  auto paths = solver().k_shortest_paths(src_switch, dst_switch, k_, &stats);
+  count_work(stats);
   return cache_.emplace(key, std::move(paths)).first->second;
 }
 
@@ -251,15 +273,18 @@ std::size_t PathCache::precompute(
   // insertion stays serial because the map is not.
   if (todo.empty()) return 0;
   const KspSolver& solver = this->solver();
+  std::vector<KspStats> stats(todo.size());
   std::vector<std::vector<Path>> computed = exec::parallel_map(
-      pool, todo.size(), [this, &solver, &todo](std::size_t i) {
-        return solver.k_shortest_paths(todo[i].first, todo[i].second, k_);
+      pool, todo.size(), [this, &solver, &todo, &stats](std::size_t i) {
+        return solver.k_shortest_paths(todo[i].first, todo[i].second, k_,
+                                       &stats[i]);
       });
   for (std::size_t i = 0; i < todo.size(); ++i) {
     const std::uint64_t key =
         (static_cast<std::uint64_t>(todo[i].first.value()) << 32) |
         todo[i].second.value();
     cache_.emplace(key, std::move(computed[i]));
+    count_work(stats[i]);
   }
   obs::add(c_computed_, todo.size());
   return todo.size();

@@ -25,6 +25,19 @@ namespace exec {
 class ThreadPool;
 }  // namespace exec
 
+// Work one k_shortest_paths call did, for the routing.ksp.* work counters.
+// A pure function of (graph, src, dst, k), like the paths themselves.
+struct KspStats {
+  std::uint64_t spur_searches{0};   // breadth-first searches run
+  std::uint64_t nodes_expanded{0};  // nodes taken off a search frontier
+
+  KspStats& operator+=(const KspStats& o) {
+    spur_searches += o.spur_searches;
+    nodes_expanded += o.nodes_expanded;
+    return *this;
+  }
+};
+
 class KspSolver {
  public:
   // Copies `graph` into a sorted CSR adjacency; the solver keeps no
@@ -37,9 +50,11 @@ class KspSolver {
   [[nodiscard]] std::optional<Path> shortest_path(NodeId src, NodeId dst) const;
 
   // Yen's algorithm: up to k loopless paths in nondecreasing length order.
-  // Fewer than k are returned if the graph does not contain them.
-  [[nodiscard]] std::vector<Path> k_shortest_paths(NodeId src, NodeId dst,
-                                                   std::uint32_t k) const;
+  // Fewer than k are returned if the graph does not contain them. When
+  // `stats` is non-null, the call's work is added to it.
+  [[nodiscard]] std::vector<Path> k_shortest_paths(
+      NodeId src, NodeId dst, std::uint32_t k,
+      KspStats* stats = nullptr) const;
 
  private:
   struct Workspace;
@@ -162,13 +177,15 @@ class PathCache {
   void clear() { cache_.clear(); }
 
   // Caches routing.ksp.* metric handles (cache hits/misses, pairs computed,
-  // pairs evicted by repairs). Counting does not change lookup results;
-  // detached (the default) the cache touches no metrics.
+  // pairs evicted by repairs, and the solver's spur searches and nodes
+  // expanded). Counting does not change lookup results; detached (the
+  // default) the cache touches no metrics.
   void attach_obs(const obs::ObsSink& sink);
 
  private:
   // The solver for graph_, built on first use; the rebinds reset it.
   const KspSolver& solver();
+  void count_work(const KspStats& stats);
 
   const Graph* graph_;
   std::optional<KspSolver> solver_;
@@ -178,6 +195,8 @@ class PathCache {
   obs::Counter* c_misses_{nullptr};
   obs::Counter* c_computed_{nullptr};
   obs::Counter* c_evicted_{nullptr};
+  obs::Counter* c_spur_searches_{nullptr};
+  obs::Counter* c_nodes_expanded_{nullptr};
 };
 
 }  // namespace flattree
