@@ -11,17 +11,6 @@
 namespace flattree {
 namespace {
 
-// Total order on paths: length first, then node values lexicographically.
-// Used both for candidate selection in Yen's algorithm and for result
-// determinism.
-bool path_less(const Path& a, const Path& b) {
-  if (a.size() != b.size()) return a.size() < b.size();
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] != b[i]) return a[i] < b[i];
-  }
-  return false;
-}
-
 // Existence-level switch-switch adjacency keys of g (smaller id first).
 std::set<std::uint64_t> switch_adjacencies(const Graph& g) {
   std::set<std::uint64_t> keys;
@@ -57,49 +46,103 @@ AdjacencyDelta adjacency_delta(const Graph& from, const Graph& to) {
   return delta;
 }
 
-// Per-call search state, sized once per k_shortest_paths call and reused by
-// every spur search in it. Stamps equal to `epoch` belong to the current
-// search; bumping the epoch clears all of them at once.
+namespace {
+
+// A distance-table entry for a node with no path to the destination.
+constexpr std::uint16_t kUnreached = 0xffff;
+
+}  // namespace
+
+// Search state, one per thread, reused by every search of every call on
+// that thread. Stamps equal to `epoch` belong to the current search;
+// bumping the epoch clears all of them at once.
 struct KspSolver::Workspace {
-  explicit Workspace(std::size_t nodes)
-      : seen(nodes, 0), first_hop_banned(nodes, 0), parent(nodes) {
-    queue.reserve(nodes);
+  // A candidate path: a root — the first spur + 1 nodes of accepted path
+  // `parent` — and the nodes after the spur. A resolved candidate keeps
+  // those in `tails`; a deferred one's spur search has not run yet, so its
+  // size is a lower bound, and the search will avoid the first hops of
+  // the first `bans` accepted paths, exactly as when it was deferred.
+  struct Candidate {
+    std::uint32_t size;  // nodes; a lower bound while deferred
+    std::uint32_t parent;
+    std::uint32_t spur;
+    std::uint32_t bans;
+    std::uint32_t tail;  // resolved: offset of its tail in `tails`
+    bool deferred;
+  };
+
+  // Readies the workspace for a call on a graph of `nodes` nodes. Stamps
+  // left by earlier calls are all older than the next epoch.
+  void start_call(std::size_t nodes) {
+    if (visited.size() < nodes) {
+      for (std::vector<std::uint32_t>* stamps :
+           {&visited, &first_hop_banned, &reached, &closed}) {
+        stamps->resize(nodes, 0);
+      }
+      g.resize(nodes, 0);
+    }
+    heap.clear();
+    tails.clear();
+    stats = KspStats{};
   }
 
   // Starts a new search: every stamp from earlier searches goes stale.
   void next_search() {
     if (++epoch == 0) {  // wrapped: old stamps could alias, so clear them
-      std::fill(seen.begin(), seen.end(), 0);
-      std::fill(first_hop_banned.begin(), first_hop_banned.end(), 0);
+      for (std::vector<std::uint32_t>* stamps :
+           {&visited, &first_hop_banned, &reached, &closed}) {
+        std::fill(stamps->begin(), stamps->end(), 0);
+      }
       epoch = 1;
     }
   }
 
   std::uint32_t epoch{0};
-  // Discovered (or banned: Yen's root nodes are stamped in up front, so the
-  // search treats them as already visited).
-  std::vector<std::uint32_t> seen;
-  // Peers of the source that may not be the first hop.
+  // Entered by a walk, or banned: Yen's root nodes are stamped in up front,
+  // so every search treats them as dead ends.
+  std::vector<std::uint32_t> visited;
+  // Peers of the spur that may not be the first hop.
   std::vector<std::uint32_t> first_hop_banned;
-  std::vector<NodeId> parent;
-  std::vector<NodeId> queue;  // FIFO: a node is pushed at most once
+  // Bounded search: g is the best distance from the spur found so far where
+  // `reached`, and exact where `closed`.
+  std::vector<std::uint32_t> reached;
+  std::vector<std::uint32_t> closed;
+  std::vector<std::uint16_t> g;
+  // Bounded search: bucket b holds nodes with g + h = h[spur] + b.
+  std::vector<std::vector<NodeId>> buckets;
+  // A walk's current path (spur first) and each node's next CSR edge.
+  std::vector<NodeId> walk;
+  std::vector<std::uint32_t> cursor;
+  // Yen's candidates, a binary heap, and the resolved ones' tails.
+  std::vector<Candidate> heap;
+  std::vector<NodeId> tails;
   KspStats stats;
 };
 
 KspSolver::KspSolver(const Graph& graph)
     : offsets_(graph.node_count() + 1, 0),
+      transit_end_(graph.node_count(), 0),
       transit_(graph.node_count(), false) {
+  if (graph.node_count() >= kUnreached) {
+    throw std::length_error("KspSolver: more than 65,534 nodes");
+  }
+  for (std::uint32_t i = 0; i < graph.node_count(); ++i) {
+    transit_[i] = is_switch(graph.node(NodeId{i}).role);
+  }
   peers_.reserve(2 * graph.link_count());
   for (std::uint32_t i = 0; i < graph.node_count(); ++i) {
-    const NodeId u{i};
-    transit_[i] = is_switch(graph.node(u).role);
-    const auto first = static_cast<std::ptrdiff_t>(peers_.size());
-    for (const Adjacency& adj : graph.neighbors(u)) peers_.push_back(adj.peer);
-    std::sort(peers_.begin() + first, peers_.end());
-    peers_.erase(std::unique(peers_.begin() + first, peers_.end()),
-                 peers_.end());
+    for (const Adjacency& adj : graph.neighbors(NodeId{i})) {
+      peers_.push_back(adj.peer);
+    }
+    const auto first = peers_.begin() + offsets_[i];
+    std::sort(first, peers_.end());
+    peers_.erase(std::unique(first, peers_.end()), peers_.end());
+    const auto servers = std::stable_partition(
+        first, peers_.end(), [this](NodeId v) { return transit_[v.index()]; });
+    transit_end_[i] = static_cast<std::uint32_t>(servers - peers_.begin());
     offsets_[i + 1] = static_cast<std::uint32_t>(peers_.size());
   }
+  distances_ = std::make_unique<DistanceSlot[]>(graph.node_count());
 }
 
 std::optional<Path> KspSolver::shortest_path(NodeId src, NodeId dst) const {
@@ -108,40 +151,140 @@ std::optional<Path> KspSolver::shortest_path(NodeId src, NodeId dst) const {
   return std::move(paths.front());
 }
 
-bool KspSolver::constrained_shortest(Workspace& ws, NodeId src,
-                                     NodeId dst) const {
-  if (src == dst) return true;
+const std::uint16_t* KspSolver::distances_to(NodeId dst,
+                                             KspStats& stats) const {
+  DistanceSlot& slot = distances_[dst.index()];
+  std::call_once(slot.filled, [&] {
+    const std::size_t n = node_count();
+    auto h = std::make_unique<std::uint16_t[]>(n);
+    std::fill_n(h.get(), n, kUnreached);
+    std::vector<NodeId> queue;
+    queue.reserve(n);
+    h[dst.index()] = 0;
+    queue.push_back(dst);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const NodeId u = queue[head];
+      ++stats.nodes_expanded;
+      for (std::uint32_t e = offsets_[u.index()]; e < offsets_[u.index() + 1];
+           ++e) {
+        const NodeId v = peers_[e];
+        if (h[v.index()] != kUnreached) continue;
+        h[v.index()] = static_cast<std::uint16_t>(h[u.index()] + 1);
+        // A server may start a path but never carries one on.
+        if (transit_[v.index()]) queue.push_back(v);
+      }
+    }
+    slot.h = std::move(h);
+  });
+  return slot.h.get();
+}
+
+bool KspSolver::least_walk(Workspace& ws, NodeId spur, NodeId dst,
+                           const std::uint16_t* h, std::uint32_t d) const {
   const std::uint32_t epoch = ws.epoch;
-  if (ws.seen[dst.index()] == epoch) return false;  // dst is banned
-  ws.seen[src.index()] = epoch;
-  ws.queue.clear();
-  ws.queue.push_back(src);
-  ++ws.stats.spur_searches;
-  for (std::size_t head = 0; head < ws.queue.size(); ++head) {
-    const NodeId u = ws.queue[head];
-    ++ws.stats.nodes_expanded;
-    // Traffic transits switches only.
-    if (u != src && !transit_[u.index()]) continue;
-    const bool at_src = u == src;
-    for (std::uint32_t e = offsets_[u.index()]; e < offsets_[u.index() + 1];
+  // Whether v may sit at depth t: only at its distance from the spur.
+  const auto fits = [&](NodeId v, std::uint32_t t) {
+    return ws.closed[v.index()] == epoch ? ws.g[v.index()] == t
+                                         : h[v.index()] + t == d;
+  };
+  ws.walk.assign(1, spur);
+  ws.cursor.assign(1, offsets_[spur.index()]);
+  ws.visited[spur.index()] = epoch;
+  ++ws.stats.nodes_expanded;
+  while (!ws.walk.empty()) {
+    const NodeId u = ws.walk.back();
+    const bool at_spur = ws.walk.size() == 1;
+    const auto t = static_cast<std::uint32_t>(ws.walk.size());  // next depth
+    // dst is a peer exactly where h is 1. No other node fits the depth dst
+    // fits, so when dst is a way on it is the only one; only a first-hop
+    // ban at the spur sends the walk elsewhere.
+    if (h[u.index()] == 1 && fits(dst, t) &&
+        !(at_spur && ws.first_hop_banned[dst.index()] == epoch)) {
+      ws.walk.push_back(dst);
+      return true;
+    }
+    NodeId next = NodeId::invalid();
+    for (std::uint32_t e = ws.cursor.back(); e < transit_end_[u.index()];
          ++e) {
       const NodeId v = peers_[e];
-      if (ws.seen[v.index()] == epoch) continue;
-      if (at_src && ws.first_hop_banned[v.index()] == epoch) continue;
-      ws.seen[v.index()] = epoch;
-      ws.parent[v.index()] = u;
-      if (v == dst) return true;
-      ws.queue.push_back(v);
+      if (v == dst || ws.visited[v.index()] == epoch ||
+          h[v.index()] == kUnreached || !fits(v, t)) {
+        continue;
+      }
+      if (at_spur && ws.first_hop_banned[v.index()] == epoch) continue;
+      ws.cursor.back() = e + 1;
+      next = v;
+      break;
     }
+    if (!next.valid()) {  // every way on from u is dead
+      ws.walk.pop_back();
+      ws.cursor.pop_back();
+      continue;
+    }
+    ws.visited[next.index()] = epoch;
+    ++ws.stats.nodes_expanded;
+    ws.walk.push_back(next);
+    ws.cursor.push_back(offsets_[next.index()]);
   }
   return false;
 }
 
-void KspSolver::append_found(const Workspace& ws, NodeId src, NodeId dst,
-                             Path& out) const {
-  const std::size_t first = out.size();
-  for (NodeId n = dst; n != src; n = ws.parent[n.index()]) out.push_back(n);
-  std::reverse(out.begin() + static_cast<std::ptrdiff_t>(first), out.end());
+bool KspSolver::bounded_search(Workspace& ws, NodeId spur, NodeId dst,
+                               const std::uint16_t* h) const {
+  ++ws.stats.spur_searches;
+  const std::uint32_t epoch = ws.epoch;
+  const std::uint32_t base = h[spur.index()];
+  auto& buckets = ws.buckets;
+  std::size_t used = 0;  // buckets [0, used) may hold entries
+  const auto push = [&](NodeId v, std::uint32_t g) {
+    ws.reached[v.index()] = epoch;
+    ws.g[v.index()] = static_cast<std::uint16_t>(g);
+    const std::size_t b = g + h[v.index()] - base;  // h is consistent: >= 0
+    if (b >= buckets.size()) buckets.resize(b + 1);
+    used = std::max(used, b + 1);
+    buckets[b].push_back(v);
+  };
+  push(spur, 0);
+  // Bucket by bucket, so a node is closed with its exact distance (h is a
+  // consistent bound on every edge the search takes), and every node whose
+  // bound is below the shortest distance d is closed by the time dst is.
+  std::optional<std::uint32_t> d;
+  for (std::size_t b = 0; b < used && !d; ++b) {
+    while (!buckets[b].empty()) {
+      const NodeId u = buckets[b].back();
+      buckets[b].pop_back();
+      if (ws.closed[u.index()] == epoch ||
+          ws.g[u.index()] + h[u.index()] != base + b) {
+        continue;  // closed already, or pushed again with a smaller g
+      }
+      ws.closed[u.index()] = epoch;
+      ++ws.stats.nodes_expanded;
+      if (u == dst) {
+        d = ws.g[u.index()];
+        break;
+      }
+      const bool at_spur = u == spur;
+      const std::uint32_t g = ws.g[u.index()] + 1u;
+      const auto relax = [&](NodeId v) {
+        if (h[v.index()] == kUnreached || ws.visited[v.index()] == epoch ||
+            ws.closed[v.index()] == epoch) {
+          return;
+        }
+        if (at_spur && ws.first_hop_banned[v.index()] == epoch) return;
+        if (ws.reached[v.index()] == epoch && ws.g[v.index()] <= g) return;
+        push(v, g);
+      };
+      // dst is a peer exactly where h is 1; the other peers worth a look
+      // are the transit ones.
+      if (h[u.index()] == 1) relax(dst);
+      for (std::uint32_t e = offsets_[u.index()]; e < transit_end_[u.index()];
+           ++e) {
+        if (peers_[e] != dst) relax(peers_[e]);
+      }
+    }
+  }
+  for (std::size_t b = 0; b < used; ++b) buckets[b].clear();
+  return d && least_walk(ws, spur, dst, h, *d);
 }
 
 std::vector<Path> KspSolver::k_shortest_paths(NodeId src, NodeId dst,
@@ -152,7 +295,12 @@ std::vector<Path> KspSolver::k_shortest_paths(NodeId src, NodeId dst,
   if (src.index() >= node_count() || dst.index() >= node_count()) {
     throw std::invalid_argument("shortest_path: bad node id");
   }
-  Workspace ws{node_count()};
+  if (src == dst) {
+    result.push_back(Path{src});
+    return result;
+  }
+  thread_local Workspace ws;
+  ws.start_call(node_count());
   // Every return passes the call's work on to `stats`.
   struct AddStats {
     const KspStats& from;
@@ -161,45 +309,105 @@ std::vector<Path> KspSolver::k_shortest_paths(NodeId src, NodeId dst,
       if (to != nullptr) *to += from;
     }
   } add_stats{ws.stats, stats};
+  const std::uint16_t* h = distances_to(dst, ws.stats);
+  if (h[src.index()] == kUnreached) return result;
   ws.next_search();
-  if (!constrained_shortest(ws, src, dst)) return result;
-  result.push_back(Path{src});
-  append_found(ws, src, dst, result.back());
+  (void)least_walk(ws, src, dst, h, h[src.index()]);  // cannot fail
+  result.emplace_back(ws.walk.begin(), ws.walk.end());
 
-  // Candidates ordered by (length, lexicographic), deduplicated.
-  auto cmp = [](const Path& a, const Path& b) { return path_less(a, b); };
-  std::set<Path, decltype(cmp)> candidates(cmp);
-
-  while (result.size() < k) {
-    const Path& prev = result.back();
-    for (std::size_t i = 0; i + 1 < prev.size(); ++i) {
-      const NodeId spur = prev[i];
-      const std::span<const NodeId> root{prev.data(), i + 1};
-
-      // Yen's bans: the root's nodes before the spur, and every edge
-      // (p[i], p[i+1]) of an accepted path p sharing the root. p[i] is the
-      // spur, the search's source, so each banned edge is a first hop.
-      ws.next_search();
-      for (const Path& p : result) {
-        if (p.size() > i + 1 &&
-            std::equal(root.begin(), root.end(), p.begin())) {
-          ws.first_hop_banned[p[i + 1].index()] = ws.epoch;
-        }
-      }
-      for (std::size_t j = 0; j < i; ++j) ws.seen[prev[j].index()] = ws.epoch;
-
-      if (!constrained_shortest(ws, spur, dst)) continue;
-
-      Path total(root.begin(), root.end());
-      append_found(ws, spur, dst, total);
-      if (std::none_of(result.begin(), result.end(),
-                       [&](const Path& p) { return p == total; })) {
-        candidates.insert(std::move(total));
+  using Candidate = Workspace::Candidate;
+  std::vector<Candidate>& heap = ws.heap;
+  std::vector<NodeId>& tails = ws.tails;
+  const auto node_at = [&](const Candidate& c, std::uint32_t t) {
+    return t <= c.spur ? result[c.parent][t] : tails[c.tail + t - c.spur - 1];
+  };
+  // Candidates leave in (size, lexicographic) order, and a deferred one
+  // leaves before every resolved one of its size: its size is only a lower
+  // bound, so it must resolve before a path of that size can be accepted.
+  const auto before = [&](const Candidate& a, const Candidate& b) {
+    if (a.size != b.size) return a.size < b.size;
+    if (a.deferred || b.deferred) return a.deferred && !b.deferred;
+    for (std::uint32_t t = 0; t < a.size; ++t) {
+      const NodeId x = node_at(a, t);
+      const NodeId y = node_at(b, t);
+      if (x != y) return x < y;
+    }
+    return false;
+  };
+  const auto after = [&](const Candidate& a, const Candidate& b) {
+    return before(b, a);
+  };
+  const auto push = [&](const Candidate& c) {
+    heap.push_back(c);
+    std::push_heap(heap.begin(), heap.end(), after);
+  };
+  // Queues the path in ws.walk as the tail of the root (parent, spur).
+  const auto push_found = [&](std::uint32_t parent, std::uint32_t spur) {
+    const auto tail = static_cast<std::uint32_t>(tails.size());
+    tails.insert(tails.end(), ws.walk.begin() + 1, ws.walk.end());
+    push({static_cast<std::uint32_t>(spur + ws.walk.size()), parent, spur, 0,
+          tail, false});
+  };
+  // Yen's bans for the root (parent, spur) as of `bans` accepted paths: the
+  // root's own nodes, and the edge leaving the spur on every one of those
+  // paths that shares the root.
+  const auto stamp_bans = [&](std::uint32_t bans, std::uint32_t parent,
+                              std::uint32_t spur) {
+    ws.next_search();
+    const Path& root = result[parent];
+    for (std::uint32_t j = 0; j <= spur; ++j) {
+      ws.visited[root[j].index()] = ws.epoch;
+    }
+    for (std::uint32_t p = 0; p < bans; ++p) {
+      const Path& other = result[p];
+      if (other.size() > spur + 1 &&
+          std::equal(root.begin(), root.begin() + spur + 1, other.begin())) {
+        ws.first_hop_banned[other[spur + 1].index()] = ws.epoch;
       }
     }
-    if (candidates.empty()) break;
-    result.push_back(*candidates.begin());
-    candidates.erase(candidates.begin());
+  };
+
+  // Lawler: spurs before the last path's deviation node repeat searches
+  // made for its parent, so they are skipped.
+  std::uint32_t deviation = 0;
+  while (result.size() < k) {
+    const auto last = static_cast<std::uint32_t>(result.size() - 1);
+    const auto spurs = static_cast<std::uint32_t>(result[last].size() - 1);
+    for (std::uint32_t i = deviation; i < spurs; ++i) {
+      stamp_bans(last + 1, last, i);
+      const NodeId spur = result[last][i];
+      if (least_walk(ws, spur, dst, h, h[spur.index()])) {
+        push_found(last, i);
+      } else {
+        // No path of length h[spur] is left: at least one more hop.
+        push({i + h[spur.index()] + 2u, last, i, last + 1, 0, true});
+      }
+    }
+
+    // The least candidate is the next path once every deferred spur that
+    // might undercut it has been resolved.
+    std::optional<Candidate> next;
+    while (!heap.empty() && !next) {
+      std::pop_heap(heap.begin(), heap.end(), after);
+      const Candidate c = heap.back();
+      heap.pop_back();
+      if (!c.deferred) {
+        next = c;
+      } else {
+        stamp_bans(c.bans, c.parent, c.spur);
+        if (bounded_search(ws, result[c.parent][c.spur], dst, h)) {
+          push_found(c.parent, c.spur);
+        }
+      }
+    }
+    if (!next) break;
+    Path path;
+    path.reserve(next->size);
+    for (std::uint32_t t = 0; t < next->size; ++t) {
+      path.push_back(node_at(*next, t));
+    }
+    result.push_back(std::move(path));
+    deviation = next->spur;
   }
   return result;
 }
@@ -269,8 +477,9 @@ std::size_t PathCache::precompute(
   }
 
   // The solver is built here, before the fan-out. The per-pair Yen's runs
-  // only read it (each call owns its workspace), so they fan out safely;
-  // insertion stays serial because the map is not.
+  // share it safely: each thread has its own workspace, and a
+  // destination's distance table is filled once, under call_once.
+  // Insertion stays serial because the map is not.
   if (todo.empty()) return 0;
   const KspSolver& solver = this->solver();
   std::vector<KspStats> stats(todo.size());

@@ -6,9 +6,18 @@
 // then lexicographic node order, so the same topology always yields the same
 // path set (Observation 2 in §4.2.1 — "the k-shortest paths between server
 // pairs are nearly deterministic").
+//
+// The output is the k least loopless paths in that order. The solver finds
+// them with Yen's algorithm under Lawler's deviation rule, and spends its
+// searches lazily: a spur first tries the tight walk along a shared hop-
+// distance table, and a spur whose walk fails waits in the candidate heap
+// under a length lower bound until it could be the next path (DESIGN.md,
+// "Yen's KSP solver").
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -28,7 +37,9 @@ class ThreadPool;
 // Work one k_shortest_paths call did, for the routing.ksp.* work counters.
 // A pure function of (graph, src, dst, k), like the paths themselves.
 struct KspStats {
-  std::uint64_t spur_searches{0};   // breadth-first searches run
+  // Breadth-first spur searches run; a spur its tight walk settles runs
+  // none.
+  std::uint64_t spur_searches{0};
   std::uint64_t nodes_expanded{0};  // nodes taken off a search frontier
 
   KspStats& operator+=(const KspStats& o) {
@@ -41,7 +52,8 @@ struct KspStats {
 class KspSolver {
  public:
   // Copies `graph` into a sorted CSR adjacency; the solver keeps no
-  // reference to `graph`.
+  // reference to `graph`. Throws std::length_error past 65,534 nodes (hop
+  // distances are stored in 16 bits).
   explicit KspSolver(const Graph& graph);
 
   // Lexicographically-smallest shortest path from src to dst, or nullopt if
@@ -51,7 +63,8 @@ class KspSolver {
 
   // Yen's algorithm: up to k loopless paths in nondecreasing length order.
   // Fewer than k are returned if the graph does not contain them. When
-  // `stats` is non-null, the call's work is added to it.
+  // `stats` is non-null, the call's work is added to it. Safe to call from
+  // several threads at once.
   [[nodiscard]] std::vector<Path> k_shortest_paths(
       NodeId src, NodeId dst, std::uint32_t k,
       KspStats* stats = nullptr) const;
@@ -59,29 +72,54 @@ class KspSolver {
  private:
   struct Workspace;
 
-  // One BFS from src toward dst over the CSR, honouring the bans stamped in
-  // `ws` for the current epoch; on success `ws.parent` holds the path.
-  //
-  // Exactness: peers are visited in ascending id order, the queue is FIFO
-  // and a node's parent is fixed when it is first discovered. Each BFS
-  // level is therefore discovered in lexicographic order of the paths that
-  // reach it, so the parent chain of dst is the lexicographically smallest
-  // shortest path — and it is complete the moment dst is discovered, which
-  // is where the search stops.
-  [[nodiscard]] bool constrained_shortest(Workspace& ws, NodeId src,
-                                          NodeId dst) const;
+  // Hop distance from every node to `dst`, servers transiting nothing;
+  // kUnreached where there is no path. Built by one reverse BFS on the
+  // first call for `dst` and shared by every later one, on any thread.
+  [[nodiscard]] const std::uint16_t* distances_to(NodeId dst,
+                                                  KspStats& stats) const;
 
-  // Appends the found path's nodes after src (src excluded, dst included).
-  void append_found(const Workspace& ws, NodeId src, NodeId dst,
-                    Path& out) const;
+  // The lexicographically least path of length `d` from `spur` to dst
+  // that the bans stamped in `ws` leave, into `ws.walk` (spur first), when
+  // no allowed path is shorter than d. A depth-first search in ascending
+  // peer order that lets a node sit only at its distance from the spur:
+  // g where the bounded search closed it, d - h elsewhere. Every walk is
+  // then a shortest path, so the first to reach dst is the least one, and
+  // a node that once failed to reach dst fails from every walk: it stays
+  // marked, and the search is linear in the edges it scans.
+  //
+  // With d = h[spur] this is the tight walk: the path of length h[spur],
+  // found without a breadth-first search, if the bans left one.
+  [[nodiscard]] bool least_walk(Workspace& ws, NodeId spur, NodeId dst,
+                                const std::uint16_t* h, std::uint32_t d) const;
+
+  // The spur search for a spur whose tight walk failed: a breadth-first
+  // search in buckets of g + h (A* with the consistent bound h) that
+  // enqueues no server but dst. When dst leaves its bucket, its g is the
+  // shortest distance d and every node whose bound is below d is closed
+  // with its exact g, so least_walk picks the least path of length d.
+  [[nodiscard]] bool bounded_search(Workspace& ws, NodeId spur, NodeId dst,
+                                    const std::uint16_t* h) const;
 
   [[nodiscard]] std::size_t node_count() const { return transit_.size(); }
 
-  // CSR adjacency: node i's distinct peers, ascending by id, are
-  // peers_[offsets_[i] .. offsets_[i + 1]).
+  // CSR adjacency: node i's distinct peers are
+  // peers_[offsets_[i] .. offsets_[i + 1]), the transit ones first
+  // (ending at transit_end_[i]), each part ascending by id. Searches past
+  // the spur scan only the transit part: a server can end a path but
+  // never carry one on.
   std::vector<std::uint32_t> offsets_;
+  std::vector<std::uint32_t> transit_end_;
   std::vector<NodeId> peers_;
   std::vector<bool> transit_;  // is_switch(role) per node
+
+  // One lazily filled distance table per destination. Filling is the only
+  // write a const call makes; call_once makes it safe under
+  // PathCache::precompute's fan-out.
+  struct DistanceSlot {
+    std::once_flag filled;
+    std::unique_ptr<std::uint16_t[]> h;
+  };
+  std::unique_ptr<DistanceSlot[]> distances_;
 };
 
 // One cache entry evicted by PathCache::rebind_and_invalidate, with the

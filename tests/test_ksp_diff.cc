@@ -1,10 +1,12 @@
 // Differential oracle for KspSolver and is_valid_path. The oracle is the
-// straightforward form of the same algorithms: Yen's k-shortest paths whose
-// spur searches keep their bans in hash sets and run a deque BFS that sorts
-// each node's admissible neighbours, and a path validator that detects
-// loops with a set. The production solver (sorted CSR adjacency, stamped
-// bans, one workspace per call, stop at discovery) must return exactly the
-// same paths, path for path, on every input here.
+// straightforward form of the same algorithms: eager Yen's k-shortest paths
+// — every spur searched as soon as its path is accepted, candidates in a
+// set — whose spur searches keep their bans in hash sets and run a deque
+// BFS that sorts each node's admissible neighbours, and a path validator
+// that detects loops with a set. The production solver (shared distance
+// tables, tight walks, deferred spurs resolved by a bounded search,
+// Lawler's deviation rule, stamped bans) must return exactly the same
+// paths, path for path, on every input here.
 #include "routing/ksp.h"
 
 #include <gtest/gtest.h>
@@ -22,6 +24,8 @@
 #include "core/flat_tree.h"
 #include "exec/pool.h"
 #include "net/rng.h"
+#include "obs/metrics.h"
+#include "obs/sink.h"
 #include "routing/path.h"
 #include "topo/params.h"
 #include "topo/random_graph.h"
@@ -326,6 +330,139 @@ TEST(KspDiff, PrecomputeAcrossPoolMatchesOracle) {
           << threads << " threads, " << src.value() << "->" << dst.value();
     }
   }
+}
+
+// Pairs that share a destination share its distance table. Precompute on a
+// 4-thread pool fills the tables concurrently (once each) while other
+// threads read them; every cached set must equal a serial solver's, and
+// the work counters must equal the serial calls' sum at any pool size.
+TEST(KspDiff, PrecomputeSharingDistanceTablesMatchesSerialCalls) {
+  const ClosParams clos{8, 4, 4, 4, 16, 4, 16, 8};
+  const FlatTree tree{FlatTreeParams::defaults_for(clos)};
+  const Graph g = tree.realize_uniform(PodMode::kGlobal);
+  const std::vector<NodeId> edges = g.nodes_with_role(NodeRole::kEdge);
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (const NodeId src : edges) {
+    for (std::size_t d = 0; d < 3; ++d) {
+      if (src != edges[d]) pairs.emplace_back(src, edges[d]);
+    }
+  }
+  const KspSolver serial{g};
+  KspStats serial_work;
+  std::vector<std::vector<Path>> want;
+  for (const auto& [src, dst] : pairs) {
+    want.push_back(serial.k_shortest_paths(src, dst, 8, &serial_work));
+  }
+  ASSERT_GT(serial_work.spur_searches, 0u);
+  for (const std::uint32_t threads : {1u, 4u}) {
+    exec::ThreadPool pool{threads};
+    obs::MetricsRegistry reg;
+    PathCache cache{g, 8};
+    cache.attach_obs(obs::ObsSink{&reg, nullptr});
+    ASSERT_EQ(cache.precompute(pairs, &pool), pairs.size());
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      ASSERT_EQ(cache.switch_paths(pairs[i].first, pairs[i].second), want[i])
+          << threads << " threads, pair " << i;
+    }
+    EXPECT_EQ(reg.counter("routing.ksp.spur_searches").value(),
+              serial_work.spur_searches)
+        << threads << " threads";
+    EXPECT_EQ(reg.counter("routing.ksp.nodes_expanded").value(),
+              serial_work.nodes_expanded)
+        << threads << " threads";
+  }
+}
+
+// A ring of eight switches with one chord: past the shortest path, the
+// next ones are one, then four hops longer, so their spurs fail the tight
+// walk and are resolved only when they reach the top of the candidates.
+// The 4x4 grid is bipartite, so every detour costs two hops at least.
+TEST(KspDiff, DeferredSpursNeedingSlackOfTwoOrMore) {
+  Graph ring;
+  for (int i = 0; i < 8; ++i) ring.add_node(NodeRole::kAgg);
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    ring.add_link(NodeId{i}, NodeId{(i + 1) % 8}, 1e9);
+  }
+  ring.add_link(NodeId{7}, NodeId{3}, 1e9);
+  const KspSolver solver{ring};
+  KspStats work;
+  // Into 2 only via 1 (from 0 alone) or via 3: three paths in all.
+  EXPECT_EQ(solver.k_shortest_paths(NodeId{0}, NodeId{2}, 4, &work),
+            (std::vector<Path>{{NodeId{0}, NodeId{1}, NodeId{2}},
+                               {NodeId{0}, NodeId{7}, NodeId{3}, NodeId{2}},
+                               {NodeId{0}, NodeId{7}, NodeId{6}, NodeId{5},
+                                NodeId{4}, NodeId{3}, NodeId{2}}}));
+  EXPECT_GT(work.spur_searches, 0u);
+  expect_matches_oracle(ring, all_pairs(ring), "ring");
+
+  Graph grid;
+  for (int i = 0; i < 16; ++i) grid.add_node(NodeRole::kCore);
+  for (std::uint32_t r = 0; r < 4; ++r) {
+    for (std::uint32_t c = 0; c < 4; ++c) {
+      const std::uint32_t i = 4 * r + c;
+      if (c + 1 < 4) grid.add_link(NodeId{i}, NodeId{i + 1}, 1e9);
+      if (r + 1 < 4) grid.add_link(NodeId{i}, NodeId{i + 4}, 1e9);
+    }
+  }
+  expect_matches_oracle(grid, all_pairs(grid), "grid");
+  for (const std::uint32_t k : {24u, 40u}) {
+    ASSERT_EQ(KspSolver{grid}.k_shortest_paths(NodeId{0}, NodeId{5}, k),
+              oracle::k_shortest_paths(grid, NodeId{0}, NodeId{5}, k))
+        << "k=" << k;
+  }
+}
+
+// Servers at both ends, some wired to two switches: the first hop out of a
+// server source and the last hop into a server destination may use either
+// link, but no path may pass through a server.
+TEST(KspDiff, ServerSourceAndServerDestination) {
+  Graph g;
+  for (int i = 0; i < 6; ++i) g.add_node(NodeRole::kEdge);
+  const NodeId a = g.add_node(NodeRole::kServer);  // on switches 0 and 3
+  const NodeId b = g.add_node(NodeRole::kServer);  // on switches 2 and 5
+  const NodeId c = g.add_node(NodeRole::kServer);  // on switch 0 only
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    g.add_link(NodeId{i}, NodeId{(i + 1) % 6}, 1e9);
+  }
+  g.add_link(NodeId{1}, NodeId{4}, 1e9);
+  g.add_link(a, NodeId{0}, 1e9);
+  g.add_link(a, NodeId{3}, 1e9);
+  g.add_link(b, NodeId{2}, 1e9);
+  g.add_link(b, NodeId{5}, 1e9);
+  g.add_link(c, NodeId{0}, 1e9);
+  const std::vector<std::pair<NodeId, NodeId>> pairs{
+      {a, b}, {b, a}, {a, c}, {c, a}, {c, b}, {b, c}};
+  expect_matches_oracle(g, pairs, "servers");
+  for (const auto& [src, dst] : pairs) {
+    for (const Path& p : KspSolver{g}.k_shortest_paths(src, dst, 16)) {
+      EXPECT_TRUE(is_valid_path(g, p));
+    }
+  }
+}
+
+// A 7-switch clique hung off a cut vertex: every path from clique switch 1
+// to the far end crosses switch 0, so there are exactly 326 loopless paths
+// (the 1 -> 0 paths inside K7). Asking for more returns all 326 and stops:
+// after the cut vertex no spur has a way on, and each such spur costs one
+// bounded search, not an enumeration.
+TEST(KspDiff, CliqueOffCutVertexWithKAboveThePathCount) {
+  Graph g;
+  for (int i = 0; i < 9; ++i) g.add_node(NodeRole::kAgg);
+  for (std::uint32_t u = 0; u < 7; ++u) {
+    for (std::uint32_t v = u + 1; v < 7; ++v) {
+      g.add_link(NodeId{u}, NodeId{v}, 1e9);
+    }
+  }
+  g.add_link(NodeId{0}, NodeId{7}, 1e9);
+  g.add_link(NodeId{7}, NodeId{8}, 1e9);
+  const KspSolver solver{g};
+  KspStats work;
+  const std::vector<Path> paths =
+      solver.k_shortest_paths(NodeId{1}, NodeId{8}, 400, &work);
+  EXPECT_EQ(paths.size(), 326u);
+  EXPECT_EQ(paths, oracle::k_shortest_paths(g, NodeId{1}, NodeId{8}, 400));
+  // Polynomial in k and the graph: far below one search per path per node.
+  EXPECT_LT(work.nodes_expanded, 326u * 9u * 9u);
 }
 
 // Switches 0..3 in a chain; server 4 wired to both ends. The two-hop route
