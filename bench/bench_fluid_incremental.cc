@@ -37,9 +37,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -359,21 +357,28 @@ KspCellResult run_ksp_cell(const Graph& base, std::uint64_t seed) {
   return r;
 }
 
-// Flat baseline JSON: {"k8_churn_events_per_sec": N,
-//                      "k8_churn_links_frac_max": F,
-//                      "k8_churn_fallbacks": C}
-double read_baseline_field(const std::string& text, const char* name) {
-  const std::string key = std::string{"\""} + name + "\"";
-  const std::size_t at = text.find(key);
-  if (at == std::string::npos) {
-    std::fprintf(stderr, "fluid_incremental: baseline lacks %s\n", name);
-    std::exit(2);
-  }
-  const std::size_t colon = text.find(':', at);
-  return std::strtod(text.c_str() + colon + 1, nullptr);
-}
+// The gate's pinned numbers, from the flat baseline JSON
+// {"k8_churn_events_per_sec": N, "k8_churn_links_frac_max": F,
+//  "k8_churn_fallbacks": C}.
+struct GateBaseline {
+  double events_per_sec{0};
+  double links_frac_max{0};
+  std::uint64_t fallbacks{0};
+};
 
 int run(const BenchOptions& bench, exec::RunnerOptions options) {
+  // Read before any work, so a malformed file fails at once.
+  GateBaseline pinned;
+  if (!bench.baseline_path.empty()) {
+    const bench::BaselineFile file =
+        bench::read_baseline_file("fluid_incremental", bench.baseline_path);
+    pinned.events_per_sec =
+        bench::baseline_value(file, "k8_churn_events_per_sec");
+    pinned.links_frac_max =
+        bench::baseline_value(file, "k8_churn_links_frac_max");
+    pinned.fallbacks = static_cast<std::uint64_t>(
+        bench::baseline_value(file, "k8_churn_fallbacks", /*zero_ok=*/true));
+  }
   exec::ExperimentRunner runner{std::move(options)};
 
   // k=8 churn is always present: it is the gate cell (--baseline), large
@@ -520,21 +525,9 @@ int run(const BenchOptions& bench, exec::RunnerOptions options) {
   }
 
   if (!bench.baseline_path.empty()) {
-    std::ifstream in{bench.baseline_path};
-    if (!in) {
-      std::fprintf(stderr, "fluid_incremental: cannot open baseline %s\n",
-                   bench.baseline_path.c_str());
-      return 2;
-    }
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    const std::string text = buffer.str();
-    const double base_eps =
-        read_baseline_field(text, "k8_churn_events_per_sec");
-    const double frac_max =
-        read_baseline_field(text, "k8_churn_links_frac_max");
-    const auto fallbacks_pinned = static_cast<std::uint64_t>(
-        read_baseline_field(text, "k8_churn_fallbacks"));
+    const double base_eps = pinned.events_per_sec;
+    const double frac_max = pinned.links_frac_max;
+    const std::uint64_t fallbacks_pinned = pinned.fallbacks;
     // Wall-clock half: best of three re-runs, 2x slack (catches
     // order-of-magnitude regressions, not machine noise). The gate cell's
     // spec index is 3 in both quick and full mode, so the re-run replays

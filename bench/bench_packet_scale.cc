@@ -18,8 +18,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -97,31 +95,15 @@ SweepPoint run_point(std::uint32_t k, exec::ExperimentRunner& runner) {
   return SweepPoint{k, std::move(stats), wall};
 }
 
-// Reads "events_per_sec" for the k=8 row out of the pinned baseline JSON.
-// The file is flat enough ({"k8_events_per_sec": N}) that a string scan is
-// all the parsing needed.
-double read_baseline(const std::string& path) {
-  std::ifstream in{path};
-  if (!in) {
-    std::fprintf(stderr, "packet_scale: cannot open baseline %s\n",
-                 path.c_str());
-    std::exit(2);
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  const std::string key = "\"k8_events_per_sec\"";
-  const std::size_t at = text.find(key);
-  if (at == std::string::npos) {
-    std::fprintf(stderr, "packet_scale: %s lacks %s\n", path.c_str(),
-                 key.c_str());
-    std::exit(2);
-  }
-  const std::size_t colon = text.find(':', at);
-  return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
 int run(const ScaleOptions& scale, exec::RunnerOptions options) {
+  // The pinned k=8 events/sec ({"k8_events_per_sec": N}), read before any
+  // work so a malformed file fails at once.
+  const double baseline =
+      scale.baseline_path.empty()
+          ? 0.0
+          : bench::baseline_value(
+                bench::read_baseline_file("packet_scale", scale.baseline_path),
+                "k8_events_per_sec");
   exec::ExperimentRunner runner{std::move(options)};
   const std::vector<std::uint32_t> ks =
       scale.quick ? std::vector<std::uint32_t>{8}
@@ -181,7 +163,6 @@ int run(const ScaleOptions& scale, exec::RunnerOptions options) {
   }
 
   if (!scale.baseline_path.empty()) {
-    const double baseline = read_baseline(scale.baseline_path);
     // The k=8 quick run is ~30 ms, so a single wall-clock sample is
     // noise-dominated on a loaded machine; gate on the best of three extra
     // reruns (stderr-only, no result rows).

@@ -12,9 +12,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -95,6 +98,13 @@ inline exec::RunnerOptions parse_runner_options(const char* bench_name,
     } else if (std::strcmp(argv[i], "--threads") == 0) {
       options.threads = static_cast<std::uint32_t>(
           number(std::numeric_limits<std::uint32_t>::max()));
+      try {  // the pool's own bound, checked before any thread starts
+        (void)exec::ThreadPool::resolve_threads(options.threads);
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "%s: invalid value for --threads: '%s': %s\n",
+                     bench_name, argv[i], e.what());
+        std::exit(2);
+      }
     } else if (std::strcmp(argv[i], "--json-out") == 0) {
       options.json_out = value();
     } else if (std::strcmp(argv[i], "--metrics-out") == 0) {
@@ -110,6 +120,58 @@ inline exec::RunnerOptions parse_runner_options(const char* bench_name,
     }
   }
   return options;
+}
+
+// A perf gate's pinned numbers: a flat JSON object read whole from `path`.
+// `bench` prefixes every diagnostic. Exits 2 when the file cannot be read.
+struct BaselineFile {
+  const char* bench;
+  std::string path;
+  std::string text;
+};
+
+inline BaselineFile read_baseline_file(const char* bench,
+                                       const std::string& path) {
+  std::ifstream in{path};
+  if (!in) {
+    std::fprintf(stderr, "%s: cannot open baseline %s\n", bench, path.c_str());
+    std::exit(2);
+  }
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return BaselineFile{bench, path, buffer.str()};
+}
+
+// The number after `"key":` in `file`. Exits 2 when the key is missing or
+// its value is not a finite number above zero (at least zero when
+// `zero_ok`): a gate that reads 0 for "at least half the baseline" passes
+// at any speed.
+inline double baseline_value(const BaselineFile& file, const char* key,
+                             bool zero_ok = false) {
+  const std::string quoted = std::string{"\""} + key + "\"";
+  const std::size_t at = file.text.find(quoted);
+  if (at == std::string::npos) {
+    std::fprintf(stderr, "%s: baseline %s lacks %s\n", file.bench,
+                 file.path.c_str(), quoted.c_str());
+    std::exit(2);
+  }
+  std::size_t pos = file.text.find_first_not_of(" \t\n", at + quoted.size());
+  if (pos != std::string::npos && file.text[pos] == ':') ++pos;
+  pos = file.text.find_first_not_of(" \t\n", pos);
+  const std::size_t stop = file.text.find_first_of(",}\n", pos);
+  const std::string token =
+      pos == std::string::npos ? "" : file.text.substr(pos, stop - pos);
+  char* end = nullptr;
+  const double value = std::strtod(token.c_str(), &end);
+  const bool number = !token.empty() && end == token.c_str() + token.size() &&
+                      std::isfinite(value);
+  if (!number || value < 0 || (value == 0 && !zero_ok)) {
+    std::fprintf(stderr, "%s: baseline %s: %s must be a %s number, got '%s'\n",
+                 file.bench, file.path.c_str(), quoted.c_str(),
+                 zero_ok ? "non-negative" : "positive", token.c_str());
+    std::exit(2);
+  }
+  return value;
 }
 
 inline PathProvider ksp_provider(const Graph& g, std::uint32_t k,

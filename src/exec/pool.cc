@@ -1,6 +1,8 @@
 #include "exec/pool.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace flattree::exec {
 
@@ -30,9 +32,13 @@ void ThreadPool::attach_obs(const obs::ObsSink& sink) {
 }
 
 std::size_t ThreadPool::resolve_threads(std::size_t requested) {
+  if (requested > kMaxThreads) {
+    throw std::invalid_argument("at most " + std::to_string(kMaxThreads) +
+                                " worker threads");
+  }
   if (requested != 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
+  return hw == 0 ? 1 : std::min<std::size_t>(hw, kMaxThreads);
 }
 
 void ThreadPool::submit(Task task) {

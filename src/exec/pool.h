@@ -50,7 +50,14 @@ class ThreadPool {
   // the pool's lock after each one, so no finish is missed before a sleep.
   void help_while(const std::function<bool()>& done);
 
-  // Number of threads to use for `requested` (0 = one per hardware core).
+  // The most worker threads a pool is asked for: far above the core count
+  // of any host these experiments run on, far below what exhausts an OS's
+  // thread table.
+  static constexpr std::size_t kMaxThreads = 1024;
+
+  // Number of threads to use for `requested` (0 = one per hardware core,
+  // at most kMaxThreads). Throws std::invalid_argument when `requested` is
+  // above kMaxThreads; nothing is started either way.
   [[nodiscard]] static std::size_t resolve_threads(std::size_t requested);
 
   // Registers exec.pool.tasks, kDiagnostic: the shard count depends on the

@@ -26,6 +26,21 @@
 namespace flattree {
 namespace {
 
+// The thread-count bound lives in resolve_threads, which starts nothing.
+TEST(ThreadPool, ResolveThreadsRejectsCountsAboveTheBound) {
+  EXPECT_EQ(exec::ThreadPool::resolve_threads(1), 1u);
+  EXPECT_EQ(exec::ThreadPool::resolve_threads(exec::ThreadPool::kMaxThreads),
+            exec::ThreadPool::kMaxThreads);
+  EXPECT_THROW(
+      (void)exec::ThreadPool::resolve_threads(exec::ThreadPool::kMaxThreads + 1),
+      std::invalid_argument);
+  EXPECT_THROW((void)exec::ThreadPool::resolve_threads(100000),
+               std::invalid_argument);
+  const std::size_t all_cores = exec::ThreadPool::resolve_threads(0);
+  EXPECT_GE(all_cores, 1u);
+  EXPECT_LE(all_cores, exec::ThreadPool::kMaxThreads);
+}
+
 TEST(ThreadPool, RunsSubmittedTasks) {
   std::atomic<int> count{0};
   {
