@@ -76,8 +76,9 @@ cmake --build "build-${SANITIZE_PRESET}" -j "${JOBS}" \
 "./build-${SANITIZE_PRESET}/tests/test_obs"
 "./build-${SANITIZE_PRESET}/tests/test_ksp_properties"
 # Yen's and is_valid_path against their set/deque oracles, including
-# precompute's pool fan-out (one solver workspace per call — the
-# TSan-relevant path).
+# precompute's pool fan-out (per-thread workspaces and distance tables
+# filled once under call_once, shared across threads — the TSan-relevant
+# path).
 "./build-${SANITIZE_PRESET}/tests/test_ksp_diff"
 # The event queue's fuzz battery (lanes and heap) against a priority_queue
 # oracle, the packet simulator's unit cases (conversions and failures,
