@@ -48,7 +48,7 @@ AdjacencyDelta adjacency_delta(const Graph& from, const Graph& to) {
 
 namespace {
 
-// A distance-table entry for a node with no path to the destination.
+// A distance-table entry for a switch with no path to the destination.
 constexpr std::uint16_t kUnreached = 0xffff;
 
 }  // namespace
@@ -119,30 +119,58 @@ struct KspSolver::Workspace {
   KspStats stats;
 };
 
-KspSolver::KspSolver(const Graph& graph)
-    : offsets_(graph.node_count() + 1, 0),
-      transit_end_(graph.node_count(), 0),
-      transit_(graph.node_count(), false) {
-  if (graph.node_count() >= kUnreached) {
-    throw std::length_error("KspSolver: more than 65,534 nodes");
+// A call's destination and its distances, in solver ids. The table covers
+// the switches; of the servers, only the call's own endpoints are ever
+// asked for.
+struct KspSolver::Goal {
+  NodeId dst;
+  const std::uint16_t* h;
+  std::uint32_t switches;
+  std::uint16_t h_src{kUnreached};  // the source's, when it is a server
+
+  // Distance from a switch, from dst, or from a server source.
+  [[nodiscard]] std::uint32_t dist(NodeId v) const {
+    if (v.value() < switches) return h[v.index()];
+    return v == dst ? 0 : h_src;
   }
-  for (std::uint32_t i = 0; i < graph.node_count(); ++i) {
-    transit_[i] = is_switch(graph.node(NodeId{i}).role);
+};
+
+KspSolver::KspSolver(const Graph& graph)
+    : solver_id_(graph.node_count()),
+      graph_id_(graph.node_count()),
+      offsets_(graph.node_count() + 1, 0),
+      transit_end_(graph.node_count(), 0) {
+  const auto n = static_cast<std::uint32_t>(graph.node_count());
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (is_switch(graph.node(NodeId{i}).role)) ++switches_;
+  }
+  // A path holds each switch at most once, so no distance is above
+  // switches_ + 1, and kUnreached stays free.
+  if (switches_ + 1 >= kUnreached) {
+    throw std::length_error("KspSolver: more than 65,533 switches");
+  }
+  std::uint32_t next_switch = 0;
+  std::uint32_t next_server = switches_;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const std::uint32_t s =
+        is_switch(graph.node(NodeId{i}).role) ? next_switch++ : next_server++;
+    solver_id_[i] = NodeId{s};
+    graph_id_[s] = NodeId{i};
   }
   peers_.reserve(2 * graph.link_count());
-  for (std::uint32_t i = 0; i < graph.node_count(); ++i) {
-    for (const Adjacency& adj : graph.neighbors(NodeId{i})) {
-      peers_.push_back(adj.peer);
+  for (std::uint32_t s = 0; s < n; ++s) {
+    for (const Adjacency& adj : graph.neighbors(graph_id_[s])) {
+      peers_.push_back(solver_id_[adj.peer.index()]);
     }
-    const auto first = peers_.begin() + offsets_[i];
+    const auto first = peers_.begin() + offsets_[s];
     std::sort(first, peers_.end());
     peers_.erase(std::unique(first, peers_.end()), peers_.end());
-    const auto servers = std::stable_partition(
-        first, peers_.end(), [this](NodeId v) { return transit_[v.index()]; });
-    transit_end_[i] = static_cast<std::uint32_t>(servers - peers_.begin());
-    offsets_[i + 1] = static_cast<std::uint32_t>(peers_.size());
+    const auto servers = std::lower_bound(peers_.begin() + offsets_[s],
+                                          peers_.end(), NodeId{switches_});
+    transit_end_[s] = static_cast<std::uint32_t>(servers - peers_.begin());
+    offsets_[s + 1] = static_cast<std::uint32_t>(peers_.size());
   }
-  distances_ = std::make_unique<DistanceSlot[]>(graph.node_count());
+  distances_ = std::make_unique<DistanceSlot[]>(n);
 }
 
 std::optional<Path> KspSolver::shortest_path(NodeId src, NodeId dst) const {
@@ -155,23 +183,25 @@ const std::uint16_t* KspSolver::distances_to(NodeId dst,
                                              KspStats& stats) const {
   DistanceSlot& slot = distances_[dst.index()];
   std::call_once(slot.filled, [&] {
-    const std::size_t n = node_count();
-    auto h = std::make_unique<std::uint16_t[]>(n);
-    std::fill_n(h.get(), n, kUnreached);
+    auto h = std::make_unique<std::uint16_t[]>(switches_);
+    std::fill_n(h.get(), switches_, kUnreached);
+    if (dst.value() < switches_) h[dst.index()] = 0;
+    // Only switches are queued: a server may start a path but never
+    // carries one on.
     std::vector<NodeId> queue;
-    queue.reserve(n);
-    h[dst.index()] = 0;
+    queue.reserve(switches_ + 1);
     queue.push_back(dst);
     for (std::size_t head = 0; head < queue.size(); ++head) {
       const NodeId u = queue[head];
       ++stats.nodes_expanded;
-      for (std::uint32_t e = offsets_[u.index()]; e < offsets_[u.index() + 1];
+      const auto next =
+          static_cast<std::uint16_t>(head == 0 ? 1 : h[u.index()] + 1);
+      for (std::uint32_t e = offsets_[u.index()]; e < transit_end_[u.index()];
            ++e) {
         const NodeId v = peers_[e];
         if (h[v.index()] != kUnreached) continue;
-        h[v.index()] = static_cast<std::uint16_t>(h[u.index()] + 1);
-        // A server may start a path but never carries one on.
-        if (transit_[v.index()]) queue.push_back(v);
+        h[v.index()] = next;
+        queue.push_back(v);
       }
     }
     slot.h = std::move(h);
@@ -179,13 +209,16 @@ const std::uint16_t* KspSolver::distances_to(NodeId dst,
   return slot.h.get();
 }
 
-bool KspSolver::least_walk(Workspace& ws, NodeId spur, NodeId dst,
-                           const std::uint16_t* h, std::uint32_t d) const {
+bool KspSolver::least_walk(Workspace& ws, NodeId spur, const Goal& goal,
+                           std::uint32_t d) const {
   const std::uint32_t epoch = ws.epoch;
-  // Whether v may sit at depth t: only at its distance from the spur.
-  const auto fits = [&](NodeId v, std::uint32_t t) {
+  const NodeId dst = goal.dst;
+  const std::uint16_t* h = goal.h;
+  // Whether v, at distance hv from dst, may sit at depth t: only at its
+  // distance from the spur.
+  const auto fits = [&](NodeId v, std::uint32_t hv, std::uint32_t t) {
     return ws.closed[v.index()] == epoch ? ws.g[v.index()] == t
-                                         : h[v.index()] + t == d;
+                                         : hv + t == d;
   };
   ws.walk.assign(1, spur);
   ws.cursor.assign(1, offsets_[spur.index()]);
@@ -198,7 +231,7 @@ bool KspSolver::least_walk(Workspace& ws, NodeId spur, NodeId dst,
     // dst is a peer exactly where h is 1. No other node fits the depth dst
     // fits, so when dst is a way on it is the only one; only a first-hop
     // ban at the spur sends the walk elsewhere.
-    if (h[u.index()] == 1 && fits(dst, t) &&
+    if (goal.dist(u) == 1 && fits(dst, 0, t) &&
         !(at_spur && ws.first_hop_banned[dst.index()] == epoch)) {
       ws.walk.push_back(dst);
       return true;
@@ -208,7 +241,7 @@ bool KspSolver::least_walk(Workspace& ws, NodeId spur, NodeId dst,
          ++e) {
       const NodeId v = peers_[e];
       if (v == dst || ws.visited[v.index()] == epoch ||
-          h[v.index()] == kUnreached || !fits(v, t)) {
+          h[v.index()] == kUnreached || !fits(v, h[v.index()], t)) {
         continue;
       }
       if (at_spur && ws.first_hop_banned[v.index()] == epoch) continue;
@@ -229,22 +262,23 @@ bool KspSolver::least_walk(Workspace& ws, NodeId spur, NodeId dst,
   return false;
 }
 
-bool KspSolver::bounded_search(Workspace& ws, NodeId spur, NodeId dst,
-                               const std::uint16_t* h) const {
+bool KspSolver::bounded_search(Workspace& ws, NodeId spur,
+                               const Goal& goal) const {
   ++ws.stats.spur_searches;
   const std::uint32_t epoch = ws.epoch;
-  const std::uint32_t base = h[spur.index()];
+  const NodeId dst = goal.dst;
+  const std::uint32_t base = goal.dist(spur);
   auto& buckets = ws.buckets;
   std::size_t used = 0;  // buckets [0, used) may hold entries
-  const auto push = [&](NodeId v, std::uint32_t g) {
+  const auto push = [&](NodeId v, std::uint32_t hv, std::uint32_t g) {
     ws.reached[v.index()] = epoch;
     ws.g[v.index()] = static_cast<std::uint16_t>(g);
-    const std::size_t b = g + h[v.index()] - base;  // h is consistent: >= 0
+    const std::size_t b = g + hv - base;  // h is consistent: >= 0
     if (b >= buckets.size()) buckets.resize(b + 1);
     used = std::max(used, b + 1);
     buckets[b].push_back(v);
   };
-  push(spur, 0);
+  push(spur, base, 0);
   // Bucket by bucket, so a node is closed with its exact distance (h is a
   // consistent bound on every edge the search takes), and every node whose
   // bound is below the shortest distance d is closed by the time dst is.
@@ -254,7 +288,7 @@ bool KspSolver::bounded_search(Workspace& ws, NodeId spur, NodeId dst,
       const NodeId u = buckets[b].back();
       buckets[b].pop_back();
       if (ws.closed[u.index()] == epoch ||
-          ws.g[u.index()] + h[u.index()] != base + b) {
+          ws.g[u.index()] + goal.dist(u) != base + b) {
         continue;  // closed already, or pushed again with a smaller g
       }
       ws.closed[u.index()] = epoch;
@@ -265,26 +299,27 @@ bool KspSolver::bounded_search(Workspace& ws, NodeId spur, NodeId dst,
       }
       const bool at_spur = u == spur;
       const std::uint32_t g = ws.g[u.index()] + 1u;
-      const auto relax = [&](NodeId v) {
-        if (h[v.index()] == kUnreached || ws.visited[v.index()] == epoch ||
+      const auto relax = [&](NodeId v, std::uint32_t hv) {
+        if (hv == kUnreached || ws.visited[v.index()] == epoch ||
             ws.closed[v.index()] == epoch) {
           return;
         }
         if (at_spur && ws.first_hop_banned[v.index()] == epoch) return;
         if (ws.reached[v.index()] == epoch && ws.g[v.index()] <= g) return;
-        push(v, g);
+        push(v, hv, g);
       };
       // dst is a peer exactly where h is 1; the other peers worth a look
-      // are the transit ones.
-      if (h[u.index()] == 1) relax(dst);
+      // are the switches.
+      if (goal.dist(u) == 1) relax(dst, 0);
       for (std::uint32_t e = offsets_[u.index()]; e < transit_end_[u.index()];
            ++e) {
-        if (peers_[e] != dst) relax(peers_[e]);
+        const NodeId v = peers_[e];
+        if (v != dst) relax(v, goal.h[v.index()]);
       }
     }
   }
   for (std::size_t b = 0; b < used; ++b) buckets[b].clear();
-  return d && least_walk(ws, spur, dst, h, *d);
+  return d && least_walk(ws, spur, goal, *d);
 }
 
 std::vector<Path> KspSolver::k_shortest_paths(NodeId src, NodeId dst,
@@ -309,10 +344,23 @@ std::vector<Path> KspSolver::k_shortest_paths(NodeId src, NodeId dst,
       if (to != nullptr) *to += from;
     }
   } add_stats{ws.stats, stats};
-  const std::uint16_t* h = distances_to(dst, ws.stats);
-  if (h[src.index()] == kUnreached) return result;
+  // From here on, nodes are solver ids until the paths are handed back.
+  const NodeId from = solver_id_[src.index()];
+  Goal goal{solver_id_[dst.index()], nullptr, switches_};
+  goal.h = distances_to(goal.dst, ws.stats);
+  if (from.value() >= switches_) {
+    // A server source is one hop more than its nearest peer. Of its server
+    // peers only dst counts: dist() gives the others kUnreached for now.
+    std::uint32_t best = kUnreached;
+    for (std::uint32_t e = offsets_[from.index()];
+         e < offsets_[from.index() + 1]; ++e) {
+      best = std::min(best, goal.dist(peers_[e]) + 1);
+    }
+    goal.h_src = static_cast<std::uint16_t>(best);
+  }
+  if (goal.dist(from) == kUnreached) return result;
   ws.next_search();
-  (void)least_walk(ws, src, dst, h, h[src.index()]);  // cannot fail
+  (void)least_walk(ws, from, goal, goal.dist(from));  // cannot fail
   result.emplace_back(ws.walk.begin(), ws.walk.end());
 
   using Candidate = Workspace::Candidate;
@@ -324,6 +372,8 @@ std::vector<Path> KspSolver::k_shortest_paths(NodeId src, NodeId dst,
   // Candidates leave in (size, lexicographic) order, and a deferred one
   // leaves before every resolved one of its size: its size is only a lower
   // bound, so it must resolve before a path of that size can be accepted.
+  // Solver ids order the switches as graph ids do, and candidates differ
+  // only at switches, so the order is the graph's.
   const auto before = [&](const Candidate& a, const Candidate& b) {
     if (a.size != b.size) return a.size < b.size;
     if (a.deferred || b.deferred) return a.deferred && !b.deferred;
@@ -376,11 +426,11 @@ std::vector<Path> KspSolver::k_shortest_paths(NodeId src, NodeId dst,
     for (std::uint32_t i = deviation; i < spurs; ++i) {
       stamp_bans(last + 1, last, i);
       const NodeId spur = result[last][i];
-      if (least_walk(ws, spur, dst, h, h[spur.index()])) {
+      if (least_walk(ws, spur, goal, goal.dist(spur))) {
         push_found(last, i);
       } else {
         // No path of length h[spur] is left: at least one more hop.
-        push({i + h[spur.index()] + 2u, last, i, last + 1, 0, true});
+        push({i + goal.dist(spur) + 2u, last, i, last + 1, 0, true});
       }
     }
 
@@ -395,7 +445,7 @@ std::vector<Path> KspSolver::k_shortest_paths(NodeId src, NodeId dst,
         next = c;
       } else {
         stamp_bans(c.bans, c.parent, c.spur);
-        if (bounded_search(ws, result[c.parent][c.spur], dst, h)) {
+        if (bounded_search(ws, result[c.parent][c.spur], goal)) {
           push_found(c.parent, c.spur);
         }
       }
@@ -408,6 +458,9 @@ std::vector<Path> KspSolver::k_shortest_paths(NodeId src, NodeId dst,
     }
     result.push_back(std::move(path));
     deviation = next->spur;
+  }
+  for (Path& path : result) {
+    for (NodeId& v : path) v = graph_id_[v.index()];
   }
   return result;
 }

@@ -34,8 +34,12 @@ namespace exec {
 class ThreadPool;
 }  // namespace exec
 
-// Work one k_shortest_paths call did, for the routing.ksp.* work counters.
-// A pure function of (graph, src, dst, k), like the paths themselves.
+// Work k_shortest_paths calls did, for the routing.ksp.* work counters.
+// A call that is the first for its destination also counts the build of
+// that destination's distance table, and under a parallel precompute any
+// of the calls sharing the destination may be that first one. So one
+// call's stats depend on what ran before it; only their sum over a
+// solver's lifetime is a pure function of the graph and the calls made.
 struct KspStats {
   // Breadth-first spur searches run; a spur its tight walk settles runs
   // none.
@@ -52,8 +56,8 @@ struct KspStats {
 class KspSolver {
  public:
   // Copies `graph` into a sorted CSR adjacency; the solver keeps no
-  // reference to `graph`. Throws std::length_error past 65,534 nodes (hop
-  // distances are stored in 16 bits).
+  // reference to `graph`. Throws std::length_error past 65,533 switches
+  // (hop distances are stored in 16 bits); servers are not bounded.
   explicit KspSolver(const Graph& graph);
 
   // Lexicographically-smallest shortest path from src to dst, or nullopt if
@@ -71,10 +75,18 @@ class KspSolver {
 
  private:
   struct Workspace;
+  struct Goal;
 
-  // Hop distance from every node to `dst`, servers transiting nothing;
-  // kUnreached where there is no path. Built by one reverse BFS on the
-  // first call for `dst` and shared by every later one, on any thread.
+  // Below, nodes are solver ids: the switches are 0 .. switches_ - 1 and
+  // the servers follow, each in graph id order. Ascending solver ids order
+  // the switches as their graph ids do, and paths differ only at switches,
+  // so every order the solver takes is the graph's.
+
+  // Hop distance from every switch to `dst`, servers transiting nothing;
+  // kUnreached where there is no path. Built by one reverse BFS over the
+  // switches on the first call for `dst` and shared by every later one,
+  // on any thread. A table holds switches_ entries whatever the server
+  // count.
   [[nodiscard]] const std::uint16_t* distances_to(NodeId dst,
                                                   KspStats& stats) const;
 
@@ -89,28 +101,31 @@ class KspSolver {
   //
   // With d = h[spur] this is the tight walk: the path of length h[spur],
   // found without a breadth-first search, if the bans left one.
-  [[nodiscard]] bool least_walk(Workspace& ws, NodeId spur, NodeId dst,
-                                const std::uint16_t* h, std::uint32_t d) const;
+  [[nodiscard]] bool least_walk(Workspace& ws, NodeId spur, const Goal& goal,
+                                std::uint32_t d) const;
 
   // The spur search for a spur whose tight walk failed: a breadth-first
   // search in buckets of g + h (A* with the consistent bound h) that
   // enqueues no server but dst. When dst leaves its bucket, its g is the
   // shortest distance d and every node whose bound is below d is closed
   // with its exact g, so least_walk picks the least path of length d.
-  [[nodiscard]] bool bounded_search(Workspace& ws, NodeId spur, NodeId dst,
-                                    const std::uint16_t* h) const;
+  [[nodiscard]] bool bounded_search(Workspace& ws, NodeId spur,
+                                    const Goal& goal) const;
 
-  [[nodiscard]] std::size_t node_count() const { return transit_.size(); }
+  [[nodiscard]] std::size_t node_count() const { return graph_id_.size(); }
+
+  // Graph id -> solver id, and back.
+  std::vector<NodeId> solver_id_;
+  std::vector<NodeId> graph_id_;
+  std::uint32_t switches_{0};
 
   // CSR adjacency: node i's distinct peers are
-  // peers_[offsets_[i] .. offsets_[i + 1]), the transit ones first
-  // (ending at transit_end_[i]), each part ascending by id. Searches past
-  // the spur scan only the transit part: a server can end a path but
-  // never carry one on.
+  // peers_[offsets_[i] .. offsets_[i + 1]), ascending, so the switches
+  // come first (ending at transit_end_[i]). Searches past the spur scan
+  // only the switches: a server can end a path but never carry one on.
   std::vector<std::uint32_t> offsets_;
   std::vector<std::uint32_t> transit_end_;
   std::vector<NodeId> peers_;
-  std::vector<bool> transit_;  // is_switch(role) per node
 
   // One lazily filled distance table per destination. Filling is the only
   // write a const call makes; call_once makes it safe under

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "core/flat_tree.h"
 #include "routing/path.h"
 #include "topo/clos.h"
@@ -112,6 +115,53 @@ TEST(Ksp, ServersNotTransited) {
   const auto paths = solver.k_shortest_paths(a, b, 5);
   ASSERT_EQ(paths.size(), 1u);
   EXPECT_EQ((*paths.begin())[1], c);
+}
+
+TEST(Ksp, ServerCountIsNotBounded) {
+  // A ring of 4 switches, each followed by 17,000 servers: 68,004 nodes,
+  // more than 16-bit distances could index, and servers between the
+  // switch ids. Distances are kept per switch, so the solver builds.
+  Graph g;
+  std::vector<NodeId> sw;
+  std::vector<NodeId> first;  // each switch's first server
+  for (int i = 0; i < 4; ++i) {
+    sw.push_back(g.add_node(NodeRole::kEdge));
+    for (int j = 0; j < 17000; ++j) {
+      const NodeId s = g.add_node(NodeRole::kServer);
+      if (j == 0) first.push_back(s);
+      g.add_link(s, sw.back(), 1e9);
+    }
+  }
+  for (int i = 0; i < 4; ++i) g.add_link(sw[i], sw[(i + 1) % 4], 1e9);
+  ASSERT_GT(g.node_count(), 65535u);
+  const KspSolver solver{g};
+  const auto paths = solver.k_shortest_paths(first[0], first[2], 3);
+  ASSERT_EQ(paths.size(), 2u);
+  EXPECT_EQ(paths[0], (Path{first[0], sw[0], sw[1], sw[2], first[2]}));
+  EXPECT_EQ(paths[1], (Path{first[0], sw[0], sw[3], sw[2], first[2]}));
+}
+
+TEST(Ksp, SwitchCountIsBounded) {
+  // A line of switches with a server at each end. At 65,533 switches the
+  // end-to-end distance, 65,534 hops, still fits a 16-bit table entry;
+  // one switch more is refused.
+  const auto line = [](std::uint32_t switches) {
+    Graph g;
+    NodeId prev = g.add_node(NodeRole::kServer);
+    for (std::uint32_t i = 0; i <= switches; ++i) {
+      const NodeId next =
+          g.add_node(i < switches ? NodeRole::kEdge : NodeRole::kServer);
+      g.add_link(prev, next, 1e9);
+      prev = next;
+    }
+    return g;
+  };
+  const Graph longest = line(65533);
+  const auto path =
+      KspSolver{longest}.shortest_path(NodeId{0}, NodeId{65534});
+  ASSERT_TRUE(path.has_value());
+  EXPECT_EQ(path_length(*path), 65534u);
+  EXPECT_THROW((void)KspSolver{line(65534)}, std::length_error);
 }
 
 TEST(Ksp, FatTreeEqualCostPaths) {

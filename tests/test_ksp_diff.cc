@@ -486,6 +486,29 @@ TEST(KspDiff, ServerTransitShortcutAndServerEndpoints) {
   expect_matches_oracle(g, all_pairs(g), "shortcut");
 }
 
+// Servers 0 and 4 linked to each other and to the two ends of a switch
+// chain 1..3, with server 5 on switch 2. Between the two linked servers
+// the direct hop is the shortest path; from 5 neither can be transited.
+TEST(KspDiff, ServerToServerLink) {
+  Graph g;
+  g.add_node(NodeRole::kServer);
+  for (int i = 0; i < 3; ++i) g.add_node(NodeRole::kEdge);
+  g.add_node(NodeRole::kServer);
+  g.add_node(NodeRole::kServer);
+  g.add_link(NodeId{0}, NodeId{4}, 1e9);
+  g.add_link(NodeId{0}, NodeId{1}, 1e9);
+  g.add_link(NodeId{1}, NodeId{2}, 1e9);
+  g.add_link(NodeId{2}, NodeId{3}, 1e9);
+  g.add_link(NodeId{3}, NodeId{4}, 1e9);
+  g.add_link(NodeId{5}, NodeId{2}, 1e9);
+  const KspSolver solver{g};
+  EXPECT_EQ(solver.k_shortest_paths(NodeId{0}, NodeId{4}, 4),
+            (std::vector<Path>{{NodeId{0}, NodeId{4}},
+                               {NodeId{0}, NodeId{1}, NodeId{2}, NodeId{3},
+                                NodeId{4}}}));
+  expect_matches_oracle(g, all_pairs(g), "server link");
+}
+
 // Two switch pairs joined by parallel links, and a second component.
 TEST(KspDiff, ParallelLinksAndDisconnectedPairs) {
   Graph g;
