@@ -7,14 +7,21 @@
 namespace flattree::exec {
 
 ThreadPool::ThreadPool(std::size_t threads) {
-  const std::size_t count = threads == 0 ? 1 : threads;
+  const std::size_t count = threads == 0 ? 1 : resolve_threads(threads);
   workers_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  try {
+    for (std::size_t i = 0; i < count; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    stop_and_join();  // the workers that did start
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_and_join(); }
+
+void ThreadPool::stop_and_join() {
   {
     std::lock_guard lock{mutex_};
     stopping_ = true;

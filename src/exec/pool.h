@@ -29,6 +29,9 @@ class ThreadPool {
   using Task = std::function<void()>;
 
   // Spawns `threads` workers (at least 1). The pool is ready immediately.
+  // Throws std::invalid_argument above kMaxThreads, starting none; if a
+  // thread fails to start, the ones started are joined before the
+  // exception leaves.
   explicit ThreadPool(std::size_t threads);
 
   // Joins all workers after draining queued tasks.
@@ -70,6 +73,8 @@ class ThreadPool {
   // helpers, whose `done` may have turned true.
   void run_front(std::unique_lock<std::mutex>& lock);
   void worker_loop();
+  // Stops the workers once the queue is drained, and joins them.
+  void stop_and_join();
 
   std::mutex mutex_;
   std::condition_variable work_cv_;    // workers: a task or shutdown

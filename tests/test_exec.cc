@@ -26,7 +26,8 @@
 namespace flattree {
 namespace {
 
-// The thread-count bound lives in resolve_threads, which starts nothing.
+// The thread-count bound lives in resolve_threads, which starts nothing;
+// the pool's constructor checks it before starting any thread.
 TEST(ThreadPool, ResolveThreadsRejectsCountsAboveTheBound) {
   EXPECT_EQ(exec::ThreadPool::resolve_threads(1), 1u);
   EXPECT_EQ(exec::ThreadPool::resolve_threads(exec::ThreadPool::kMaxThreads),
@@ -39,6 +40,8 @@ TEST(ThreadPool, ResolveThreadsRejectsCountsAboveTheBound) {
   const std::size_t all_cores = exec::ThreadPool::resolve_threads(0);
   EXPECT_GE(all_cores, 1u);
   EXPECT_LE(all_cores, exec::ThreadPool::kMaxThreads);
+  EXPECT_THROW(exec::ThreadPool{exec::ThreadPool::kMaxThreads + 1},
+               std::invalid_argument);
 }
 
 TEST(ThreadPool, RunsSubmittedTasks) {
