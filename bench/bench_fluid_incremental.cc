@@ -357,26 +357,20 @@ KspCellResult run_ksp_cell(const Graph& base, std::uint64_t seed) {
   return r;
 }
 
-// The gate's pinned numbers, from the flat baseline JSON
-// {"k8_churn_events_per_sec": N, "k8_churn_links_frac_max": F,
-//  "k8_churn_fallbacks": C}.
-struct GateBaseline {
-  double events_per_sec{0};
-  double links_frac_max{0};
-  std::uint64_t fallbacks{0};
-};
-
 int run(const BenchOptions& bench, exec::RunnerOptions options) {
-  // Read before any work, so a malformed file fails at once.
-  GateBaseline pinned;
+  // The gate's pinned numbers, from the flat baseline JSON
+  // {"k8_churn_events_per_sec": N, "k8_churn_links_frac_max": F,
+  //  "k8_churn_fallbacks": C}, read before any work so a malformed file
+  // fails at once.
+  double base_eps = 0;
+  double frac_max = 0;
+  std::uint64_t fallbacks_pinned = 0;
   if (!bench.baseline_path.empty()) {
     const bench::BaselineFile file =
         bench::read_baseline_file("fluid_incremental", bench.baseline_path);
-    pinned.events_per_sec =
-        bench::baseline_value(file, "k8_churn_events_per_sec");
-    pinned.links_frac_max =
-        bench::baseline_value(file, "k8_churn_links_frac_max");
-    pinned.fallbacks = static_cast<std::uint64_t>(
+    base_eps = bench::baseline_value(file, "k8_churn_events_per_sec");
+    frac_max = bench::baseline_value(file, "k8_churn_links_frac_max");
+    fallbacks_pinned = static_cast<std::uint64_t>(
         bench::baseline_value(file, "k8_churn_fallbacks", /*zero_ok=*/true));
   }
   exec::ExperimentRunner runner{std::move(options)};
@@ -525,9 +519,6 @@ int run(const BenchOptions& bench, exec::RunnerOptions options) {
   }
 
   if (!bench.baseline_path.empty()) {
-    const double base_eps = pinned.events_per_sec;
-    const double frac_max = pinned.links_frac_max;
-    const std::uint64_t fallbacks_pinned = pinned.fallbacks;
     // Wall-clock half: best of three re-runs, 2x slack (catches
     // order-of-magnitude regressions, not machine noise). The gate cell's
     // spec index is 3 in both quick and full mode, so the re-run replays
