@@ -2,6 +2,10 @@
 // concurrent paths in k-shortest-path routing. The paper's finding: too
 // small a k leaves links under-utilized; 8 paths suffice; larger k does not
 // improve further.
+//
+// Execution: the 6 k values x 2 traffic patterns fan across the exec pool
+// as independent cells; BENCH_ablation_k.json holds one row per cell with
+// the raw rate. --seed is the permutation's seed (default 77).
 #include <cstdio>
 
 #include "bench/util.h"
@@ -13,7 +17,9 @@
 namespace flattree {
 namespace {
 
-void run() {
+void run(int argc, char** argv) {
+  exec::ExperimentRunner runner{
+      bench::parse_runner_options("ablation_k", argc, argv, 77)};
   bench::print_header(
       "Ablation: throughput vs k (k-shortest-path fan-out)",
       "topo-2 global mode, permutation + pod-stride traffic;\n"
@@ -23,7 +29,7 @@ void run() {
   const FlatTree tree{FlatTreeParams::defaults_for(clos)};
   const Graph g = tree.realize_uniform(PodMode::kGlobal);
 
-  Rng rng{77};
+  Rng rng{runner.seed()};
   const Workload permutation =
       bench::subsample(permutation_traffic(clos.total_servers(), rng), 256, 3);
   const Workload stride = bench::subsample(
@@ -31,14 +37,30 @@ void run() {
                          clos.servers_per_edge * clos.edge_per_pod),
       256, 4);
 
+  const std::uint32_t ks[] = {1, 2, 4, 8, 12, 16};
+  const Workload* traffic[] = {&permutation, &stride};
+  const char* traffic_names[] = {"permutation", "pod-stride"};
+  // Cell i solves traffic[i % 2] over ks[i / 2] paths.
+  const std::vector<double> rates = runner.timed_stage("ablation_k grid", [&] {
+    return exec::parallel_map(runner.pool(), 12, [&](std::size_t i) {
+      return solve_max_min_fill(bench::mcf_for(g, *traffic[i % 2], ks[i / 2],
+                                               runner.pool(), runner.obs()))
+          .avg_rate;
+    });
+  });
+
   bench::print_row({"k", "permutation", "pod-stride"}, 14);
-  for (const std::uint32_t k : {1u, 2u, 4u, 8u, 12u, 16u}) {
-    const double p =
-        solve_max_min_fill(bench::mcf_for(g, permutation, k)).avg_rate;
-    const double s = solve_max_min_fill(bench::mcf_for(g, stride, k)).avg_rate;
-    bench::print_row({std::to_string(k), bench::fmt_gbps(p),
-                      bench::fmt_gbps(s)},
+  for (std::size_t row = 0; row < 6; ++row) {
+    bench::print_row({std::to_string(ks[row]), bench::fmt_gbps(rates[2 * row]),
+                      bench::fmt_gbps(rates[2 * row + 1])},
                      14);
+    for (std::size_t t = 0; t < 2; ++t) {
+      exec::ResultRow json_row;
+      json_row.set("k", ks[row])
+          .set("traffic", traffic_names[t])
+          .set("avg_rate_bps", rates[2 * row + t]);
+      runner.add_row(std::move(json_row));
+    }
   }
   std::printf("\npaper shape: throughput saturates by k = 8.\n");
 }
@@ -46,7 +68,7 @@ void run() {
 }  // namespace
 }  // namespace flattree
 
-int main() {
-  flattree::run();
+int main(int argc, char** argv) {
+  flattree::run(argc, argv);
   return 0;
 }

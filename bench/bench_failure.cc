@@ -9,8 +9,14 @@
 // well." Reported: permutation-traffic throughput (max-min over 8-shortest
 // paths) of the WORST flow vs failure fraction, normalized to each
 // network's failure-free value, averaged over 3 failure seeds.
+//
+// Execution: every solve (each network's failure-free baseline, then each
+// fraction x network x draw) fans across the exec pool as an independent
+// cell; BENCH_failure.json holds one row per printed cell with the raw
+// rates. --seed is the permutation's seed (default 17); the failure draws
+// keep their fixed seeds 101 / 202 / 303.
+#include <cmath>
 #include <cstdio>
-#include <numeric>
 
 #include "bench/util.h"
 #include "lp/mcf.h"
@@ -22,15 +28,9 @@
 namespace flattree {
 namespace {
 
-// Worst-flow (max-min) throughput: the resilience question is whether an
-// unlucky flow collapses, not whether the aggregate shrinks — aggregate
-// numbers can even rise under failures when pruned detours reduce
-// allocator waste.
-double worst_flow(const Graph& g, const Workload& flows) {
-  return solve_max_min_fill(bench::mcf_for(g, flows, 8)).min_rate;
-}
-
-void run() {
+void run(int argc, char** argv) {
+  exec::ExperimentRunner runner{
+      bench::parse_runner_options("failure", argc, argv, 17)};
   const ClosParams clos{8, 4, 4, 4, 8, 4, 16, 8};  // 256 servers, 2:1 edge
   FlatTreeParams params;
   params.clos = clos;
@@ -54,8 +54,35 @@ void run() {
       "permutation traffic; worst-flow (max-min) throughput normalized to\n"
       "the same network without failures; mean of 3 failure draws.");
 
-  Rng traffic_rng{17};
+  Rng traffic_rng{runner.seed()};
   const Workload flows = permutation_traffic(clos.total_servers(), traffic_rng);
+
+  // Worst-flow (max-min) throughput: the resilience question is whether an
+  // unlucky flow collapses, not whether the aggregate shrinks — aggregate
+  // numbers can even rise under failures when pruned detours reduce
+  // allocator waste. NaN marks a draw that partitions the servers.
+  const double fractions[] = {0.0, 0.05, 0.10, 0.15, 0.20};
+  const std::uint64_t draw_seeds[] = {101, 202, 303};
+  // Cell s < 4 is system s without failures; cell 4 + 12 f + 3 s + d is
+  // draw d of system s at fractions[f].
+  const std::vector<double> worst = runner.timed_stage("failure grid", [&] {
+    return exec::parallel_map(runner.pool(), 64, [&](std::size_t i) {
+      const Graph* g = &systems[i % 4].graph;
+      Graph degraded;
+      if (i >= 4) {
+        Rng rng{draw_seeds[(i - 4) % 3]};
+        const Graph& intact = systems[(i - 4) / 3 % 4].graph;
+        degraded = remove_links(
+            intact, sample_fabric_failures(intact, fractions[(i - 4) / 12],
+                                           rng));
+        if (!servers_connected(degraded)) return std::nan("");
+        g = &degraded;
+      }
+      return solve_max_min_fill(
+                 bench::mcf_for(*g, flows, 8, runner.pool(), runner.obs()))
+          .min_rate;
+    });
+  });
 
   // Each cell reports mean (kept/total) over the failure draws. Draws that
   // partition the servers are excluded from the mean, which biases the
@@ -64,33 +91,37 @@ void run() {
   bench::print_row({"fail%", "ft-clos", "ft-local", "ft-global",
                     "random-graph"},
                    14);
-  double baseline[4];
-  for (int s = 0; s < 4; ++s) baseline[s] = worst_flow(systems[s].graph, flows);
-
-  for (const double fraction : {0.0, 0.05, 0.10, 0.15, 0.20}) {
-    std::vector<std::string> cells{bench::fmt(fraction * 100, 0)};
-    for (int s = 0; s < 4; ++s) {
+  for (std::size_t f = 0; f < 5; ++f) {
+    std::vector<std::string> cells{bench::fmt(fractions[f] * 100, 0)};
+    for (std::size_t s = 0; s < 4; ++s) {
+      exec::ResultRow row;
+      row.set("fail_fraction", fractions[f])
+          .set("system", systems[s].name)
+          .set("baseline_bps", worst[s]);
       double ratio_sum = 0;
       int draws = 0;
-      int total = 0;
-      for (std::uint64_t seed : {101u, 202u, 303u}) {
-        Rng rng{seed};
-        ++total;
-        const Graph degraded = remove_links(
-            systems[s].graph,
-            sample_fabric_failures(systems[s].graph, fraction, rng));
-        if (!servers_connected(degraded)) continue;  // partition: skip draw
-        ratio_sum += worst_flow(degraded, flows) / baseline[s];
+      for (std::size_t d = 0; d < 3; ++d) {
+        const double rate = worst[4 + 12 * f + 3 * s + d];
+        const std::string key = "draw" + std::to_string(d) + "_bps";
+        if (std::isnan(rate)) {  // partition: skip draw
+          row.set(key, exec::JsonValue{});
+          continue;
+        }
+        row.set(key, rate);
+        ratio_sum += rate / worst[s];
         ++draws;
       }
       char cell[32];
       if (draws > 0) {
-        std::snprintf(cell, sizeof(cell), "%s (%d/%d)",
-                      bench::fmt(ratio_sum / draws, 3).c_str(), draws, total);
+        std::snprintf(cell, sizeof(cell), "%s (%d/3)",
+                      bench::fmt(ratio_sum / draws, 3).c_str(), draws);
+        row.set("retention", ratio_sum / draws);
       } else {
-        std::snprintf(cell, sizeof(cell), "part (0/%d)", total);
+        std::snprintf(cell, sizeof(cell), "part (0/3)");
+        row.set("retention", exec::JsonValue{});
       }
       cells.emplace_back(cell);
+      runner.add_row(std::move(row));
     }
     bench::print_row(cells, 14);
   }
@@ -103,7 +134,7 @@ void run() {
 }  // namespace
 }  // namespace flattree
 
-int main() {
-  flattree::run();
+int main(int argc, char** argv) {
+  flattree::run(argc, argv);
   return 0;
 }
