@@ -1,11 +1,13 @@
-// Incremental max-min allocator vs from-scratch solve_max_min_fill, plus
-// warm PathCache rebinds vs cold recompute — the two delta disciplines of
-// the fluid hot path (src/sim/fluid_incremental.h, PathCache::rebind_warm).
+// Incremental max-min reallocation vs a cold solve per event, plus warm
+// PathCache rebinds vs cold recompute — the two delta disciplines of the
+// fluid hot path (src/lp/fluid_incremental.h, PathCache::rebind_warm).
 //
 // Each fluid cell drives one deterministic event stream (k x event mix)
-// through both allocators in lockstep, asserting bit-for-bit rate equality
-// after every event (the bench aborts on divergence — it is its own
-// differential oracle), and reports the incremental path's touch counts:
+// through one long-lived IncrementalMaxMinSolver and, in lockstep, through
+// solve_max_min_fill over a rebuilt instance (a fresh solver of the same
+// class, so the scratch side is a cold solve, not a second algorithm). It
+// asserts bit-for-bit rate equality after every event (the bench aborts on
+// divergence) and reports the incremental path's touch counts:
 // links_touched / directed edges is the O(affected) contract, pinned by the
 // --baseline gate so a regression to O(network) re-solves fails CI even
 // when wall-clock noise hides it.
@@ -48,7 +50,7 @@
 #include "net/failures.h"
 #include "net/rng.h"
 #include "routing/ksp.h"
-#include "sim/fluid_incremental.h"
+#include "lp/fluid_incremental.h"
 #include "topo/clos.h"
 
 namespace flattree {
@@ -190,9 +192,9 @@ CellWorld build_world(const Graph& g, const CellSpec& spec,
   return w;
 }
 
-// From-scratch oracle state: capacities + present flows, solved by
-// rebuilding an McfInstance per event exactly as the legacy fluid
-// reallocate() does.
+// Cold-solve state: capacities + present flows, solved by rebuilding an
+// McfInstance per event and calling solve_max_min_fill, which runs a fresh
+// IncrementalMaxMinSolver over it.
 struct ScratchState {
   std::vector<double> capacity;
   std::vector<const PathEdges*> flows;  // slot -> paths (null = absent)

@@ -1,4 +1,4 @@
-#include "sim/fluid_incremental.h"
+#include "lp/fluid_incremental.h"
 
 #include <algorithm>
 #include <bit>

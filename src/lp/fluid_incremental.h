@@ -1,11 +1,12 @@
-// Incremental max-min (progressive-filling) rate allocator.
+// Max-min (progressive-filling) rate allocator, the one implementation of
+// it in the library.
 //
-// solve_max_min_fill (lp/mcf.h) re-derives the whole water-filling from
-// scratch on every call: each round it scans every edge for the tightest
-// fair share, raises every unfrozen subflow by that delta, and freezes the
-// subflows crossing saturated edges. The fluid simulator calls it once per
-// arrival/departure/failure event, so the inner loop of every closed-loop
-// experiment is O(network) per event even when the event perturbs one path.
+// Progressive filling raises every unfrozen subflow by the tightest fair
+// share (delta) each round and freezes the subflows crossing saturated
+// edges. solve_max_min_fill (lp/mcf.h) is one cold solve of this class; the
+// fluid simulator keeps one instance alive and calls solve() once per
+// arrival/departure/failure event, where a from-scratch fill would be
+// O(network) per event even when the event perturbs one path.
 //
 // This solver keeps the water-filling *trace* alive between events: per
 // round the uniform increment (delta), the running fill level (prefix), the
@@ -25,10 +26,11 @@
 // at the divergence level (those an unfrozen subflow crosses) and re-runs
 // the scratch algorithm for the remaining rounds (recording a fresh trace
 // tail). Levels below the divergence are still reused; levels at and
-// above re-solve. The fallback path executes the identical arithmetic as
-// solve_max_min_fill, so results are always bit-for-bit equal to a
-// from-scratch solve — the differential battery in
-// tests/test_fluid_incremental_diff.cc holds this after every event.
+// above re-solve. A cold solve is a fallback from level 0, so every solve
+// is bit-for-bit equal to a from-scratch one. The naive per-subflow loop,
+// O(subflows x rounds), is kept only as the test oracle
+// (tests/max_min_oracle.h); the differential battery in tests/test_fluid_incremental_diff.cc holds the
+// equality after every event, for every flow and path rate.
 #pragma once
 
 #include <cstdint>
@@ -59,12 +61,13 @@ struct IncrementalSolveStats {
   bool full_resolve{false};
 };
 
-// Persistent-state drop-in for solve_max_min_fill. Usage:
+// Usage:
 //   solver.reset(capacities, flow_slots);
 //   solver.add_flow(slot, path_edges); ... solver.solve();
 //   rate = solver.flow_rate(slot);
-// Rates are bit-for-bit identical to building an McfInstance over the
-// present flows (in ascending slot order) and calling solve_max_min_fill.
+// After any sequence of events, rates are bit-for-bit those of a fresh
+// solver given only the present flows (in ascending slot order), which is
+// what solve_max_min_fill computes.
 class IncrementalMaxMinSolver {
  public:
   static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
@@ -95,8 +98,8 @@ class IncrementalMaxMinSolver {
   // Recomputes the allocation for the current flow/capacity state.
   void solve();
 
-  // Total rate of the flow at `slot` (0 if absent/empty). Valid after
-  // solve(); identical fold order to solve_max_min_fill's extraction.
+  // Total rate of the flow at `slot` (0 if absent/empty): its path rates
+  // summed in path order from 0.0. Valid after solve().
   [[nodiscard]] double flow_rate(std::uint32_t slot) const;
 
   // Per-path rates for the flow at `slot` (empty if absent).
@@ -169,11 +172,11 @@ class IncrementalMaxMinSolver {
   void finalize_freeze(std::uint32_t s, std::uint32_t round);
 
   // Re-runs the scratch water-filling from round `from` (0 = full solve),
-  // recording a fresh trace tail. Bitwise the solve_max_min_fill loop.
+  // recording a fresh trace tail.
   void fallback_from(std::uint32_t from);
 
-  // The solve_max_min_fill round loop over `active_edges_` (ascending ids),
-  // starting at fill level `prefix`; records the rounds it produces.
+  // The progressive-filling round loop over `active_edges_` (ascending
+  // ids), starting at fill level `prefix`; records the rounds it produces.
   void scratch_fill(double prefix, std::size_t unfrozen_edged);
 
   void replay();

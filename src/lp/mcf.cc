@@ -1,14 +1,23 @@
 #include "lp/mcf.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
+
+#include "lp/fluid_incremental.h"
 
 namespace flattree {
 namespace {
 
 void validate(const McfInstance& instance) {
+  for (std::size_t e = 0; e < instance.capacity.size(); ++e) {
+    // Zero (a failed link) and +inf are valid; NaN fails this test too.
+    if (!(instance.capacity[e] >= 0.0)) {
+      throw std::invalid_argument("mcf: edge " + std::to_string(e) +
+                                  " has a negative or NaN capacity");
+    }
+  }
   for (const McfCommodity& c : instance.commodities) {
     if (c.paths.empty()) {
       throw std::invalid_argument("mcf: commodity with no paths");
@@ -70,30 +79,34 @@ void add_capacity_rows(const McfInstance& instance, const VarLayout& layout,
   }
 }
 
+// Derives every flow's rate (its path rates summed in path order from 0.0)
+// and the min/avg over flows from path_rates; min and avg are 0 without
+// commodities.
+void sum_rates(McfResult& result) {
+  const std::size_t n = result.path_rates.size();
+  result.flow_rate.assign(n, 0.0);
+  result.min_rate = n == 0 ? 0.0 : std::numeric_limits<double>::infinity();
+  double total = 0;
+  for (std::size_t f = 0; f < n; ++f) {
+    for (const double r : result.path_rates[f]) result.flow_rate[f] += r;
+    result.min_rate = std::min(result.min_rate, result.flow_rate[f]);
+    total += result.flow_rate[f];
+  }
+  result.avg_rate = n == 0 ? 0.0 : total / static_cast<double>(n);
+}
+
 McfResult extract(const McfInstance& instance, const VarLayout& layout,
                   const LpSolution& solution) {
   McfResult result;
   if (solution.status != LpStatus::kOptimal) return result;
   result.feasible = true;
-  result.min_rate = std::numeric_limits<double>::infinity();
-  double total = 0;
-  result.flow_rate.resize(instance.commodities.size(), 0.0);
   result.path_rates.resize(instance.commodities.size());
   for (std::size_t f = 0; f < instance.commodities.size(); ++f) {
-    const McfCommodity& c = instance.commodities[f];
-    result.path_rates[f].resize(c.paths.size(), 0.0);
-    for (std::size_t p = 0; p < c.paths.size(); ++p) {
-      const double rate = solution.x[layout.first_var[f] + p];
-      result.path_rates[f][p] = rate;
-      result.flow_rate[f] += rate;
-    }
-    total += result.flow_rate[f];
-    result.min_rate = std::min(result.min_rate, result.flow_rate[f]);
+    const auto first = solution.x.begin() + layout.first_var[f];
+    result.path_rates[f].assign(first,
+                                first + instance.commodities[f].paths.size());
   }
-  result.avg_rate =
-      instance.commodities.empty()
-          ? 0.0
-          : total / static_cast<double>(instance.commodities.size());
+  sum_rates(result);
   return result;
 }
 
@@ -154,102 +167,21 @@ McfResult solve_lp_avg(const McfInstance& instance,
 
 McfResult solve_max_min_fill(const McfInstance& instance) {
   validate(instance);
+  const std::size_t n = instance.commodities.size();
+  IncrementalMaxMinSolver solver;
+  solver.reset(instance.capacity, n);
+  for (std::size_t f = 0; f < n; ++f) {
+    solver.add_flow(static_cast<std::uint32_t>(f),
+                    instance.commodities[f].paths);
+  }
+  solver.solve();
   McfResult result;
   result.feasible = true;
-  result.flow_rate.assign(instance.commodities.size(), 0.0);
-  result.path_rates.resize(instance.commodities.size());
-
-  // Subflow table.
-  struct Subflow {
-    std::uint32_t commodity;
-    std::uint32_t path;
-    double rate{0.0};
-    bool frozen{false};
-  };
-  std::vector<Subflow> subflows;
-  for (std::size_t f = 0; f < instance.commodities.size(); ++f) {
-    result.path_rates[f].assign(instance.commodities[f].paths.size(), 0.0);
-    for (std::size_t p = 0; p < instance.commodities[f].paths.size(); ++p) {
-      subflows.push_back(Subflow{static_cast<std::uint32_t>(f),
-                                 static_cast<std::uint32_t>(p)});
-    }
+  result.path_rates.resize(n);
+  for (std::size_t f = 0; f < n; ++f) {
+    result.path_rates[f] = solver.path_rates(static_cast<std::uint32_t>(f));
   }
-
-  // Per-edge: residual capacity and active subflow count.
-  std::vector<double> residual = instance.capacity;
-  std::vector<std::uint32_t> active(instance.capacity.size(), 0);
-  std::vector<std::vector<std::uint32_t>> edge_subflows(
-      instance.capacity.size());
-  for (std::size_t s = 0; s < subflows.size(); ++s) {
-    const auto& path =
-        instance.commodities[subflows[s].commodity].paths[subflows[s].path];
-    for (std::uint32_t e : path) {
-      ++active[e];
-      edge_subflows[e].push_back(static_cast<std::uint32_t>(s));
-    }
-  }
-
-  const auto freeze_edge_subflows = [&](std::size_t e,
-                                        std::size_t& unfrozen_count) {
-    for (std::uint32_t s : edge_subflows[e]) {
-      if (subflows[s].frozen) continue;
-      subflows[s].frozen = true;
-      --unfrozen_count;
-      const auto& path =
-          instance.commodities[subflows[s].commodity].paths[subflows[s].path];
-      for (std::uint32_t pe : path) --active[pe];
-    }
-  };
-
-  std::size_t unfrozen = subflows.size();
-  while (unfrozen > 0) {
-    // Tightest edge determines the uniform increment.
-    double delta = std::numeric_limits<double>::infinity();
-    std::size_t argmin = residual.size();
-    for (std::size_t e = 0; e < residual.size(); ++e) {
-      if (active[e] == 0) continue;
-      const double headroom = residual[e] / active[e];
-      if (headroom < delta) {
-        delta = headroom;
-        argmin = e;
-      }
-    }
-    if (!std::isfinite(delta)) break;  // no capacity-constrained subflows left
-    delta = std::max(delta, 0.0);
-
-    for (Subflow& s : subflows) {
-      if (!s.frozen) s.rate += delta;
-    }
-    for (std::size_t e = 0; e < residual.size(); ++e) {
-      if (active[e] > 0) residual[e] = std::max(0.0, residual[e] - delta * active[e]);
-    }
-    // Freeze every subflow crossing a saturated edge.
-    const std::size_t before = unfrozen;
-    for (std::size_t e = 0; e < residual.size(); ++e) {
-      if (active[e] == 0 || residual[e] > 1e-9 * instance.capacity[e] + 1e-12) {
-        continue;
-      }
-      freeze_edge_subflows(e, unfrozen);
-    }
-    // Guaranteed progress even under floating-point residue.
-    if (unfrozen == before) freeze_edge_subflows(argmin, unfrozen);
-  }
-
-  result.min_rate = std::numeric_limits<double>::infinity();
-  double total = 0;
-  for (const Subflow& s : subflows) {
-    result.path_rates[s.commodity][s.path] = s.rate;
-    result.flow_rate[s.commodity] += s.rate;
-  }
-  for (double r : result.flow_rate) {
-    result.min_rate = std::min(result.min_rate, r);
-    total += r;
-  }
-  if (instance.commodities.empty()) {
-    result.min_rate = 0;
-  } else {
-    result.avg_rate = total / static_cast<double>(instance.commodities.size());
-  }
+  sum_rates(result);
   return result;
 }
 
@@ -271,28 +203,13 @@ McfResult solve_mptcp_model(const McfInstance& instance,
   }
   const McfResult extra = solve_max_min_fill(residual);
 
-  McfResult result;
-  result.feasible = true;
-  result.min_rate = std::numeric_limits<double>::infinity();
-  double total = 0;
-  result.flow_rate.resize(instance.commodities.size(), 0.0);
-  result.path_rates.resize(instance.commodities.size());
-  for (std::size_t f = 0; f < instance.commodities.size(); ++f) {
-    result.path_rates[f].resize(instance.commodities[f].paths.size(), 0.0);
-    for (std::size_t p = 0; p < result.path_rates[f].size(); ++p) {
-      result.path_rates[f][p] =
-          base.path_rates[f][p] + extra.path_rates[f][p];
-      result.flow_rate[f] += result.path_rates[f][p];
+  for (std::size_t f = 0; f < base.path_rates.size(); ++f) {
+    for (std::size_t p = 0; p < base.path_rates[f].size(); ++p) {
+      base.path_rates[f][p] += extra.path_rates[f][p];
     }
-    result.min_rate = std::min(result.min_rate, result.flow_rate[f]);
-    total += result.flow_rate[f];
   }
-  if (instance.commodities.empty()) {
-    result.min_rate = 0;
-  } else {
-    result.avg_rate = total / static_cast<double>(instance.commodities.size());
-  }
-  return result;
+  sum_rates(base);
+  return base;
 }
 
 }  // namespace flattree

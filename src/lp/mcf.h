@@ -11,9 +11,10 @@
 //                 (best utilization; can starve flows to zero)
 //
 // A third allocator, progressive filling at subflow granularity, is the
-// scalable stand-in used by the fluid simulator and by full-scale runs: it
-// is exact max-min over subflows and mirrors what per-path congestion
-// control converges to.
+// scalable stand-in used by full-scale runs: it is exact max-min over
+// subflows and mirrors what per-path congestion control converges to. It
+// is one cold solve of IncrementalMaxMinSolver (lp/fluid_incremental.h), the
+// allocator the fluid simulator keeps alive across events.
 #pragma once
 
 #include <cstdint>
@@ -51,8 +52,10 @@ struct McfResult {
 
 // Progressive filling: every subflow (commodity, path) ramps up at the same
 // rate; a subflow freezes when any edge it crosses saturates. Exact max-min
-// over subflows; a flow's rate is the sum of its subflow rates. O(E^2) in
-// the number of distinct saturated edges.
+// over subflows; a flow's rate is the sum of its subflow rates, in path
+// order. Runs IncrementalMaxMinSolver once over the instance: each round
+// scans only the edges an unfrozen subflow still crosses, and a subflow's
+// rate is the fill level of its freeze round.
 //
 // Note: at subflow granularity extra paths always attract extra traffic,
 // including long detours that waste capacity — which is NOT how coupled

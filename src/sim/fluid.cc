@@ -10,7 +10,7 @@
 #include <stdexcept>
 
 #include "lp/mcf.h"
-#include "sim/fluid_incremental.h"
+#include "lp/fluid_incremental.h"
 
 namespace flattree {
 namespace {

@@ -11,13 +11,13 @@
 // scheme provides (k subflows for k-shortest-path + MPTCP, one path for
 // ECMP + TCP); rates are recomputed by progressive filling at every arrival
 // or departure. The recomputation replays the previous event's
-// water-filling trace (sim/fluid_incremental.h): bit-for-bit the rates of
-// a from-scratch solve_max_min_fill, in O(affected bottleneck levels) per
-// event instead of O(network). Per-subflow max-min is cheap enough to
-// recompute per event, and its biases apply equally to every topology being
-// compared; the more faithful coupled-MPTCP model (solve_mptcp_model in
-// lp/mcf.h) embeds an LP and is reserved for the throughput-bound
-// experiments.
+// water-filling trace (lp/fluid_incremental.h, the allocator behind
+// solve_max_min_fill too): bit-for-bit the rates of a from-scratch solve,
+// in O(affected bottleneck levels) per event instead of O(network).
+// Per-subflow max-min is cheap enough to recompute per event, and its
+// biases apply equally to every topology being compared; the more
+// faithful coupled-MPTCP model (solve_mptcp_model in lp/mcf.h) embeds an LP
+// and is reserved for the throughput-bound experiments.
 //
 // Dependencies (Flow::depends_on) gate flow release, which is how the
 // application phase models (§5.4) express broadcast rounds and barriers.

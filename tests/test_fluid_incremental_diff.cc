@@ -1,12 +1,14 @@
 // Differential oracle for the incremental max-min allocator
-// (sim/fluid_incremental.h): its whole value proposition is *bit-for-bit*
-// equality with solve_max_min_fill while touching O(affected) state, so
-// every assertion here is exact — EXPECT_EQ on the raw double bits, never a
+// (lp/fluid_incremental.h): its whole value proposition is *bit-for-bit*
+// equality with the naive progressive-filling loop (max_min_fill_oracle,
+// tests/max_min_oracle.h) while touching O(affected) state, so every
+// assertion here is exact — EXPECT_EQ on the raw double bits, never a
 // tolerance. Three layers:
 //
 //   1. Solver-level fuzz: random event streams (flow arrivals/departures,
-//      link fail/recover, conversion-style capacity rescales) against a
-//      from-scratch solve of the same instance after EVERY event, on k=4 /
+//      link fail/recover, conversion-style capacity rescales) against the
+//      oracle's solve of the same instance after EVERY event — every flow
+//      rate and every path rate — on k=4 /
 //      k=8 fat-trees and a two-stage (multi-stage) random graph, >= 5 seeds
 //      each; plus arrival/departure-only streams shaped like the Figure-8
 //      trace replay (flat-tree global mode, 8 paths per flow, 128 slots),
@@ -16,11 +18,10 @@
 //      reproduce pinned FNV-1a digests of every flow's started/completed
 //      flags, start/finish bit patterns and the schedule stats. The pins
 //      were recorded when the simulator could still re-solve every event
-//      from scratch with solve_max_min_fill, and both allocators matched
-//      them.
+//      from scratch with the naive loop, and both allocators matched them.
 //   3. Metric determinism: the fluid.realloc.* counters the incremental
 //      path emits are byte-identical across exec-pool thread counts.
-#include "sim/fluid_incremental.h"
+#include "lp/fluid_incremental.h"
 
 #include <gtest/gtest.h>
 
@@ -37,6 +38,7 @@
 #include "exec/parallel.h"
 #include "exec/pool.h"
 #include "lp/mcf.h"
+#include "max_min_oracle.h"
 #include "net/capacity.h"
 #include "net/failures.h"
 #include "net/rng.h"
@@ -61,7 +63,7 @@ std::uint64_t bits(double v) {
 
 // ---- solver-level fuzz ------------------------------------------------------
 
-// Shadow state the scratch oracle solves from. Flows keyed by slot; the
+// Shadow state the oracle solves from. Flows keyed by slot; the
 // map's ascending iteration order matches the solver's documented
 // equivalence (commodities in ascending slot order).
 struct ShadowWorld {
@@ -69,7 +71,10 @@ struct ShadowWorld {
   std::map<std::uint32_t, PathEdges> flows;
 };
 
-std::map<std::uint32_t, double> scratch_rates(const ShadowWorld& w) {
+// The oracle's rates per present slot: (flow rate, per-path rates).
+using SlotRates = std::map<std::uint32_t, std::pair<double, std::vector<double>>>;
+
+SlotRates oracle_rates(const ShadowWorld& w) {
   McfInstance instance;
   instance.capacity = w.capacity;
   std::vector<std::uint32_t> order;
@@ -79,10 +84,11 @@ std::map<std::uint32_t, double> scratch_rates(const ShadowWorld& w) {
     instance.commodities.push_back(std::move(commodity));
     order.push_back(slot);
   }
-  std::map<std::uint32_t, double> out;
-  if (order.empty()) return out;
-  const std::vector<double> solved = solve_max_min_fill(instance).flow_rate;
-  for (std::size_t i = 0; i < order.size(); ++i) out[order[i]] = solved[i];
+  const McfResult solved = max_min_fill_oracle(instance);
+  SlotRates out;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    out[order[i]] = {solved.flow_rate[i], solved.path_rates[i]};
+  }
   return out;
 }
 
@@ -197,14 +203,25 @@ void fuzz_stream(const Graph& g, std::uint64_t seed, int num_events,
     }
 
     inc.solve();
-    const std::map<std::uint32_t, double> expect = scratch_rates(w);
+    const SlotRates expect = oracle_rates(w);
     for (std::uint32_t s = 0; s < kSlots; ++s) {
       const auto it = expect.find(s);
-      const double want = it == expect.end() ? 0.0 : it->second;
+      const double want = it == expect.end() ? 0.0 : it->second.first;
       const double got = inc.flow_rate(s);
       ASSERT_EQ(bits(got), bits(want))
           << "event " << ev << " slot " << s << ": incremental " << got
-          << " vs scratch " << want;
+          << " vs oracle " << want;
+      const std::vector<double> got_paths = inc.path_rates(s);
+      const std::vector<double> want_paths =
+          it == expect.end() ? std::vector<double>{} : it->second.second;
+      ASSERT_EQ(got_paths.size(), want_paths.size())
+          << "event " << ev << " slot " << s;
+      for (std::size_t p = 0; p < got_paths.size(); ++p) {
+        ASSERT_EQ(bits(got_paths[p]), bits(want_paths[p]))
+            << "event " << ev << " slot " << s << " path " << p
+            << ": incremental " << got_paths[p] << " vs oracle "
+            << want_paths[p];
+      }
     }
     // The per-solve touch accounting must never exceed the network: the
     // O(affected) contract's upper bound.

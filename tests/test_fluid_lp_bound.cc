@@ -19,7 +19,7 @@
 #include "net/capacity.h"
 #include "net/rng.h"
 #include "routing/ksp.h"
-#include "sim/fluid_incremental.h"
+#include "lp/fluid_incremental.h"
 #include "topo/clos.h"
 #include "topo/random_graph.h"
 #include "traffic/patterns.h"
@@ -144,7 +144,7 @@ TEST(FluidLpBound, SinglePathRatesRespectEdgeCapacities) {
 // ---- water-filling optimality certificate for the incremental solver -------
 //
 // After every event of a fuzzed stream driven through the *incremental*
-// allocator (sim/fluid_incremental.h), the allocation must carry the
+// allocator (lp/fluid_incremental.h), the allocation must carry the
 // progressive-filling certificate:
 //   (a) feasibility — no directed edge's load exceeds its capacity;
 //   (b) bottleneck  — every subflow crosses at least one saturated edge on

@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
+
 #include "lp/throughput.h"
+#include "max_min_oracle.h"
+#include "net/rng.h"
 #include "net/capacity.h"
 #include "routing/ksp.h"
 #include "topo/clos.h"
@@ -164,6 +172,31 @@ TEST(McfValidate, BadEdgeIndexThrows) {
   EXPECT_THROW((void)solve_lp_avg(inst), std::invalid_argument);
 }
 
+// A negative or NaN capacity is rejected by every entry point, naming the
+// edge; zero (a failed link) and +inf stay valid (McfFillOracle below).
+TEST(McfValidate, NegativeOrNanCapacityThrows) {
+  for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(bad);
+    McfInstance inst;
+    inst.capacity = {1.0, 2.0, bad};
+    inst.commodities.resize(1);
+    inst.commodities[0].paths = {{0}};
+    const auto expect_rejected = [&](auto&& solve) {
+      try {
+        (void)solve(inst);
+        ADD_FAILURE() << "accepted capacity " << bad;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string{e.what()}.find("edge 2"), std::string::npos)
+            << e.what();
+      }
+    };
+    expect_rejected([](const McfInstance& i) { return solve_lp_min(i); });
+    expect_rejected([](const McfInstance& i) { return solve_lp_avg(i); });
+    expect_rejected([](const McfInstance& i) { return solve_max_min_fill(i); });
+    expect_rejected([](const McfInstance& i) { return solve_mptcp_model(i); });
+  }
+}
+
 TEST(McfEmpty, NoCommoditiesIsFeasiblyZero) {
   McfInstance inst;
   inst.capacity = {1.0};
@@ -205,6 +238,116 @@ TEST(BuildMcfInstance, LpAgreesWithFillOnSymmetricClos) {
   // One 10G NIC each, opposite directions: both reach full rate.
   EXPECT_NEAR(lp.min_rate, 10e9, 1e3);
   EXPECT_NEAR(fill.min_rate, 10e9, 1e3);
+}
+
+// ---- progressive filling against the naive oracle, bit for bit ------------
+
+std::uint64_t bits(double v) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &v, sizeof(u));
+  return u;
+}
+
+// Every McfResult field of solve_max_min_fill equals the oracle's exactly.
+void expect_oracle_bits(const McfInstance& inst) {
+  const McfResult got = solve_max_min_fill(inst);
+  const McfResult want = max_min_fill_oracle(inst);
+  EXPECT_EQ(got.feasible, want.feasible);
+  EXPECT_EQ(bits(got.min_rate), bits(want.min_rate)) << got.min_rate;
+  EXPECT_EQ(bits(got.avg_rate), bits(want.avg_rate)) << got.avg_rate;
+  ASSERT_EQ(got.flow_rate.size(), want.flow_rate.size());
+  ASSERT_EQ(got.path_rates.size(), want.path_rates.size());
+  for (std::size_t f = 0; f < got.flow_rate.size(); ++f) {
+    EXPECT_EQ(bits(got.flow_rate[f]), bits(want.flow_rate[f])) << "flow " << f;
+    ASSERT_EQ(got.path_rates[f].size(), want.path_rates[f].size());
+    for (std::size_t p = 0; p < got.path_rates[f].size(); ++p) {
+      EXPECT_EQ(bits(got.path_rates[f][p]), bits(want.path_rates[f][p]))
+          << "flow " << f << " path " << p;
+    }
+  }
+}
+
+// A path that crosses one edge twice counts twice against it: A = {e0, e0}
+// and B = {e0, e1} split e0 three ways, then C takes the rest of e1.
+TEST(McfFillOracle, PathCrossingAnEdgeTwice) {
+  McfInstance inst;
+  inst.capacity = {1.0, 3.0};
+  inst.commodities.resize(3);
+  inst.commodities[0].paths = {{0, 0}};
+  inst.commodities[1].paths = {{0, 1}};
+  inst.commodities[2].paths = {{1}};
+  expect_oracle_bits(inst);
+  const McfResult r = solve_max_min_fill(inst);
+  EXPECT_NEAR(r.flow_rate[0], 1.0 / 3, 1e-12);
+  EXPECT_NEAR(r.flow_rate[1], 1.0 / 3, 1e-12);
+  EXPECT_NEAR(r.flow_rate[2], 8.0 / 3, 1e-12);
+}
+
+// An edgeless path never freezes: it rides every round up to the final
+// fill level.
+TEST(McfFillOracle, EdgelessPathNextToARealOne) {
+  McfInstance inst;
+  inst.capacity = {1.0};
+  inst.commodities.resize(2);
+  inst.commodities[0].paths = {{}, {0}};
+  inst.commodities[1].paths = {{0}};
+  expect_oracle_bits(inst);
+  const McfResult r = solve_max_min_fill(inst);
+  EXPECT_EQ(r.path_rates[0][0], 0.5);
+  EXPECT_EQ(r.path_rates[0][1], 0.5);
+  EXPECT_EQ(r.flow_rate[1], 0.5);
+
+  McfInstance edgeless_only;
+  edgeless_only.capacity = {1.0};
+  edgeless_only.commodities.resize(1);
+  edgeless_only.commodities[0].paths = {{}};
+  expect_oracle_bits(edgeless_only);
+  EXPECT_EQ(solve_max_min_fill(edgeless_only).flow_rate[0], 0.0);
+}
+
+TEST(McfFillOracle, ZeroAndInfiniteCapacityEdges) {
+  McfInstance inst;
+  inst.capacity = {0.0, std::numeric_limits<double>::infinity(), 2.0};
+  inst.commodities.resize(3);
+  inst.commodities[0].paths = {{0}, {2}};
+  inst.commodities[1].paths = {{1, 2}};
+  inst.commodities[2].paths = {{1}};
+  expect_oracle_bits(inst);
+  // The zero-capacity path freezes at 0 in the first round.
+  EXPECT_EQ(solve_max_min_fill(inst).path_rates[0][0], 0.0);
+}
+
+// Random small instances: repeated edges within a path, edgeless paths,
+// zero-capacity and +inf-capacity edges.
+TEST(McfFillOracle, RandomInstances) {
+  Rng rng{2017};
+  for (int trial = 0; trial < 500; ++trial) {
+    SCOPED_TRACE(trial);
+    McfInstance inst;
+    const std::uint32_t edges = 1 + static_cast<std::uint32_t>(rng.next_below(8));
+    for (std::uint32_t e = 0; e < edges; ++e) {
+      const std::uint64_t kind = rng.next_below(10);
+      inst.capacity.push_back(
+          kind == 0   ? 0.0
+          : kind == 1 ? std::numeric_limits<double>::infinity()
+                      : rng.next_double() * 10.0);
+    }
+    const std::uint64_t flows = 1 + rng.next_below(6);
+    for (std::uint64_t f = 0; f < flows; ++f) {
+      McfCommodity commodity;
+      const std::uint64_t paths = 1 + rng.next_below(3);
+      for (std::uint64_t p = 0; p < paths; ++p) {
+        std::vector<std::uint32_t> path;
+        const std::uint64_t hops = rng.next_below(5);
+        for (std::uint64_t h = 0; h < hops; ++h) {
+          path.push_back(static_cast<std::uint32_t>(rng.next_below(edges)));
+        }
+        commodity.paths.push_back(std::move(path));
+      }
+      inst.commodities.push_back(std::move(commodity));
+    }
+    expect_oracle_bits(inst);
+  }
 }
 
 }  // namespace
