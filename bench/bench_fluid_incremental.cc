@@ -45,12 +45,12 @@
 #include <vector>
 
 #include "bench/util.h"
+#include "lp/fluid_incremental.h"
 #include "lp/mcf.h"
 #include "net/capacity.h"
 #include "net/failures.h"
 #include "net/rng.h"
 #include "routing/ksp.h"
-#include "lp/fluid_incremental.h"
 #include "topo/clos.h"
 
 namespace flattree {

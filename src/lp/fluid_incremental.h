@@ -29,8 +29,9 @@
 // above re-solve. A cold solve is a fallback from level 0, so every solve
 // is bit-for-bit equal to a from-scratch one. The naive per-subflow loop,
 // O(subflows x rounds), is kept only as the test oracle
-// (tests/max_min_oracle.h); the differential battery in tests/test_fluid_incremental_diff.cc holds the
-// equality after every event, for every flow and path rate.
+// (tests/max_min_oracle.h); the differential battery in
+// tests/test_fluid_incremental_diff.cc holds the equality after every
+// event, for every flow and path rate.
 #pragma once
 
 #include <cstdint>

@@ -9,8 +9,8 @@
 #include <queue>
 #include <stdexcept>
 
-#include "lp/mcf.h"
 #include "lp/fluid_incremental.h"
+#include "lp/mcf.h"
 
 namespace flattree {
 namespace {

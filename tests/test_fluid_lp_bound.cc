@@ -14,12 +14,12 @@
 #include <string>
 #include <vector>
 
+#include "lp/fluid_incremental.h"
 #include "lp/mcf.h"
 #include "lp/throughput.h"
 #include "net/capacity.h"
 #include "net/rng.h"
 #include "routing/ksp.h"
-#include "lp/fluid_incremental.h"
 #include "topo/clos.h"
 #include "topo/random_graph.h"
 #include "traffic/patterns.h"

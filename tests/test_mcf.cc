@@ -10,8 +10,8 @@
 
 #include "lp/throughput.h"
 #include "max_min_oracle.h"
-#include "net/rng.h"
 #include "net/capacity.h"
+#include "net/rng.h"
 #include "routing/ksp.h"
 #include "topo/clos.h"
 
