@@ -5,6 +5,10 @@
 // way to the top cores. This bench measures what each extra level of
 // flattening buys: average path length and permutation throughput for every
 // (lower mode, upper mode) combination on a 128-server two-stage network.
+//
+// Execution: the 9 mode combinations fan across the exec pool as
+// independent cells; BENCH_multistage.json holds one row per cell with the
+// raw numbers. --seed is the permutation's seed (default 31).
 #include <cstdio>
 #include <numeric>
 
@@ -33,32 +37,56 @@ MultiStageParams make_params() {
   return p;
 }
 
-void run() {
+struct Cell {
+  PathLengthStats stats;
+  double total_bps{0.0};
+};
+
+void run(int argc, char** argv) {
+  exec::ExperimentRunner runner{
+      bench::parse_runner_options("multistage", argc, argv, 31)};
   bench::print_header(
       "Extension: multi-stage flat-tree (§2.2)",
       "128 servers, 96 switches in 6 layers; avg server-pair path length\n"
       "and total permutation throughput per (lower, upper) mode combo.");
 
   const MultiStageFlatTree tree{make_params()};
-  Rng rng{31};
+  Rng rng{runner.seed()};
   const Workload flows = permutation_traffic(tree.total_servers(), rng);
+
+  const PodMode modes[] = {PodMode::kClos, PodMode::kLocal, PodMode::kGlobal};
+  // Cell i realizes lower mode modes[i / 3] under upper mode modes[i % 3].
+  const std::vector<Cell> cells = runner.timed_stage("multistage grid", [&] {
+    return exec::parallel_map(runner.pool(), 9, [&](std::size_t i) {
+      const Graph g = tree.realize_uniform(modes[i / 3], modes[i % 3]);
+      Cell cell;
+      cell.stats = compute_path_length_stats(g);
+      FluidSimulator sim{g, bench::ksp_provider(g, 8, runner.obs())};
+      const auto rates = sim.measure_rates(flows);
+      cell.total_bps = std::accumulate(rates.begin(), rates.end(), 0.0);
+      return cell;
+    });
+  });
 
   bench::print_row({"lower-mode", "upper-mode", "avg-hops", "diameter",
                     "perm-total-Gb/s"},
                    16);
-  for (const PodMode lower : {PodMode::kClos, PodMode::kLocal, PodMode::kGlobal}) {
-    for (const PodMode upper : {PodMode::kClos, PodMode::kLocal, PodMode::kGlobal}) {
-      const Graph g = tree.realize_uniform(lower, upper);
-      const PathLengthStats stats = compute_path_length_stats(g);
-      FluidSimulator sim{g, bench::ksp_provider(g, 8)};
-      const auto rates = sim.measure_rates(flows);
-      const double total = std::accumulate(rates.begin(), rates.end(), 0.0);
-      bench::print_row({to_string(lower), to_string(upper),
-                        bench::fmt(stats.avg_server_pair_hops, 3),
-                        std::to_string(stats.diameter),
-                        bench::fmt(total / 1e9, 1)},
-                       16);
-    }
+  for (std::size_t i = 0; i < 9; ++i) {
+    const Cell& cell = cells[i];
+    const PodMode lower = modes[i / 3];
+    const PodMode upper = modes[i % 3];
+    bench::print_row({to_string(lower), to_string(upper),
+                      bench::fmt(cell.stats.avg_server_pair_hops, 3),
+                      std::to_string(cell.stats.diameter),
+                      bench::fmt(cell.total_bps / 1e9, 1)},
+                     16);
+    exec::ResultRow row;
+    row.set("lower_mode", to_string(lower))
+        .set("upper_mode", to_string(upper))
+        .set("avg_server_pair_hops", cell.stats.avg_server_pair_hops)
+        .set("diameter", cell.stats.diameter)
+        .set("perm_total_bps", cell.total_bps);
+    runner.add_row(std::move(row));
   }
   std::printf(
       "\nexpected: each additional flattened stage shortens paths; the\n"
@@ -68,7 +96,7 @@ void run() {
 }  // namespace
 }  // namespace flattree
 
-int main() {
-  flattree::run();
+int main(int argc, char** argv) {
+  flattree::run(argc, argv);
   return 0;
 }

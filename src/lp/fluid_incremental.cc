@@ -554,6 +554,7 @@ void IncrementalMaxMinSolver::scratch_fill(double prefix,
     }
     n = kept;
     if (!std::isfinite(delta)) break;  // only edgeless subflows remain
+    stats_.edges_scanned += n;
     delta = std::max(delta, 0.0);
     prefix += delta;
 

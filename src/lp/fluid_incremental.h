@@ -53,6 +53,9 @@ struct IncrementalSolveStats {
   // Cached rounds replayed verbatim / rounds re-solved by the scratch path.
   std::uint64_t rounds_replayed{0};
   std::uint64_t rounds_resolved{0};
+  // Summed over the re-solved rounds: the edges active at each round's min
+  // scan (the scratch path's cost per round).
+  std::uint64_t edges_scanned{0};
   // True when the cached trace diverged (or there was none) and the
   // scratch path re-solved every round from `fallback_level` on.
   bool fallback{false};

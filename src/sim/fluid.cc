@@ -91,6 +91,9 @@ std::vector<FluidFlowResult> FluidSimulator::run_with_schedule(
   obs::Counter* c_flows_touched = nullptr;
   obs::Counter* c_full_resolves = nullptr;
   obs::Counter* c_fallbacks = nullptr;
+  obs::Counter* c_rounds_resolved = nullptr;
+  obs::Counter* c_edges_scanned = nullptr;
+  obs::Counter* c_flows_resolved = nullptr;
   obs::Histogram* h_fallback_level = nullptr;
   obs::Histogram* h_fct = nullptr;
   obs::Histogram* h_active = nullptr;
@@ -115,6 +118,12 @@ std::vector<FluidFlowResult> FluidSimulator::run_with_schedule(
     c_fallbacks = &reg->counter("fluid.realloc.fallbacks");
     h_fallback_level = &reg->histogram("fluid.realloc.fallback_level",
                                        {0, 1, 2, 4, 8, 16, 32, 64, 128});
+    // The allocator's exact work: rounds the scratch path re-solved, and
+    // the edges those rounds' min scans visited.
+    c_rounds_resolved = &reg->counter("fluid.realloc.rounds_resolved");
+    c_edges_scanned = &reg->counter("fluid.realloc.edges_scanned");
+    // Flows whose refreshed route answer was resolved to edge lists.
+    c_flows_resolved = &reg->counter("fluid.refresh.flows_resolved");
     h_fct = &reg->histogram(
         "fluid.fct_s", {0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0});
     h_active = &reg->histogram("fluid.active_flows",
@@ -251,6 +260,8 @@ std::vector<FluidFlowResult> FluidSimulator::run_with_schedule(
     const IncrementalSolveStats& st = inc.last_stats();
     obs::add(c_links_touched, st.links_touched);
     obs::add(c_flows_touched, st.flows_touched);
+    obs::add(c_rounds_resolved, st.rounds_resolved);
+    obs::add(c_edges_scanned, st.edges_scanned);
     if (st.full_resolve) obs::add(c_full_resolves);
     if (st.fallback) {
       obs::add(c_fallbacks);
@@ -301,6 +312,7 @@ std::vector<FluidFlowResult> FluidSimulator::run_with_schedule(
       std::vector<std::vector<std::uint32_t>> edges;
       edges.reserve(paths.size());
       for (const Path& p : paths) edges.push_back(topology_.path_edges(p));
+      obs::add(c_flows_resolved);
       if (edges != state[f].path_edges) {
         // update_flow handles the flow being absent (black-holed on
         // arrival, re-pathed now) as a plain add.
