@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace flattree {
 
@@ -13,8 +14,24 @@ namespace {
 constexpr std::uint32_t kNone = IncrementalMaxMinSolver::kNone;
 }  // namespace
 
+namespace {
+// Progressive filling saturates an edge when its residual reaches a
+// threshold relative to its capacity; an infinite or NaN capacity has no
+// such threshold (it would saturate in the first round).
+void check_finite(std::uint32_t edge, double capacity) {
+  if (!std::isfinite(capacity)) {
+    throw std::invalid_argument("incremental mcf: edge " +
+                                std::to_string(edge) +
+                                " has a non-finite capacity");
+  }
+}
+}  // namespace
+
 void IncrementalMaxMinSolver::reset(std::vector<double> capacity,
                                     std::size_t flow_slots) {
+  for (std::size_t e = 0; e < capacity.size(); ++e) {
+    check_finite(static_cast<std::uint32_t>(e), capacity[e]);
+  }
   edges_.assign(capacity.size(), EdgeRec{});
   for (std::size_t e = 0; e < capacity.size(); ++e) {
     edges_[e].capacity = capacity[e];
@@ -63,6 +80,7 @@ std::uint32_t IncrementalMaxMinSolver::alloc_subflow() {
 
 void IncrementalMaxMinSolver::set_capacity(std::uint32_t edge,
                                            double capacity) {
+  check_finite(edge, capacity);
   EdgeRec& e = edges_[edge];
   if (e.capacity == capacity) return;
   e.capacity = capacity;

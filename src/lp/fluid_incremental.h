@@ -78,9 +78,12 @@ class IncrementalMaxMinSolver {
 
   // Starts over with `capacity[e]` per directed edge and slots
   // [0, flow_slots) addressable. Drops all flows and the cached trace.
+  // Throws std::invalid_argument naming the edge if a capacity is not
+  // finite: an edge saturates at a threshold relative to its capacity.
   void reset(std::vector<double> capacity, std::size_t flow_slots);
 
-  // Updates one directed edge's capacity (no-op if unchanged).
+  // Updates one directed edge's capacity (no-op if unchanged). Throws
+  // std::invalid_argument, as reset does, if `capacity` is not finite.
   void set_capacity(std::uint32_t edge, double capacity);
 
   // Registers a flow at `slot` with one subflow per path (a path is a list

@@ -1,6 +1,7 @@
 #include "lp/mcf.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -167,6 +168,13 @@ McfResult solve_lp_avg(const McfInstance& instance,
 
 McfResult solve_max_min_fill(const McfInstance& instance) {
   validate(instance);
+  for (std::size_t e = 0; e < instance.capacity.size(); ++e) {
+    if (!std::isfinite(instance.capacity[e])) {
+      throw std::invalid_argument("mcf: edge " + std::to_string(e) +
+                                  " has an infinite capacity, which "
+                                  "progressive filling cannot saturate");
+    }
+  }
   const std::size_t n = instance.commodities.size();
   IncrementalMaxMinSolver solver;
   solver.reset(instance.capacity, n);

@@ -55,7 +55,9 @@ struct McfResult {
 // over subflows; a flow's rate is the sum of its subflow rates, in path
 // order. Runs IncrementalMaxMinSolver once over the instance: each round
 // scans only the edges an unfrozen subflow still crosses, and a subflow's
-// rate is the fill level of its freeze round.
+// rate is the fill level of its freeze round. Besides the checks every
+// entry point makes, it throws std::invalid_argument naming the edge if a
+// capacity is infinite (the LP entry points accept +inf).
 //
 // Note: at subflow granularity extra paths always attract extra traffic,
 // including long detours that waste capacity — which is NOT how coupled

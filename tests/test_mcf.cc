@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
 
+#include "lp/fluid_incremental.h"
 #include "lp/throughput.h"
 #include "max_min_oracle.h"
 #include "net/capacity.h"
@@ -312,13 +314,43 @@ TEST(McfFillOracle, ZeroAndInfiniteCapacityEdges) {
   inst.commodities[0].paths = {{0}, {2}};
   inst.commodities[1].paths = {{1, 2}};
   inst.commodities[2].paths = {{1}};
+  // An infinite capacity has no saturation threshold: progressive filling
+  // rejects it rather than freezing its crossers in the first round.
+  EXPECT_THROW((void)solve_max_min_fill(inst), std::invalid_argument);
+  // Without the uncapped edge: the zero-capacity path freezes at 0 in the
+  // first round.
+  inst.capacity[1] = 2.0;
   expect_oracle_bits(inst);
-  // The zero-capacity path freezes at 0 in the first round.
   EXPECT_EQ(solve_max_min_fill(inst).path_rates[0][0], 0.0);
 }
 
+TEST(McfFill, NonFiniteCapacityNamesTheEdge) {
+  McfInstance inst = shared_edge_instance();
+  inst.capacity = {1.0, std::numeric_limits<double>::infinity()};
+  try {
+    (void)solve_max_min_fill(inst);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("edge 1 "), std::string::npos)
+        << e.what();
+  }
+  // The allocator itself refuses an infinite or NaN capacity at reset and
+  // at set_capacity, and keeps the capacity it had.
+  IncrementalMaxMinSolver solver;
+  EXPECT_THROW(solver.reset({1.0, std::numeric_limits<double>::infinity()}, 1),
+               std::invalid_argument);
+  solver.reset({1.0, 2.0}, 1);
+  EXPECT_THROW(solver.set_capacity(1, std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(solver.set_capacity(0, std::nan("")), std::invalid_argument);
+  EXPECT_EQ(solver.capacity(1), 2.0);
+  // The LP entry points keep accepting +inf.
+  EXPECT_TRUE(solve_lp_min(inst).feasible);
+}
+
 // Random small instances: repeated edges within a path, edgeless paths,
-// zero-capacity and +inf-capacity edges.
+// zero-capacity and +inf-capacity edges. An instance with a +inf edge must
+// be rejected; every other one must match the oracle bit for bit.
 TEST(McfFillOracle, RandomInstances) {
   Rng rng{2017};
   for (int trial = 0; trial < 500; ++trial) {
@@ -345,6 +377,11 @@ TEST(McfFillOracle, RandomInstances) {
         commodity.paths.push_back(std::move(path));
       }
       inst.commodities.push_back(std::move(commodity));
+    }
+    if (std::any_of(inst.capacity.begin(), inst.capacity.end(),
+                    [](double c) { return std::isinf(c); })) {
+      EXPECT_THROW((void)solve_max_min_fill(inst), std::invalid_argument);
+      continue;
     }
     expect_oracle_bits(inst);
   }
