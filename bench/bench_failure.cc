@@ -11,8 +11,9 @@
 // network's failure-free value, averaged over 3 failure seeds.
 //
 // Execution: every solve (each network's failure-free baseline, then each
-// fraction x network x draw) fans across the exec pool as an independent
-// cell; BENCH_failure.json holds one row per printed cell with the raw
+// nonzero fraction x network x draw) fans across the exec pool as an
+// independent cell; the fraction-0 draws sample no links and reuse the
+// baseline; BENCH_failure.json holds one row per printed cell with the raw
 // rates. --seed is the permutation's seed (default 17); the failure draws
 // keep their fixed seeds 101 / 202 / 303.
 #include <cmath>
@@ -63,18 +64,19 @@ void run(int argc, char** argv) {
   // allocator waste. NaN marks a draw that partitions the servers.
   const double fractions[] = {0.0, 0.05, 0.10, 0.15, 0.20};
   const std::uint64_t draw_seeds[] = {101, 202, 303};
-  // Cell s < 4 is system s without failures; cell 4 + 12 f + 3 s + d is
-  // draw d of system s at fractions[f].
-  const std::vector<double> worst = runner.timed_stage("failure grid", [&] {
-    return exec::parallel_map(runner.pool(), 64, [&](std::size_t i) {
+  // Cell s < 4 is system s without failures; cell 4 + 12 (f - 1) + 3 s + d
+  // is draw d of system s at fractions[f], f >= 1. A draw at fraction 0
+  // samples no links, so it is the failure-free cell.
+  const std::vector<double> solved = runner.timed_stage("failure grid", [&] {
+    return exec::parallel_map(runner.pool(), 52, [&](std::size_t i) {
       const Graph* g = &systems[i % 4].graph;
       Graph degraded;
       if (i >= 4) {
         Rng rng{draw_seeds[(i - 4) % 3]};
         const Graph& intact = systems[(i - 4) / 3 % 4].graph;
         degraded = remove_links(
-            intact, sample_fabric_failures(intact, fractions[(i - 4) / 12],
-                                           rng));
+            intact, sample_fabric_failures(
+                        intact, fractions[1 + (i - 4) / 12], rng));
         if (!servers_connected(degraded)) return std::nan("");
         g = &degraded;
       }
@@ -83,6 +85,9 @@ void run(int argc, char** argv) {
           .min_rate;
     });
   });
+  const auto draw_rate = [&](std::size_t f, std::size_t s, std::size_t d) {
+    return f == 0 ? solved[s] : solved[4 + 12 * (f - 1) + 3 * s + d];
+  };
 
   // Each cell reports mean (kept/total) over the failure draws. Draws that
   // partition the servers are excluded from the mean, which biases the
@@ -97,18 +102,18 @@ void run(int argc, char** argv) {
       exec::ResultRow row;
       row.set("fail_fraction", fractions[f])
           .set("system", systems[s].name)
-          .set("baseline_bps", worst[s]);
+          .set("baseline_bps", solved[s]);
       double ratio_sum = 0;
       int draws = 0;
       for (std::size_t d = 0; d < 3; ++d) {
-        const double rate = worst[4 + 12 * f + 3 * s + d];
+        const double rate = draw_rate(f, s, d);
         const std::string key = "draw" + std::to_string(d) + "_bps";
         if (std::isnan(rate)) {  // partition: skip draw
           row.set(key, exec::JsonValue{});
           continue;
         }
         row.set(key, rate);
-        ratio_sum += rate / worst[s];
+        ratio_sum += rate / solved[s];
         ++draws;
       }
       char cell[32];
