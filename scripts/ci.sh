@@ -70,7 +70,7 @@ cmake --build "build-${SANITIZE_PRESET}" -j "${JOBS}" \
            test_event_queue test_packet \
            test_packet_diff test_conversion_exec test_conversion_storm \
            test_autopilot test_hierarchy test_warm_repair_diff \
-           test_fluid_incremental_diff test_mcf test_properties \
+           test_fluid_incremental_diff test_fluid test_mcf test_properties \
            test_scenario_parse test_scenario_roundtrip test_scenario_diff
 "./build-${SANITIZE_PRESET}/tests/test_exec"
 "./build-${SANITIZE_PRESET}/tests/test_obs"
@@ -112,6 +112,10 @@ cmake --build "build-${SANITIZE_PRESET}" -j "${JOBS}" \
 # the cross-thread metric invariance case (pool-fanned cells recording
 # fluid.realloc.* concurrently — the TSan-relevant path).
 "./build-${SANITIZE_PRESET}/tests/test_fluid_incremental_diff"
+# The fluid simulator's unit cases, including the scheduled-run refreshes
+# that keep each flow's RouteSet handle across refreshes and skip a flow
+# whose new answer shares its storage.
+"./build-${SANITIZE_PRESET}/tests/test_fluid"
 # solve_max_min_fill runs the incremental solver's arena and back-pointer
 # code for every bench caller; its unit and property tests run here too.
 "./build-${SANITIZE_PRESET}/tests/test_mcf"

@@ -1633,22 +1633,89 @@ ExecutionReport ConversionExecutor::execute_under_storm(
 // -- simulator drivers --------------------------------------------------------
 
 ConversionDrive make_conversion_drive(const ExecutionReport& report) {
-  if (report.timeline.empty()) {
+  const std::vector<TimelinePoint>& timeline = report.timeline;
+  if (timeline.empty()) {
     throw std::invalid_argument("make_conversion_drive: empty timeline");
   }
-  Graph merged = *report.timeline.front().graph;
-  for (std::size_t k = 1; k < report.timeline.size(); ++k) {
-    merged = graph_union(merged, *report.timeline[k].graph);
+  // The union of every point's graph, grown in place by graph_union's
+  // rule: a graph's links of a node pair beyond the union's count for that
+  // pair (in the graph's id order) are appended. Each union link records
+  // its pair's slot and its index among that pair's union links.
+  struct PairSlot {
+    std::uint32_t merged{0};  // the pair's links in the union so far
+    std::uint32_t seen{0};    // the pair's links in graph `stamp`
+    std::uint32_t stamp{0xFFFFFFFFu};
+  };
+  std::unordered_map<std::uint64_t, std::uint32_t> slot_of;
+  std::vector<PairSlot> slots;
+  std::vector<std::uint32_t> link_slot;
+  std::vector<std::uint32_t> link_rank;
+  const auto slot_for = [&](const Link& l) {
+    const auto key = directed_pair_key(std::min(l.a, l.b), std::max(l.a, l.b));
+    const auto [it, fresh] =
+        slot_of.try_emplace(key, static_cast<std::uint32_t>(slots.size()));
+    if (fresh) slots.emplace_back();
+    return it->second;
+  };
+  Graph merged = *timeline.front().graph;
+  for (std::uint32_t i = 0; i < merged.link_count(); ++i) {
+    const std::uint32_t s = slot_for(merged.link(LinkId{i}));
+    link_slot.push_back(s);
+    link_rank.push_back(slots[s].merged++);
   }
+
+  // Per distinct graph (a point sharing its predecessor's graph object
+  // shares its entry): the union links absent from it when it was merged,
+  // ascending, and the union's size then. Links appended later are absent
+  // from it too — the union already held at least its count of their pair.
+  struct Absent {
+    std::vector<LinkId> links;
+    std::uint32_t union_size{0};
+  };
+  std::vector<Absent> absent;
+  std::vector<std::uint32_t> absent_of(timeline.size());
+  for (std::size_t k = 0; k < timeline.size(); ++k) {
+    if (k > 0 && timeline[k].graph == timeline[k - 1].graph) {
+      absent_of[k] = absent_of[k - 1];
+      continue;
+    }
+    const auto stamp = static_cast<std::uint32_t>(absent.size());
+    absent_of[k] = stamp;
+    const Graph& g = *timeline[k].graph;
+    for (std::uint32_t i = 0; i < g.link_count(); ++i) {
+      const Link& l = g.link(LinkId{i});
+      const std::uint32_t s = slot_for(l);
+      PairSlot& pair = slots[s];
+      if (pair.stamp != stamp) {
+        pair.stamp = stamp;
+        pair.seen = 0;
+      }
+      if (pair.seen++ < pair.merged) continue;
+      merged.add_link(l.a, l.b, l.capacity_bps);
+      link_slot.push_back(s);
+      link_rank.push_back(pair.merged++);
+    }
+    Absent& a = absent.emplace_back();
+    a.union_size = static_cast<std::uint32_t>(merged.link_count());
+    for (std::uint32_t u = 0; u < a.union_size; ++u) {
+      const PairSlot& pair = slots[link_slot[u]];
+      if (link_rank[u] >= (pair.stamp == stamp ? pair.seen : 0)) {
+        a.links.push_back(LinkId{u});
+      }
+    }
+  }
+  const auto union_size = static_cast<std::uint32_t>(merged.link_count());
+  // A point's union links absent from its operating topology, ascending.
+  const auto absent_at = [&](std::size_t k) {
+    const Absent& a = absent[absent_of[k]];
+    std::vector<LinkId> links = a.links;
+    for (std::uint32_t u = a.union_size; u < union_size; ++u) {
+      links.push_back(LinkId{u});
+    }
+    return links;
+  };
   ConversionDrive drive;
   drive.base = std::make_shared<const Graph>(std::move(merged));
-
-  // Per point: the union links absent from that point's operating topology
-  // (ascending ids — links_not_in iterates in id order).
-  std::vector<std::vector<LinkId>> absent(report.timeline.size());
-  for (std::size_t k = 0; k < report.timeline.size(); ++k) {
-    absent[k] = links_not_in(*drive.base, *report.timeline[k].graph);
-  }
 
   // Event times are nudged strictly increasing across points so the k-th
   // refresh the simulator performs always corresponds to the k-th emitted
@@ -1656,12 +1723,13 @@ ConversionDrive make_conversion_drive(const ExecutionReport& report) {
   // serve the same snapshot).
   double last_t = -1.0;
   constexpr double kNudge = 1e-9;
-  for (std::size_t k = 0; k < report.timeline.size(); ++k) {
-    const double t = std::max(report.timeline[k].t, last_t + kNudge);
+  std::vector<LinkId> prev = absent_at(0);
+  for (std::size_t k = 0; k < timeline.size(); ++k) {
+    const double t = std::max(timeline[k].t, last_t + kNudge);
     if (k == 0) {
       // Union links outside the initial state are dark from the start.
-      if (!absent[0].empty()) {
-        drive.schedule.fail_at(t, FailureSet{absent[0], {}});
+      if (!prev.empty()) {
+        drive.schedule.fail_at(t, FailureSet{prev, {}});
         drive.refresh_point.push_back(0);
         last_t = t;
       }
@@ -1669,12 +1737,14 @@ ConversionDrive make_conversion_drive(const ExecutionReport& report) {
     }
     std::vector<LinkId> now_failed;
     std::vector<LinkId> now_recovered;
-    std::set_difference(absent[k].begin(), absent[k].end(),
-                        absent[k - 1].begin(), absent[k - 1].end(),
-                        std::back_inserter(now_failed));
-    std::set_difference(absent[k - 1].begin(), absent[k - 1].end(),
-                        absent[k].begin(), absent[k].end(),
-                        std::back_inserter(now_recovered));
+    if (absent_of[k] != absent_of[k - 1]) {
+      std::vector<LinkId> cur = absent_at(k);
+      std::set_difference(cur.begin(), cur.end(), prev.begin(), prev.end(),
+                          std::back_inserter(now_failed));
+      std::set_difference(prev.begin(), prev.end(), cur.begin(), cur.end(),
+                          std::back_inserter(now_recovered));
+      prev = std::move(cur);
+    }
     std::size_t emitted = 0;
     if (!now_failed.empty()) {
       drive.schedule.fail_at(t, FailureSet{now_failed, {}});
@@ -1686,8 +1756,7 @@ ConversionDrive make_conversion_drive(const ExecutionReport& report) {
       drive.refresh_point.push_back(k);
       ++emitted;
     }
-    if (emitted == 0 &&
-        report.timeline[k].routes != report.timeline[k - 1].routes) {
+    if (emitted == 0 && timeline[k].routes != timeline[k - 1].routes) {
       // Route-only boundary: an empty recover event still triggers the
       // refresh that installs this point's snapshot.
       drive.schedule.recover_at(t, FailureSet{});
@@ -1721,8 +1790,10 @@ std::vector<FluidFlowResult> run_fluid_with_conversion(
   const auto index = pair_index_of(report);
   const auto provider_for = [&report, index](std::size_t point)
       -> PathProvider {
+    // Hands out the point's stored handle: a pair whose routes did not
+    // change since the last refresh shares its storage.
     return [&report, index, point](NodeId src, NodeId dst,
-                                   std::uint32_t) -> std::vector<Path> {
+                                   std::uint32_t) -> RouteSet {
       const auto it = index->find(directed_pair_key(src, dst));
       if (it == index->end()) return {};
       return report.timeline[point].routes[it->second];

@@ -33,6 +33,7 @@ void IncrementalMaxMinSolver::reset(std::vector<double> capacity,
     check_finite(static_cast<std::uint32_t>(e), capacity[e]);
   }
   edges_.assign(capacity.size(), EdgeRec{});
+  edge_slot_.assign(capacity.size(), 0);
   for (std::size_t e = 0; e < capacity.size(); ++e) {
     edges_[e].capacity = capacity[e];
   }
@@ -461,13 +462,21 @@ void IncrementalMaxMinSolver::fallback_from(std::uint32_t from) {
   // active at level `from`. (An edge whose crossers all froze below `from`
   // is inactive there, and its cached saturation round, if any, is below
   // `from` too: a saturation round always names a freeze of a crosser.)
+  // The subflows frozen below `from` are bucketed by freeze round: they
+  // are what the kept rounds subtract from the active counts.
   const std::size_t words = (edges_.size() + 63) / 64;
   active_mark_.assign(words, 0);
+  if (frozen_by_round_.size() < from) frozen_by_round_.resize(from);
+  for (std::uint32_t j = 0; j < from; ++j) frozen_by_round_[j].clear();
   std::size_t unfrozen_edged = 0;
-  for (SubflowRec& sub : subflows_) {
+  for (std::uint32_t s = 0; s < subflows_.size(); ++s) {
+    SubflowRec& sub = subflows_[s];
     if (sub.edges.empty()) continue;  // edgeless or free-listed
     if (sub.freeze_round != kNone) {
-      if (sub.freeze_round < from) continue;
+      if (sub.freeze_round < from) {
+        frozen_by_round_[sub.freeze_round].push_back(s);
+        continue;
+      }
       sub.freeze_round = kNone;
     }
     ++unfrozen_edged;
@@ -475,42 +484,55 @@ void IncrementalMaxMinSolver::fallback_from(std::uint32_t from) {
       active_mark_[e >> 6] |= std::uint64_t{1} << (e & 63);
     }
   }
+  const auto marked = [&](std::uint32_t e) {
+    return (active_mark_[e >> 6] >> (e & 63) & 1) != 0;
+  };
 
-  // Materialize the marked edges at the pre-round-`from` state by replaying
-  // the kept rounds' deltas against the current crosser set — the same
-  // floating-point sequence the scratch solver performs. The bitmap is
-  // walked in id order, the scratch scan order.
+  // The marked edges in id order (the scratch scan order), each with a
+  // dense slot holding its residual and active count at the pre-round-0
+  // state. Active counts are whole numbers, exact as doubles.
   active_edges_.clear();
-  if (cnt_buf_.size() < rounds_.size()) cnt_buf_.resize(rounds_.size(), 0);
+  fill_residual_.clear();
+  fill_active_.clear();
   for (std::size_t w = 0; w < words; ++w) {
     for (std::uint64_t bits = active_mark_[w]; bits != 0; bits &= bits - 1) {
       const auto eid =
           static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits));
       EdgeRec& e = edges_[eid];
       if (e.sat_round != kNone && e.sat_round >= from) e.sat_round = kNone;
-      for (const auto& [s, pos] : e.crossers) {
-        (void)pos;
-        const std::uint32_t fr = subflows_[s].freeze_round;
-        if (fr == kNone) continue;
-        assert(fr < from);
-        if (cnt_buf_[fr]++ == 0) cnt_used_.push_back(fr);
-      }
-      double residual = e.capacity;
-      std::uint32_t a = static_cast<std::uint32_t>(e.crossers.size());
-      for (std::uint32_t j = 0; j < from; ++j) {
-        if (a > 0) residual = std::max(0.0, residual - rounds_[j].delta * a);
-        a -= cnt_buf_[j];
-      }
-      for (const std::uint32_t j : cnt_used_) cnt_buf_[j] = 0;
-      cnt_used_.clear();
-      assert(a > 0);
-      e.residual = residual;
-      e.active = a;
-      e.dirty_epoch = epoch_;  // explicit from here on
+      edge_slot_[eid] = static_cast<std::uint32_t>(active_edges_.size());
       active_edges_.push_back(eid);
+      fill_residual_.push_back(e.capacity);
+      fill_active_.push_back(static_cast<double>(e.crossers.size()));
     }
   }
-  stats_.links_touched = active_edges_.size();
+
+  // Materialize them at the pre-round-`from` state: replay the kept rounds
+  // round-major. Each edge sees the scratch solver's floating-point
+  // sequence — round j subtracts delta_j times the crossers still active,
+  // then round j's freezes leave the count. Every marked edge keeps an
+  // unfrozen crosser, so its count stays positive throughout.
+  const std::size_t n = active_edges_.size();
+  for (std::uint32_t j = 0; j < from; ++j) {
+    const double delta = rounds_[j].delta;
+    for (std::size_t i = 0; i < n; ++i) {
+      fill_residual_[i] =
+          std::max(0.0, fill_residual_[i] - delta * fill_active_[i]);
+    }
+    for (const std::uint32_t s : frozen_by_round_[j]) {
+      for (const std::uint32_t e : subflows_[s].edges) {
+        if (marked(e)) fill_active_[edge_slot_[e]] -= 1.0;
+      }
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    EdgeRec& e = edges_[active_edges_[i]];
+    assert(fill_active_[i] > 0);
+    e.residual = fill_residual_[i];
+    e.active = static_cast<std::uint32_t>(fill_active_[i]);
+    e.dirty_epoch = epoch_;  // explicit from here on
+  }
+  stats_.links_touched = n;
 
   rounds_.resize(from);
   const double prefix = from > 0 ? rounds_[from - 1].prefix : 0.0;

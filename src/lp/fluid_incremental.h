@@ -215,6 +215,13 @@ class IncrementalMaxMinSolver {
   std::vector<std::uint32_t> active_edges_;
   std::vector<std::uint32_t> saturated_;
   std::vector<std::uint64_t> active_mark_;
+  // fallback_from's round-major materialization: the subflows frozen at
+  // each kept round, each marked edge's dense slot, and the residual and
+  // active count per slot.
+  std::vector<std::vector<std::uint32_t>> frozen_by_round_;
+  std::vector<std::uint32_t> edge_slot_;
+  std::vector<double> fill_residual_;
+  std::vector<double> fill_active_;
 
   std::vector<std::uint32_t> flow_touch_epoch_;
   std::uint64_t flows_touched_pending_{0};

@@ -16,13 +16,8 @@ namespace flattree {
 namespace {
 
 // Resolves a flow's subflow paths into directed-edge index lists.
-std::vector<std::vector<std::uint32_t>> resolve_paths(
-    const LogicalTopology& topo, const PathProvider& provider, const Flow& f,
-    std::uint32_t index) {
-  const auto paths = provider(NodeId{f.src}, NodeId{f.dst}, index);
-  if (paths.empty()) {
-    throw std::logic_error("fluid: path provider returned no paths");
-  }
+std::vector<std::vector<std::uint32_t>> resolve_edges(
+    const LogicalTopology& topo, const RouteSet& paths) {
   std::vector<std::vector<std::uint32_t>> edges;
   edges.reserve(paths.size());
   for (const Path& p : paths) edges.push_back(topo.path_edges(p));
@@ -51,9 +46,14 @@ std::vector<double> FluidSimulator::measure_rates(const Workload& flows) {
   McfInstance instance;
   instance.capacity = directed_capacities(topology_);
   for (std::size_t i = 0; i < flows.size(); ++i) {
+    const RouteSet paths = provider_(NodeId{flows[i].src},
+                                     NodeId{flows[i].dst},
+                                     static_cast<std::uint32_t>(i));
+    if (paths.empty()) {
+      throw std::logic_error("fluid: path provider returned no paths");
+    }
     McfCommodity commodity;
-    commodity.paths = resolve_paths(topology_, provider_, flows[i],
-                                    static_cast<std::uint32_t>(i));
+    commodity.paths = resolve_edges(topology_, paths);
     instance.commodities.push_back(std::move(commodity));
   }
   return solve_max_min_fill(instance).flow_rate;
@@ -73,6 +73,7 @@ std::vector<FluidFlowResult> FluidSimulator::run_with_schedule(
     double ready_time{0.0};  // latest dependency finish + dep delay
     bool released{false};
     bool active{false};
+    RouteSet routes;  // the provider's last answer path_edges resolves
     std::vector<std::vector<std::uint32_t>> path_edges;
     std::vector<std::uint32_t> dependents;
   };
@@ -301,18 +302,19 @@ std::vector<FluidFlowResult> FluidSimulator::run_with_schedule(
     current_provider = refresh(*degraded_graph);
     for (std::size_t f = 0; f < flows.size(); ++f) {
       if (!state[f].active) continue;
-      const auto paths = current_provider(
-          NodeId{flows[f].src}, NodeId{flows[f].dst},
-          static_cast<std::uint32_t>(f));
+      RouteSet paths = current_provider(NodeId{flows[f].src},
+                                        NodeId{flows[f].dst},
+                                        static_cast<std::uint32_t>(f));
       if (paths.empty()) {
         ++stats.black_holed;  // disconnected pair: stays stalled
         obs::add(c_black_holed);
         continue;
       }
-      std::vector<std::vector<std::uint32_t>> edges;
-      edges.reserve(paths.size());
-      for (const Path& p : paths) edges.push_back(topology_.path_edges(p));
+      // The same storage is the same paths: nothing to re-resolve.
+      if (same_storage(paths, state[f].routes)) continue;
+      auto edges = resolve_edges(topology_, paths);
       obs::add(c_flows_resolved);
+      state[f].routes = std::move(paths);
       if (edges != state[f].path_edges) {
         // update_flow handles the flow being absent (black-holed on
         // arrival, re-pathed now) as a plain add.
@@ -328,6 +330,7 @@ std::vector<FluidFlowResult> FluidSimulator::run_with_schedule(
     results[f].completed = true;
     results[f].finish_s = now;
     state[f].active = false;
+    state[f].routes = RouteSet{};
     inc.remove_flow(f);  // no-op for black-holed flows
     obs::add(c_completions);
     obs::record(h_fct, now - results[f].start_s);
@@ -395,21 +398,15 @@ std::vector<FluidFlowResult> FluidSimulator::run_with_schedule(
       if (state[f].released) continue;
       state[f].released = true;
       state[f].active = true;
-      if (scheduled) {
-        const auto paths = current_provider(NodeId{flows[f].src},
-                                            NodeId{flows[f].dst}, f);
-        state[f].path_edges.clear();
-        if (paths.empty()) {
-          ++stats.black_holed;  // no route yet; re-pathed at a refresh
-          obs::add(c_black_holed);
-        } else {
-          for (const Path& p : paths) {
-            state[f].path_edges.push_back(topology_.path_edges(p));
-          }
-        }
-      } else {
-        state[f].path_edges =
-            resolve_paths(topology_, current_provider, flows[f], f);
+      state[f].routes =
+          current_provider(NodeId{flows[f].src}, NodeId{flows[f].dst}, f);
+      if (state[f].routes.empty() && !scheduled) {
+        throw std::logic_error("fluid: path provider returned no paths");
+      }
+      state[f].path_edges = resolve_edges(topology_, state[f].routes);
+      if (state[f].routes.empty()) {
+        ++stats.black_holed;  // no route yet; re-pathed at a refresh
+        obs::add(c_black_holed);
       }
       if (!state[f].path_edges.empty()) inc.add_flow(f, state[f].path_edges);
       results[f].started = true;

@@ -38,10 +38,16 @@
 namespace flattree {
 
 // Supplies the subflow paths for a flow. Implementations typically wrap a
-// PathCache (k-shortest-path routing) or an EcmpRouter (single hashed path).
+// PathCache (k-shortest-path routing) or an EcmpRouter (single hashed path);
+// a callable returning std::vector<Path> converts (each answer is then fresh
+// storage). The simulator keeps each flow's last answer as a handle: at a
+// routing refresh, an answer with the same storage (same_storage) as the
+// flow's current one means the same paths, and the flow is not re-resolved.
+// A provider that hands out stored RouteSet handles (a conversion
+// timeline's snapshots, say) therefore costs nothing for the flows whose
+// routes did not change.
 using PathProvider =
-    std::function<std::vector<Path>(NodeId src, NodeId dst,
-                                    std::uint32_t flow_index)>;
+    std::function<RouteSet(NodeId src, NodeId dst, std::uint32_t flow_index)>;
 
 struct FluidFlowResult {
   bool started{false};
@@ -83,7 +89,11 @@ struct FluidOptions {
 // stays valid until the next refresh or the end of the run) and returns the
 // provider all subsequent path lookups use — typically a PathCache over the
 // degraded graph, or a CompiledMode cache repaired incrementally via
-// Controller::plan_repair.
+// Controller::plan_repair. Every unfinished flow asks the new provider for
+// its paths; a flow keeps its answer's RouteSet handle until the next
+// refresh, and an answer sharing that handle's storage leaves the flow as
+// it is (it still counts as looked up, so a black-holed answer is counted
+// the same either way).
 using RoutingRefresh = std::function<PathProvider(const Graph& degraded)>;
 
 // Observability counters for a scheduled (failure-injected) run.

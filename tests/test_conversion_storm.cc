@@ -19,7 +19,10 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <iterator>
+#include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -1034,6 +1037,130 @@ TEST(ConversionStorm, UnchangedRoutesShareStorage) {
   EXPECT_LE(distinct, pairs.size() + installs);
   // Far below one copy per point and pair, the deep-copy footprint.
   EXPECT_LT(distinct, r.timeline.size() * pairs.size() / 4);
+}
+
+// The fluid drive as it was built point by point: the union copied and
+// re-merged with graph_union at every point, and each point's absent links
+// rescanned with links_not_in. make_conversion_drive grows the union in
+// place and rescans only where a point's graph object changes; it must emit
+// the same union, events and refresh points.
+ConversionDrive drive_by_rescan(const ExecutionReport& report) {
+  Graph merged = *report.timeline.front().graph;
+  for (std::size_t k = 1; k < report.timeline.size(); ++k) {
+    merged = graph_union(merged, *report.timeline[k].graph);
+  }
+  ConversionDrive drive;
+  drive.base = std::make_shared<const Graph>(std::move(merged));
+  std::vector<std::vector<LinkId>> absent(report.timeline.size());
+  for (std::size_t k = 0; k < report.timeline.size(); ++k) {
+    absent[k] = links_not_in(*drive.base, *report.timeline[k].graph);
+  }
+  double last_t = -1.0;
+  for (std::size_t k = 0; k < report.timeline.size(); ++k) {
+    const double t = std::max(report.timeline[k].t, last_t + 1e-9);
+    if (k == 0) {
+      if (!absent[0].empty()) {
+        drive.schedule.fail_at(t, FailureSet{absent[0], {}});
+        drive.refresh_point.push_back(0);
+        last_t = t;
+      }
+      continue;
+    }
+    std::vector<LinkId> failed;
+    std::vector<LinkId> recovered;
+    std::set_difference(absent[k].begin(), absent[k].end(),
+                        absent[k - 1].begin(), absent[k - 1].end(),
+                        std::back_inserter(failed));
+    std::set_difference(absent[k - 1].begin(), absent[k - 1].end(),
+                        absent[k].begin(), absent[k].end(),
+                        std::back_inserter(recovered));
+    std::size_t emitted = 0;
+    if (!failed.empty()) {
+      drive.schedule.fail_at(t, FailureSet{failed, {}});
+      drive.refresh_point.push_back(k);
+      ++emitted;
+    }
+    if (!recovered.empty()) {
+      drive.schedule.recover_at(t, FailureSet{recovered, {}});
+      drive.refresh_point.push_back(k);
+      ++emitted;
+    }
+    if (emitted == 0 &&
+        report.timeline[k].routes != report.timeline[k - 1].routes) {
+      drive.schedule.recover_at(t, FailureSet{});
+      drive.refresh_point.push_back(k);
+      ++emitted;
+    }
+    if (emitted > 0) last_t = t;
+  }
+  return drive;
+}
+
+void expect_same_drive(const ConversionDrive& got, const ConversionDrive& want,
+                       const std::string& label) {
+  ASSERT_EQ(got.base->node_count(), want.base->node_count()) << label;
+  ASSERT_EQ(got.base->link_count(), want.base->link_count()) << label;
+  for (std::uint32_t i = 0; i < want.base->link_count(); ++i) {
+    const Link& a = got.base->link(LinkId{i});
+    const Link& b = want.base->link(LinkId{i});
+    EXPECT_TRUE(a.a == b.a && a.b == b.b &&
+                std::bit_cast<std::uint64_t>(a.capacity_bps) ==
+                    std::bit_cast<std::uint64_t>(b.capacity_bps))
+        << label << " link " << i;
+  }
+  EXPECT_EQ(got.refresh_point, want.refresh_point) << label;
+  const auto& ge = got.schedule.events();
+  const auto& we = want.schedule.events();
+  ASSERT_EQ(ge.size(), we.size()) << label;
+  for (std::size_t e = 0; e < we.size(); ++e) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ge[e].time_s),
+              std::bit_cast<std::uint64_t>(we[e].time_s))
+        << label << " event " << e;
+    EXPECT_EQ(ge[e].recover, we[e].recover) << label << " event " << e;
+    EXPECT_EQ(ge[e].elements.links, we[e].elements.links)
+        << label << " event " << e;
+    EXPECT_EQ(ge[e].elements.switches, we[e].elements.switches)
+        << label << " event " << e;
+  }
+}
+
+TEST(ConversionStorm, DriveMatchesPerPointRescan) {
+  const Controller ctl = testbed_controller(8);
+  const CompiledMode from = ctl.compile_uniform(PodMode::kClos);
+  const CompiledMode to = ctl.compile_uniform(PodMode::kGlobal);
+  const double t0 = 0.1;
+  std::size_t shared_graphs = 0;
+  for (std::uint64_t seed : {31u, 5u}) {
+    const std::string at = " seed " + std::to_string(seed);
+    const auto pairs = permutation_pairs(from.graph(), seed);
+    ConversionExecOptions opts;
+    opts.stage_checkpoints = true;
+    opts.seed = seed;
+    const ExecutionReport calm = ConversionExecutor{ctl, opts}.execute(
+        from, to, pairs, ConversionFaults{}, t0);
+    expect_same_drive(make_conversion_drive(calm), drive_by_rescan(calm),
+                      "calm" + at);
+    const FailureSchedule storm = flap_storm(
+        storm_victims(from, pairs, 12), t0, calm.finish_s - t0);
+    ConversionExecOptions lossy = opts;
+    lossy.channel.drop_probability = 0.10;
+    ConversionFaults ocs;
+    ocs.fail_ocs_partitions = {0};
+    for (const auto& [exec_opts, faults, name] :
+         {std::tuple{opts, ConversionFaults{}, "flaps"},
+          std::tuple{lossy, ocs, "loss+ocs"}}) {
+      const ExecutionReport r = ConversionExecutor{ctl, exec_opts}
+                                    .execute_under_storm(from, to, pairs,
+                                                         storm, faults, t0);
+      for (std::size_t k = 1; k < r.timeline.size(); ++k) {
+        if (r.timeline[k].graph == r.timeline[k - 1].graph) ++shared_graphs;
+      }
+      expect_same_drive(make_conversion_drive(r), drive_by_rescan(r),
+                        std::string{name} + at);
+    }
+  }
+  // The reuse path ran: some points share their predecessor's graph.
+  EXPECT_GT(shared_graphs, 0u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "net/rng.h"
+#include "obs/metrics.h"
 #include "routing/ksp.h"
 #include "topo/clos.h"
 
@@ -326,6 +327,54 @@ TEST(FluidSchedule, BlackHoledFlowWaitsForRecovery) {
   EXPECT_EQ(stats.black_holed, 1u);
   EXPECT_EQ(stats.refreshes, 2u);
   EXPECT_EQ(stats.reroutes, 0u);
+}
+
+TEST(FluidSchedule, RefreshSkipsFlowsWhoseHandleIsUnchanged) {
+  // Refreshes that change no capacity: the first answers flow 0 with the
+  // handle it already holds and flow 1 with equal paths in new storage; the
+  // second black-holes flow 0 and hands flow 1 its original handle back;
+  // the third answers both with the handles they hold. Only an answer in
+  // storage the flow does not hold is resolved to edge lists (flow 1 at the
+  // first two), the black-holed answer is counted as before (and leaves
+  // flow 0's handle in place), and no flow is rerouted.
+  Dumbbell net;
+  PathCache cache{net.g, 1};
+  const RouteSet held0 = cache.server_paths(NodeId{0}, NodeId{2});
+  const RouteSet held1 = cache.server_paths(NodeId{1}, NodeId{3});
+  const auto handles = [&](bool fresh1, bool dark0) -> PathProvider {
+    return [&, fresh1, dark0](NodeId src, NodeId, std::uint32_t) -> RouteSet {
+      if (src == NodeId{0}) return dark0 ? RouteSet{} : held0;
+      return fresh1 ? RouteSet{held1.paths()} : held1;
+    };
+  };
+  obs::MetricsRegistry reg;
+  FluidOptions options;
+  options.sink = obs::ObsSink{&reg, nullptr};
+  FluidSimulator sim{net.g, handles(false, false), options};
+  FailureSchedule schedule;
+  schedule.recover_at(0.1, FailureSet{});
+  schedule.recover_at(0.2, FailureSet{});
+  schedule.recover_at(0.3, FailureSet{});
+  std::size_t refresh_count = 0;
+  const RoutingRefresh refresh = [&](const Graph&) -> PathProvider {
+    ++refresh_count;
+    return handles(/*fresh1=*/refresh_count == 1, /*dark0=*/refresh_count == 2);
+  };
+  const Workload flows{Flow{0, 2, 1e8, 0.0}, Flow{1, 3, 1e8, 0.0}};
+  ScheduleRunStats stats;
+  const auto results = sim.run_with_schedule(flows, schedule, 0.0, refresh,
+                                             &stats);
+  EXPECT_EQ(stats.refreshes, 3u);
+  EXPECT_EQ(stats.reroutes, 0u);
+  EXPECT_EQ(stats.black_holed, 1u);
+  EXPECT_EQ(reg.counter("fluid.refresh.flows_resolved").value(), 2u);
+  // The refreshes leave the allocation as it was.
+  FluidSimulator plain{net.g, ksp_provider(net.g, 1)};
+  const auto expected = plain.run(flows);
+  for (std::size_t f = 0; f < flows.size(); ++f) {
+    ASSERT_TRUE(results[f].completed);
+    EXPECT_EQ(results[f].fct_s(), expected[f].fct_s());
+  }
 }
 
 TEST(FluidRun, OnClosTestbedManyFlows) {
