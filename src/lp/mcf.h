@@ -57,7 +57,7 @@ struct McfResult {
 // scans only the edges an unfrozen subflow still crosses, and a subflow's
 // rate is the fill level of its freeze round. Besides the checks every
 // entry point makes, it throws std::invalid_argument naming the edge if a
-// capacity is infinite (the LP entry points accept +inf).
+// capacity is infinite (solve_lp_min and solve_lp_avg accept +inf).
 //
 // Note: at subflow granularity extra paths always attract extra traffic,
 // including long detours that waste capacity — which is NOT how coupled
@@ -73,7 +73,9 @@ struct McfResult {
 // stops). Computed as solve_lp_min followed by progressive filling on the
 // residual capacities. Average throughput therefore lands between the
 // LP-minimum and LP-average bounds, and larger k helps by enlarging the
-// LP's split options — exactly the Figure 6 shape.
+// LP's split options — exactly the Figure 6 shape. An infinite capacity
+// stays infinite in the residual, so, like solve_max_min_fill, it throws
+// std::invalid_argument naming the edge.
 [[nodiscard]] McfResult solve_mptcp_model(
     const McfInstance& instance,
     const SimplexSolver& solver = SimplexSolver{});

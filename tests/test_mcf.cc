@@ -344,8 +344,10 @@ TEST(McfFill, NonFiniteCapacityNamesTheEdge) {
                std::invalid_argument);
   EXPECT_THROW(solver.set_capacity(0, std::nan("")), std::invalid_argument);
   EXPECT_EQ(solver.capacity(1), 2.0);
-  // The LP entry points keep accepting +inf.
+  // The LP entry points keep accepting +inf; the MPTCP model's residual
+  // fill does not.
   EXPECT_TRUE(solve_lp_min(inst).feasible);
+  EXPECT_THROW((void)solve_mptcp_model(inst), std::invalid_argument);
 }
 
 // Random small instances: repeated edges within a path, edgeless paths,
