@@ -8,6 +8,10 @@
 // (k = 4) with ingress/egress prefix aggregation on the actual testbed
 // graphs; per-rule latencies are the Table 3 calibration constants
 // (DESIGN.md).
+//
+// BENCH_table3.json holds one row per printed conversion row plus the
+// 4-controller row, with the raw seconds. The table draws no randomness;
+// --seed is accepted and unused.
 #include <cstdio>
 
 #include "bench/util.h"
@@ -17,13 +21,16 @@
 namespace flattree {
 namespace {
 
-void run() {
+void run(int argc, char** argv) {
+  exec::ExperimentRunner runner{
+      bench::parse_runner_options("table3", argc, argv, 20170821)};
   FlatTreeParams params;
   params.clos = ClosParams::testbed();
   params.six_port_per_column = 1;
   params.four_port_per_column = 1;
   ControllerOptions options;
   options.k_global = options.k_local = options.k_clos = 4;
+  options.sink = runner.obs();
   const Controller ctl{FlatTree{params}, options};
 
   const CompiledMode global = ctl.compile_uniform(PodMode::kGlobal);
@@ -55,6 +62,19 @@ void run() {
       {"Local", &clos, &local, "160/202/482/844"},
       {"Clos", &global, &clos, "160/635/209/1004"},
   };
+  const auto add_row = [&](const char* to, std::uint32_t controllers,
+                           const ConversionReport& r) {
+    exec::ResultRow row;
+    row.set("to_topology", to)
+        .set("controllers", controllers)
+        .set("rules_deleted", r.rules_deleted)
+        .set("rules_added", r.rules_added)
+        .set("ocs_s", r.ocs_s)
+        .set("delete_s", r.delete_s)
+        .set("add_s", r.add_s)
+        .set("total_s", r.total_s());
+    runner.add_row(std::move(row));
+  };
   for (const Row& row : rows) {
     const ConversionReport r = ctl.plan_conversion(*row.from, *row.to);
     bench::print_row({row.name, bench::fmt(r.ocs_s * 1e3, 0),
@@ -62,6 +82,7 @@ void run() {
                       bench::fmt(r.add_s * 1e3, 0),
                       bench::fmt(r.total_s() * 1e3, 0), row.paper},
                      13);
+    add_row(row.name, options.delay.controllers, r);
   }
 
   // §4.3 extension: distributed controllers shard the rule distribution.
@@ -73,12 +94,13 @@ void run() {
               "%.0f ms (vs %.0f ms sequential)\n",
               fast.total_s() * 1e3,
               ctl.plan_conversion(local, global).total_s() * 1e3);
+  add_row("Global", sharded.delay.controllers, fast);
 }
 
 }  // namespace
 }  // namespace flattree
 
-int main() {
-  flattree::run();
+int main(int argc, char** argv) {
+  flattree::run(argc, argv);
   return 0;
 }
