@@ -379,7 +379,7 @@ void PacketSim::increase_cwnd(SimFlow& flow, Subflow& subflow) {
     subflow.cwnd += 1.0;  // slow start
     return;
   }
-  if (!options_.mptcp_coupled || flow.subflows.size() == 1) {
+  if (flow.subflows.size() == 1) {
     subflow.cwnd += 1.0 / subflow.cwnd;  // Reno congestion avoidance
     return;
   }

@@ -49,7 +49,6 @@ struct PacketSimOptions {
   double max_rto_s{2.0};
   double init_cwnd{2.0};
   double initial_rtt_estimate_s{1e-3};
-  bool mptcp_coupled{true};  // LIA; false = independent Reno per subflow
 };
 
 enum class ConversionScope : std::uint8_t {

@@ -124,6 +124,8 @@ TEST(PacketSim, MptcpUsesParallelPaths) {
 TEST(PacketSim, UncoupledSubflowsGrabMoreThanCoupled) {
   // LIA caps a multipath flow near a single-TCP share; uncoupled subflows
   // behave like independent TCPs and take more from a shared bottleneck.
+  // The uncoupled arm is two single-subflow flows (independent Reno each)
+  // from the same source over the same bottleneck.
   Graph g;
   const NodeId s0 = g.add_node(NodeRole::kServer);
   const NodeId s1 = g.add_node(NodeRole::kServer);
@@ -137,20 +139,28 @@ TEST(PacketSim, UncoupledSubflowsGrabMoreThanCoupled) {
   g.add_link(s3, e1, 1e9);
   g.add_link(e0, e1, 100e6);
   PathCache cache{g, 1};
+  const Path a_path = cache.server_paths(s0, s2)[0];
   const auto share_of_multipath = [&](bool coupled) {
-    PacketSimOptions options;
-    options.mptcp_coupled = coupled;
-    PacketSim sim{options};
+    PacketSim sim;
     sim.set_network(g);
-    // Flow A: two subflows over the same bottleneck; flow B: one.
-    std::vector<Path> two{cache.server_paths(s0, s2)[0],
-                          cache.server_paths(s0, s2)[0]};
-    sim.add_flow(0, 2, 0, 0.0, two);
-    sim.add_flow(1, 3, 0, 0.0, cache.server_paths(s1, s3));
+    // Flow A: two subflows over the same bottleneck (one MPTCP flow, or two
+    // TCP flows); flow B: one.
+    std::vector<std::uint32_t> a_flows;
+    if (coupled) {
+      a_flows.push_back(sim.add_flow(0, 2, 0, 0.0, {a_path, a_path}));
+    } else {
+      a_flows.push_back(sim.add_flow(0, 2, 0, 0.0, {a_path}));
+      a_flows.push_back(sim.add_flow(0, 2, 0, 0.0, {a_path}));
+    }
+    const std::uint32_t b =
+        sim.add_flow(1, 3, 0, 0.0, cache.server_paths(s1, s3));
     sim.run_until(4.0);
-    return static_cast<double>(sim.flow_bytes_acked(0)) /
-           static_cast<double>(sim.flow_bytes_acked(0) +
-                               sim.flow_bytes_acked(1));
+    double a_bytes = 0.0;
+    for (std::uint32_t f : a_flows) {
+      a_bytes += static_cast<double>(sim.flow_bytes_acked(f));
+    }
+    return a_bytes /
+           (a_bytes + static_cast<double>(sim.flow_bytes_acked(b)));
   };
   const double coupled_share = share_of_multipath(true);
   const double uncoupled_share = share_of_multipath(false);
