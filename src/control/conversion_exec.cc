@@ -175,34 +175,6 @@ std::size_t take_chunk(std::size_t begin, std::size_t n, std::uint64_t budget,
   return end;
 }
 
-// k-shortest server paths over one graph, with the PathCache built on first
-// use. An endpoint without links on the graph gets no paths: a server whose
-// access circuit moves with an in-flight rewire has degree 0 on the
-// intersection graph, and no immediate patch exists for it. The graph is
-// borrowed or, for a derived graph built on the spot, owned.
-class LazyPaths {
- public:
-  LazyPaths(const Graph& graph, std::uint32_t k) : graph_{&graph}, k_{k} {}
-  LazyPaths(Graph&& owned, std::uint32_t k)
-      : owned_{std::move(owned)}, graph_{&*owned_}, k_{k} {}
-  LazyPaths(const LazyPaths&) = delete;
-  LazyPaths& operator=(const LazyPaths&) = delete;
-
-  const Graph& graph() const { return *graph_; }
-
-  std::vector<Path> operator()(NodeId src, NodeId dst) {
-    if (graph_->degree(src) == 0 || graph_->degree(dst) == 0) return {};
-    if (!cache_.has_value()) cache_.emplace(*graph_, k_);
-    return cache_->server_paths(src, dst);
-  }
-
- private:
-  std::optional<Graph> owned_;
-  const Graph* graph_;
-  std::uint32_t k_;
-  std::optional<PathCache> cache_;
-};
-
 // The whole mutable execution state plus the step/timeline machinery. One
 // instance per execute() call; everything it touches is local or owned by
 // the caller, so executions are trivially parallel across threads.
@@ -371,16 +343,10 @@ struct Exec {
   // switches carry no Pod and are never partitioned. Windows are checked
   // at step start — per-call granularity, deterministic.
   bool partitioned(NodeId n) const {
-    if (faults.partitions.empty()) return false;
     const PodId pod = graph->node(n).pod;
-    if (!pod.valid()) return false;
-    for (const ControlPartition& p : faults.partitions) {
-      if (p.pod == pod && now >= p.start_s &&
-          (p.end_s < 0.0 || now < p.end_s)) {
-        return true;
-      }
-    }
-    return false;
+    return std::any_of(
+        faults.partitions.begin(), faults.partitions.end(),
+        [&](const ControlPartition& p) { return p.covers(pod, now); });
   }
 
   // A per-switch step the commanding controller cannot deliver: the flat
@@ -1475,27 +1441,19 @@ void finalize_blackout_windows(ExecutionReport& report) {
   }
 }
 
-// Route-availability integral: over each timeline interval a pair is
-// charged the fraction of its installed paths that are invalid on that
-// interval's graph. A pair with no routes at all (the atomic baseline's
-// rule hole) or none valid charges the whole interval; a pair with one of
-// four ECMP paths dead charges a quarter — the flows hashed onto the dead
-// path black-hole until the executor re-plans it or the link recovers.
-// A pair whose graph and route set are the same objects as at the last
-// charged point reuses that point's count; both points live in the report.
-void compute_blackhole_integral(ExecutionReport& report) {
-  std::vector<double> dark(report.pairs.size(), 0.0);
-  std::vector<std::size_t> invalid(report.pairs.size(), 0);
+}  // namespace
+
+void add_pair_blackhole_s(std::span<const TimelinePoint> points,
+                          double finish_s, std::span<double> dark) {
+  std::vector<std::size_t> invalid(dark.size(), 0);
   const TimelinePoint* counted = nullptr;  // the point `invalid` describes
-  for (std::size_t k = 0; k < report.timeline.size(); ++k) {
-    const TimelinePoint& pt = report.timeline[k];
-    const double t_end = k + 1 < report.timeline.size()
-                             ? report.timeline[k + 1].t
-                             : report.finish_s;
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    const TimelinePoint& pt = points[k];
+    const double t_end = k + 1 < points.size() ? points[k + 1].t : finish_s;
     const double dt = std::max(0.0, t_end - pt.t);
     if (dt == 0.0) continue;
     const bool same_graph = counted != nullptr && counted->graph == pt.graph;
-    for (std::size_t i = 0; i < report.pairs.size(); ++i) {
+    for (std::size_t i = 0; i < dark.size(); ++i) {
       const RouteSet& rs = pt.routes[i];
       if (rs.empty()) {
         dark[i] += dt;
@@ -1511,15 +1469,7 @@ void compute_blackhole_integral(ExecutionReport& report) {
     }
     counted = &pt;
   }
-  report.total_blackhole_s = 0.0;
-  report.max_pair_blackhole_s = 0.0;
-  for (double d : dark) {
-    report.total_blackhole_s += d;
-    report.max_pair_blackhole_s = std::max(report.max_pair_blackhole_s, d);
-  }
 }
-
-}  // namespace
 
 ConversionExecutor::ConversionExecutor(const Controller& controller,
                                        ConversionExecOptions options)
@@ -1615,7 +1565,12 @@ ExecutionReport ConversionExecutor::execute_under_storm(
   report.finish_s = ex.now;
   if (!storm.empty()) bind_storm_times(report, storm, from.graph(), t0_s);
   finalize_blackout_windows(report);
-  compute_blackhole_integral(report);
+  std::vector<double> dark(report.pairs.size(), 0.0);
+  add_pair_blackhole_s(report.timeline, report.finish_s, dark);
+  for (double d : dark) {
+    report.total_blackhole_s += d;
+    report.max_pair_blackhole_s = std::max(report.max_pair_blackhole_s, d);
+  }
   if (obs::MetricsRegistry* reg = options_.sink.metrics()) {
     reg->counter("conv_exec.executions").add();
     reg->counter(committed ? "conv_exec.converted" : "conv_exec.rolled_back")

@@ -154,6 +154,11 @@ struct ControlPartition {
   double start_s{0.0};
   double end_s{-1.0};
 
+  // True when this window islands `p` at time t.
+  [[nodiscard]] bool covers(PodId p, double t) const {
+    return p == pod && t >= start_s && (end_s < 0.0 || t < end_s);
+  }
+
   // Throws std::invalid_argument unless pod < pod_count, start_s >= 0 and
   // the window either never heals or ends after it starts (NaN rejected).
   void validate(std::uint32_t pod_count) const;
@@ -342,6 +347,20 @@ struct ExecutionReport {
   ModeAssignment terminal_assignment;
   std::vector<ConverterConfig> terminal_configs;
 };
+
+// Route-availability integral over a span of timeline points, sorted by
+// time: over each point's interval (to the next point; the last one's to
+// finish_s) a pair is charged the fraction of its installed paths invalid
+// on the point's graph, dt * invalid / size. A pair with no routes at all
+// (the atomic baseline's rule hole) or none valid charges the whole
+// interval; a pair with one of four ECMP paths dead charges a quarter —
+// the flows hashed onto the dead path black-hole until the routes are
+// re-planned or the link recovers. A pair whose graph and route set are
+// the same objects as at the last charged point reuses that point's count.
+// Adds each pair's seconds into `dark`, one entry per pair (the points'
+// routes are parallel to it).
+void add_pair_blackhole_s(std::span<const TimelinePoint> points,
+                          double finish_s, std::span<double> dark);
 
 class ConversionExecutor {
  public:

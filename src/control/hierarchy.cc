@@ -159,32 +159,36 @@ HierarchyRunResult ControlHierarchy::run(
   std::vector<bool> diverged(pairs.size(), false);
   FailureSet active;  // reference space, kept sorted
   std::shared_ptr<const Graph> live = cur;
-  std::optional<PathCache> live_cache;
+  std::optional<LazyPaths> on_live{std::in_place, *live, k};  // repair solves
 
   const auto refresh_live = [&] {
-    live_cache.reset();
     live = live_graph(cur, reference, active);
+    on_live.emplace(*live, k);
+  };
+  const auto broken = [&](std::size_t i) {
+    return !all_paths_valid(*live, routes[i]);
   };
 
-  // Fraction-weighted darkness, the executor's integral discipline: a pair
-  // is charged the fraction of its installed paths invalid on the live
-  // graph; no routes at all charges the whole interval.
-  std::vector<double> dark(pairs.size(), 0.0);
-  std::vector<double> dark_total(pairs.size(), 0.0);
-  const auto dark_frac_of = [&](std::size_t i) -> double {
-    const RouteSet& rs = routes[i];
-    if (rs.empty()) return 1.0;
-    return static_cast<double>(count_invalid_paths(*live, rs)) /
-           static_cast<double>(rs.size());
+  // The serving state (live graph, installed routes) from each storm fold,
+  // reconcile, repair install or conversion adoption on, charged by the
+  // executor's blackhole integral: the span before a conversion up to its
+  // start, the span after it up to duration_s.
+  std::vector<TimelinePoint> serving;
+  std::vector<double> dark(pairs.size(), 0.0);  // serving seconds per pair
+  const auto record = [&](double t) {
+    TimelinePoint pt;
+    pt.t = t;
+    pt.graph = live;
+    pt.routes = routes;
+    serving.push_back(std::move(pt));
   };
-  const auto recompute_dark = [&] {
-    for (std::size_t i = 0; i < dark.size(); ++i) dark[i] = dark_frac_of(i);
-  };
+  record(0.0);
 
   // Diverged pairs whose canonical plan routes are whole again on the live
   // graph go back on plan — restricted to pairs with an endpoint in `pod`
-  // when it is valid — and the darkness is recomputed.
+  // when it is valid. Returns whether any did.
   const auto reconcile = [&](PodId pod) {
+    bool any = false;
     for (std::size_t i = 0; i < pairs.size(); ++i) {
       if (!diverged[i]) continue;
       if (pod.valid() && reference.node(pairs[i].first).pod != pod &&
@@ -195,20 +199,10 @@ HierarchyRunResult ControlHierarchy::run(
         routes[i] = canonical[i];
         diverged[i] = false;
         ++result.pairs_reconciled;
+        any = true;
       }
     }
-    recompute_dark();
-  };
-
-  double now = 0.0;
-  const auto advance = [&](double t) {
-    t = std::min(t, duration_s);
-    if (t <= now) return;
-    const double dt = t - now;
-    for (std::size_t i = 0; i < dark.size(); ++i) {
-      if (dark[i] > 0.0) dark_total[i] += dark[i] * dt;
-    }
-    now = t;
+    return any;
   };
 
   // -- control-plane fault geometry -------------------------------------------
@@ -219,16 +213,12 @@ HierarchyRunResult ControlHierarchy::run(
   if (faults.root_crash_at_s >= 0.0 && faults.root_crash_at_s < duration_s) {
     result.failovers = 1;
   }
-  // The window covering time t for `pod`, as its effective end.
-  const auto partition_end_at = [&](PodId pod,
-                                    double t) -> std::optional<double> {
-    for (const ControlPartition& p : faults.partitions) {
-      if (p.pod == pod && t >= p.start_s &&
-          (p.end_s < 0.0 || t < p.end_s)) {
-        return p.end_s < 0.0 ? duration_s : p.end_s;
-      }
-    }
-    return std::nullopt;
+  // The first window islanding `pod` at time t, or null.
+  const auto window_at = [&](PodId pod, double t) -> const ControlPartition* {
+    const auto it = std::find_if(
+        faults.partitions.begin(), faults.partitions.end(),
+        [&](const ControlPartition& p) { return p.covers(pod, t); });
+    return it == faults.partitions.end() ? nullptr : &*it;
   };
 
   // -- event queue ------------------------------------------------------------
@@ -352,8 +342,9 @@ HierarchyRunResult ControlHierarchy::run(
         bool moved = false;
         for (const PodId p : {pa, pb}) {
           if (!p.valid()) continue;
-          if (const auto end = partition_end_at(p, avail)) {
-            avail = std::max(avail, *end + options_.heartbeat_period_s);
+          if (const ControlPartition* w = window_at(p, avail)) {
+            const double end = w->end_s < 0.0 ? duration_s : w->end_s;
+            avail = std::max(avail, end + options_.heartbeat_period_s);
             deferred = true;
             moved = true;
           }
@@ -389,12 +380,13 @@ HierarchyRunResult ControlHierarchy::run(
   };
 
   // -- main loop --------------------------------------------------------------
+  double now = 0.0;
   while (!queue.empty()) {
     const Ev ev = queue.top();
     queue.pop();
     if (ev.t >= duration_s && ev.kind != EvKind::kRepair) break;
     const bool stale = ev.t <= conv_end_s;  // span covered by the executor
-    if (!stale) advance(ev.t);
+    if (!stale) now = std::min(ev.t, duration_s);
     switch (ev.kind) {
       case EvKind::kStorm: {
         if (stale) break;  // active was reset to active_at(conv_end_s)
@@ -409,8 +401,9 @@ HierarchyRunResult ControlHierarchy::run(
         // reasserts the plan through the epoch protocol, so no off-plan
         // rule set outlives the failure that forced it.
         reconcile(PodId{});
+        record(ev.t);
         for (std::size_t i = 0; i < pairs.size(); ++i) {
-          if (dark[i] > 0.0) schedule_repair(i, ev.t);
+          if (broken(i)) schedule_repair(i, ev.t);
         }
         break;
       }
@@ -424,10 +417,11 @@ HierarchyRunResult ControlHierarchy::run(
         journal[pod.index()] = 0;
         // Rejoin reconciliation: diverged pairs in the rejoined Pod whose
         // plan routes are valid go back on plan.
-        if (!stale) reconcile(pod);
+        if (!stale && reconcile(pod)) record(ev.t);
         break;
       }
       case EvKind::kConvert: {
+        add_pair_blackhole_s(serving, convert_at_s, dark);
         ConversionExecOptions eo = exec_base;
         eo.channel = channel_for(*cur);
         eo.pod_local_authority = hier;
@@ -454,6 +448,8 @@ HierarchyRunResult ControlHierarchy::run(
         active = storm.active_at(rep.finish_s);
         refresh_live();
         now = std::min(rep.finish_s, duration_s);
+        serving.clear();
+        record(rep.finish_s);
         // Repairs planned against the pre-conversion state are void.
         for (std::size_t pi = 0; pi < pending.size(); ++pi) {
           if (!pending[pi].canceled && repair_pending[pending[pi].pair]) {
@@ -461,9 +457,8 @@ HierarchyRunResult ControlHierarchy::run(
             repair_pending[pending[pi].pair] = false;
           }
         }
-        recompute_dark();
         for (std::size_t i = 0; i < pairs.size(); ++i) {
-          if (dark[i] > 0.0) schedule_repair(i, now);
+          if (broken(i)) schedule_repair(i, now);
         }
         result.conversion = std::move(rep);
         break;
@@ -473,18 +468,16 @@ HierarchyRunResult ControlHierarchy::run(
         if (pr.canceled) break;
         repair_pending[pr.pair] = false;
         if (stale || now >= duration_s) break;
-        if (dark[pr.pair] <= 0.0) break;  // recovered before the fix landed
+        if (!broken(pr.pair)) break;  // recovered before the fix landed
         const NodeId src = pairs[pr.pair].first;
         const NodeId dst = pairs[pr.pair].second;
-        if (live->degree(src) == 0 || live->degree(dst) == 0) break;
         const PodId pod = reference.node(src).pod;
         // Targeted patch: survivors stay installed, the solve tops the ECMP
         // set back up.
         std::vector<Path> next = patch_paths(
             *live, routes[pr.pair],
             std::max<std::size_t>(routes[pr.pair].size(), 1), [&] {
-              if (!live_cache.has_value()) live_cache.emplace(*live, k);
-              std::vector<Path> sol = live_cache->server_paths(src, dst);
+              std::vector<Path> sol = (*on_live)(src, dst);
               if (pr.local) {
                 // The islanded Pod controller can only program its own
                 // switches.
@@ -497,10 +490,10 @@ HierarchyRunResult ControlHierarchy::run(
         if (next.empty() || next == routes[pr.pair]) break;
         routes[pr.pair] = std::move(next);
         diverged[pr.pair] = routes[pr.pair] != canonical[pr.pair];
-        dark[pr.pair] = dark_frac_of(pr.pair);
+        record(ev.t);
         if (pr.local) {
           ++result.repairs_local;
-          if (partition_end_at(pod, ev.t).has_value()) {
+          if (window_at(pod, ev.t) != nullptr) {
             // Installed while islanded: journal for rejoin replay.
             ++result.journal_appended;
             ++journal[pod.index()];
@@ -515,9 +508,8 @@ HierarchyRunResult ControlHierarchy::run(
     }
     if (now >= duration_s) break;
   }
-  advance(duration_s);
-
-  for (double d : dark_total) {
+  add_pair_blackhole_s(serving, duration_s, dark);
+  for (double d : dark) {
     result.blackhole_pair_s += d;
     result.max_pair_blackhole_s = std::max(result.max_pair_blackhole_s, d);
   }

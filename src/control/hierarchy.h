@@ -106,9 +106,11 @@ struct HierarchyRepair {
 
 struct HierarchyRunResult {
   double duration_s{0.0};
-  // Fraction-weighted route-availability integral over the tracked pairs
-  // (same discipline as ExecutionReport::total_blackhole_s; a conversion's
-  // own integral is folded in over its execution span).
+  // Fraction-weighted route-availability integral over the tracked pairs:
+  // the executor's integral (add_pair_blackhole_s) over the serving state,
+  // plus a conversion's own ExecutionReport::total_blackhole_s over its
+  // execution span. The worst pair is the larger of the conversion's worst
+  // pair and the largest per-pair serving total.
   double blackhole_pair_s{0.0};
   double max_pair_blackhole_s{0.0};
 

@@ -252,4 +252,32 @@ class PathCache {
   obs::Counter* c_nodes_expanded_{nullptr};
 };
 
+// k-shortest server paths over one graph, with the PathCache built on first
+// use. An endpoint without links on the graph gets no paths: a server cut
+// off by failures, or one whose access circuit moves with an in-flight
+// rewire (degree 0 on the intersection graph), has no path to patch with.
+// The graph is borrowed or, for a derived graph built on the spot, owned.
+class LazyPaths {
+ public:
+  LazyPaths(const Graph& graph, std::uint32_t k) : graph_{&graph}, k_{k} {}
+  LazyPaths(Graph&& owned, std::uint32_t k)
+      : owned_{std::move(owned)}, graph_{&*owned_}, k_{k} {}
+  LazyPaths(const LazyPaths&) = delete;
+  LazyPaths& operator=(const LazyPaths&) = delete;
+
+  const Graph& graph() const { return *graph_; }
+
+  std::vector<Path> operator()(NodeId src, NodeId dst) {
+    if (graph_->degree(src) == 0 || graph_->degree(dst) == 0) return {};
+    if (!cache_.has_value()) cache_.emplace(*graph_, k_);
+    return cache_->server_paths(src, dst);
+  }
+
+ private:
+  std::optional<Graph> owned_;
+  const Graph* graph_;
+  std::uint32_t k_;
+  std::optional<PathCache> cache_;
+};
+
 }  // namespace flattree

@@ -345,6 +345,61 @@ TEST(ControlHierarchy, IslandedPodRepairsLocallyFlatDefers) {
   EXPECT_LT(hres.mean_repair_lag_s(), fres.mean_repair_lag_s());
 }
 
+// The serving integral is the executor's, in its association: a storm
+// that kills one of a pair's N paths at t1 charges (end - t1) * 1 / N when
+// no repair can land. Both endpoint Pods are islanded from the start and
+// never heal, so the flat root's repair waits past the horizon. With N = 3
+// and these times, (dt * 1.0) / 3 and (1.0 / 3) * dt differ in the last
+// bit, so the check pins the association too.
+TEST(ControlHierarchy, UnrepairedPathChargesTheExecutorsFraction) {
+  const Controller ctl = testbed_controller(3);
+  const CompiledMode mode = ctl.compile_uniform(PodMode::kClos);
+  const Graph& g = mode.graph();
+  const std::vector<std::pair<NodeId, NodeId>> pairs{mixed_pairs(g)[2]};
+  const std::vector<Path> paths =
+      mode.paths().server_paths(pairs[0].first, pairs[0].second);
+  ASSERT_EQ(3u, paths.size());
+
+  // A fabric link under exactly one of the pair's paths.
+  const auto crosses = [&](const Path& path, const Link& l) {
+    for (std::size_t h = 0; h + 1 < path.size(); ++h) {
+      if ((path[h] == l.a && path[h + 1] == l.b) ||
+          (path[h] == l.b && path[h + 1] == l.a)) {
+        return true;
+      }
+    }
+    return false;
+  };
+  LinkId broken;
+  for (std::uint32_t i = 0; i < g.link_count() && !broken.valid(); ++i) {
+    const Link& l = g.link(LinkId{i});
+    if (!is_switch(g.node(l.a).role) || !is_switch(g.node(l.b).role)) continue;
+    if (std::count_if(paths.begin(), paths.end(), [&](const Path& p) {
+          return crosses(p, l);
+        }) == 1) {
+      broken = LinkId{i};
+    }
+  }
+  ASSERT_TRUE(broken.valid());
+
+  const double t1 = 1.5;
+  const double duration = 5.0;
+  FailureSchedule storm;
+  storm.fail_at(t1, FailureSet{{broken}, {}});
+  HierarchyFaults faults;
+  for (const NodeId end : {pairs[0].first, pairs[0].second}) {
+    faults.partitions.push_back(ControlPartition{g.node(end).pod, 0.0, -1.0});
+  }
+
+  const ControlHierarchy flat{ctl, ControlPlaneKind::kFlat, {}};
+  const HierarchyRunResult res = flat.run(mode, pairs, storm, faults, duration);
+  EXPECT_EQ(1u, res.repairs_deferred);
+  EXPECT_TRUE(res.repairs.empty());
+  const double expected = (duration - t1) * 1.0 / 3.0;
+  EXPECT_EQ(expected, res.blackhole_pair_s);
+  EXPECT_EQ(expected, res.max_pair_blackhole_s);
+}
+
 TEST(ControlHierarchy, RootCrashPromotesStandbyAndDefersRootRepairs) {
   const Controller ctl = testbed_controller();
   const CompiledMode mode = ctl.compile_uniform(PodMode::kClos);
