@@ -169,10 +169,10 @@ HierarchyRunResult ControlHierarchy::run(
     return !all_paths_valid(*live, routes[i]);
   };
 
-  // The serving state (live graph, installed routes) from each storm fold,
-  // reconcile, repair install or conversion adoption on, charged by the
-  // executor's blackhole integral: the span before a conversion up to its
-  // start, the span after it up to duration_s.
+  // The serving state (live graph, installed routes), recorded at each
+  // storm fold, reconcile, repair install and conversion adoption and
+  // charged by the executor's blackhole integral: the span before a
+  // conversion up to its start, the span after it up to duration_s.
   std::vector<TimelinePoint> serving;
   std::vector<double> dark(pairs.size(), 0.0);  // serving seconds per pair
   const auto record = [&](double t) {

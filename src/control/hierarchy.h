@@ -108,9 +108,8 @@ struct HierarchyRunResult {
   double duration_s{0.0};
   // Fraction-weighted route-availability integral over the tracked pairs:
   // the executor's integral (add_pair_blackhole_s) over the serving state,
-  // plus a conversion's own ExecutionReport::total_blackhole_s over its
-  // execution span. The worst pair is the larger of the conversion's worst
-  // pair and the largest per-pair serving total.
+  // plus a conversion's own over its execution span. The worst pair is the
+  // conversion's worst pair or the largest per-pair serving total.
   double blackhole_pair_s{0.0};
   double max_pair_blackhole_s{0.0};
 

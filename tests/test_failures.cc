@@ -330,6 +330,23 @@ TEST(FoldFailureEvent, MatchesActiveAtOnFuzzedSchedules) {
   }
 }
 
+// The one window test both consumers ask: [start_s, end_s) on its own Pod,
+// open-ended when end_s < 0.
+TEST(ControlPartition, CoversItsHalfOpenWindowOnItsPod) {
+  const ControlPartition heals{PodId{1}, 1.0, 2.0};
+  EXPECT_FALSE(heals.covers(PodId{1}, 0.999));
+  EXPECT_TRUE(heals.covers(PodId{1}, 1.0));
+  EXPECT_TRUE(heals.covers(PodId{1}, 1.999));
+  EXPECT_FALSE(heals.covers(PodId{1}, 2.0));
+  EXPECT_FALSE(heals.covers(PodId{0}, 1.5));
+  EXPECT_FALSE(heals.covers(PodId{}, 1.5));
+
+  const ControlPartition never_heals{PodId{2}, 0.0, -1.0};
+  EXPECT_TRUE(never_heals.covers(PodId{2}, 0.0));
+  EXPECT_TRUE(never_heals.covers(PodId{2}, 1e9));
+  EXPECT_FALSE(never_heals.covers(PodId{3}, 1.0));
+}
+
 // Every consumer of a control-partition window (the conversion executor,
 // the control hierarchy) rejects a malformed one with the same message.
 TEST(ControlPartition, ValidatePinsTheWindowDiagnostics) {
