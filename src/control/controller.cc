@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "net/stats.h"
-#include "routing/source_routing.h"
-
 namespace flattree {
 
 void ConversionDelayModel::validate() const {
@@ -27,16 +24,13 @@ CompiledMode::CompiledMode(const FlatTree& tree, ModeAssignment assignment,
   paths_ = std::make_unique<PathCache>(*graph_, k_);
   paths_->attach_obs(sink);
   if (count_rules) {
-    const auto pairs = all_ingress_pairs(*graph_);
-    const PathLengthStats stats = compute_path_length_stats(*graph_);
-    const PortMap ports{*graph_};
-    states_ = analyze_states(*graph_, *paths_, pairs, ports.max_port_count(),
-                             stats.diameter);
+    const StateCounts states =
+        analyze_states(*graph_, *paths_, all_ingress_pairs(*graph_));
     has_rule_counts_ = true;
-    max_rules_per_switch_ = states_.aggregated_max;
+    max_rules_per_switch_ = states.aggregated_max;
     // Total aggregated rules across all switches = avg * switch count.
     total_rules_ = static_cast<std::uint64_t>(
-        states_.aggregated_avg * static_cast<double>(graph_->switches().size()) +
+        states.aggregated_avg * static_cast<double>(graph_->switches().size()) +
         0.5);
   }
 }

@@ -5,8 +5,7 @@
 //   * converter switch configurations (hard-coded per mode, §4),
 //   * the realized topology graph,
 //   * k-shortest-path routing state with ingress/egress prefix aggregation
-//     (rule counts per switch, §4.2),
-//   * the IP address plan for the mode (§4.2.1).
+//     (rule counts per switch, §4.2).
 //
 // plan_conversion() diffs two compiled modes the way the testbed control
 // software does: count converter reconfigurations (OCS partitions), rules
@@ -20,7 +19,6 @@
 #include <span>
 #include <vector>
 
-#include "core/addressing.h"
 #include "core/flat_tree.h"
 #include "net/failures.h"
 #include "net/graph.h"
@@ -119,7 +117,6 @@ class CompiledMode {
   [[nodiscard]] std::uint64_t max_rules_per_switch() const {
     return max_rules_per_switch_;
   }
-  [[nodiscard]] const StateCounts& state_counts() const { return states_; }
 
  private:
   ModeAssignment assignment_;
@@ -130,7 +127,6 @@ class CompiledMode {
   bool has_rule_counts_{false};
   std::uint64_t total_rules_{0};
   std::uint64_t max_rules_per_switch_{0};
-  StateCounts states_{};
 };
 
 struct ControllerOptions {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "routing/source_routing.h"
-
 namespace flattree {
 
 std::vector<SwitchPair> all_ingress_pairs(const Graph& graph) {
@@ -22,8 +20,7 @@ std::vector<SwitchPair> all_ingress_pairs(const Graph& graph) {
 }
 
 StateCounts analyze_states(const Graph& graph, PathCache& paths,
-                           const std::vector<SwitchPair>& pairs,
-                           std::size_t max_port_count, std::size_t diameter) {
+                           const std::vector<SwitchPair>& pairs) {
   StateCounts out;
   const std::size_t nodes = graph.node_count();
   std::vector<std::uint64_t> naive(nodes, 0);
@@ -69,7 +66,6 @@ StateCounts analyze_states(const Graph& graph, PathCache& paths,
   summarize(naive, out.naive_max, out.naive_avg);
   summarize(aggregated, out.aggregated_max, out.aggregated_avg);
   summarize(ingress, out.ingress_max, out.ingress_avg);
-  out.transit_static = transit_rule_count(diameter, max_port_count);
 
   if (out.path_count > 0) {
     out.avg_path_length =

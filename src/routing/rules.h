@@ -6,8 +6,10 @@
 //   aggregated   prefix matching at the ingress/egress switch level --
 //                one rule per (switch pair, path, transit switch)
 //   source-routed  ingress keeps S*k rules; transit keeps D*C static rules
-// StateAnalyzer computes all three from the *actual* path sets in use, plus
-// the closed-form averages the paper quotes (n^2 k L / N and S^2 k L / N).
+// analyze_states computes the per-switch counts from the *actual* path sets
+// in use, plus the closed-form averages the paper quotes (n^2 k L / N and
+// S^2 k L / N). The transit D*C term is topology-only (diameter times the
+// largest port count), so bench_states derives it beside these counts.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +29,6 @@ struct StateCounts {
   double aggregated_avg{0.0};
   std::uint64_t ingress_max{0};   // source routing: per-ingress route stack rules
   double ingress_avg{0.0};
-  std::uint64_t transit_static{0};  // source routing: D x C, same on every switch
 
   // Closed-form estimates from §4.2 for cross-checking.
   double formula_naive_avg{0.0};       // n^2 * k * L / N
@@ -45,12 +46,10 @@ struct SwitchPair {
 };
 
 // Computes rule counts for the k-shortest-path routing of the given switch
-// pairs. `servers_per_switch_hint` scales the naive count; pass 0 to use the
-// real per-switch server attachment counts from the graph.
+// pairs. The naive count scales each path by the real server attachment
+// counts of its ingress and egress switches.
 [[nodiscard]] StateCounts analyze_states(const Graph& graph, PathCache& paths,
-                                         const std::vector<SwitchPair>& pairs,
-                                         std::size_t max_port_count,
-                                         std::size_t diameter);
+                                         const std::vector<SwitchPair>& pairs);
 
 // All ordered pairs of switches that have at least one attached server
 // (every switch can be an ingress/egress in flat-tree).

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "core/flat_tree.h"
-#include "net/stats.h"
-#include "routing/source_routing.h"
 #include "topo/clos.h"
 
 namespace flattree {
@@ -12,11 +10,15 @@ namespace {
 
 StateCounts analyze(const Graph& g, std::uint32_t k) {
   PathCache cache{g, k};
-  const auto pairs = all_ingress_pairs(g);
-  const PortMap ports{g};
-  const auto stats = compute_path_length_stats(g);
-  return analyze_states(g, cache, pairs, ports.max_port_count(),
-                        stats.diameter);
+  return analyze_states(g, cache, all_ingress_pairs(g));
+}
+
+FlatTree testbed_tree() {
+  FlatTreeParams p;
+  p.clos = ClosParams::testbed();
+  p.six_port_per_column = 1;
+  p.four_port_per_column = 1;
+  return FlatTree{p};
 }
 
 TEST(AllIngressPairs, ClosOnlyEdgesAreIngress) {
@@ -27,12 +29,7 @@ TEST(AllIngressPairs, ClosOnlyEdgesAreIngress) {
 }
 
 TEST(AllIngressPairs, GlobalModeAllSwitchesAreIngress) {
-  FlatTreeParams p;
-  p.clos = ClosParams::testbed();
-  p.six_port_per_column = 1;
-  p.four_port_per_column = 1;
-  const FlatTree tree{p};
-  const Graph g = tree.realize_uniform(PodMode::kGlobal);
+  const Graph g = testbed_tree().realize_uniform(PodMode::kGlobal);
   // All 20 switches carry servers in global mode.
   EXPECT_EQ(all_ingress_pairs(g).size(), 20u * 19u);
 }
@@ -62,22 +59,10 @@ TEST(StateCounts, FormulaTracksExactCounts) {
   EXPECT_LT(counts.formula_aggregated_avg, counts.aggregated_avg * 2.5);
 }
 
-TEST(StateCounts, TransitStaticIsDxC) {
-  const Graph g = build_clos(ClosParams::testbed());
-  const StateCounts counts = analyze(g, 4);
-  const PortMap ports{g};
-  const auto stats = compute_path_length_stats(g);
-  EXPECT_EQ(counts.transit_static, stats.diameter * ports.max_port_count());
-}
-
 TEST(StateCounts, MoreIngressSwitchesMoreRules) {
   // Global mode (20 ingress switches) needs more aggregated rules than
   // Clos mode (8) — the §5.3 testbed observation (242 vs 76).
-  FlatTreeParams p;
-  p.clos = ClosParams::testbed();
-  p.six_port_per_column = 1;
-  p.four_port_per_column = 1;
-  const FlatTree tree{p};
+  const FlatTree tree = testbed_tree();
   const StateCounts global = analyze(tree.realize_uniform(PodMode::kGlobal), 4);
   const StateCounts local = analyze(tree.realize_uniform(PodMode::kLocal), 4);
   const StateCounts clos = analyze(tree.realize_uniform(PodMode::kClos), 4);
@@ -90,6 +75,50 @@ TEST(StateCounts, KScalesIngressState) {
   const StateCounts k2 = analyze(g, 2);
   const StateCounts k4 = analyze(g, 4);
   EXPECT_GT(k4.ingress_avg, k2.ingress_avg);
+}
+
+TEST(SourceRouteBudget, TestbedShortestPathsFitSixSwitchHops) {
+  // §4.2.2: the ingress switch writes a route into the 48-bit source MAC,
+  // one byte per switch hop, so a source route holds at most 6 hops. The
+  // "src-routed" state of bench_states assumes the installed paths fit.
+  // They do for every k=4 path between ingress switches of the testbed in
+  // global and local mode.
+  constexpr std::size_t kMacHops = 6;
+  const FlatTree tree = testbed_tree();
+  for (const PodMode mode : {PodMode::kGlobal, PodMode::kLocal}) {
+    const Graph g = tree.realize_uniform(mode);
+    PathCache cache{g, 4};
+    std::size_t paths = 0;
+    for (const SwitchPair& pair : all_ingress_pairs(g)) {
+      for (const Path& path : cache.switch_paths(pair.src, pair.dst)) {
+        ++paths;
+        EXPECT_LE(path_length(path), kMacHops) << to_string(mode);
+      }
+    }
+    EXPECT_GT(paths, 0u) << to_string(mode);
+  }
+
+  // In Clos mode every inter-Pod path fits, but a Pod has only two 2-hop
+  // paths between its edge switches: the third and fourth shortest detour
+  // through another Pod in 8 hops, which no MAC route can carry. Those 16
+  // of the 224 paths are counted in bench_states' Clos row all the same.
+  const Graph g = tree.realize_uniform(PodMode::kClos);
+  PathCache cache{g, 4};
+  std::size_t over_budget = 0;
+  for (const SwitchPair& pair : all_ingress_pairs(g)) {
+    const auto& path_set = cache.switch_paths(pair.src, pair.dst);
+    ASSERT_EQ(path_set.size(), 4u);
+    if (g.node(pair.src).pod != g.node(pair.dst).pod) {
+      for (const Path& path : path_set) EXPECT_LE(path_length(path), kMacHops);
+      continue;
+    }
+    EXPECT_EQ(path_length(path_set[0]), 2u);
+    EXPECT_EQ(path_length(path_set[1]), 2u);
+    EXPECT_EQ(path_length(path_set[2]), 8u);
+    EXPECT_EQ(path_length(path_set[3]), 8u);
+    over_budget += 2;
+  }
+  EXPECT_EQ(over_budget, 16u);
 }
 
 }  // namespace
