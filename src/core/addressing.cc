@@ -1,8 +1,6 @@
 #include "core/addressing.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 namespace flattree {
@@ -56,47 +54,6 @@ std::uint32_t addresses_for_k(std::uint32_t k) {
   return a;
 }
 
-std::pair<std::uint64_t, std::uint64_t> FlatTreeAddressV6::to_ipv6() const {
-  if (switch_id >= (1u << 13) || path_id >= (1u << 3) ||
-      topology >= (1u << 2)) {
-    throw std::invalid_argument("FlatTreeAddressV6: field overflow");
-  }
-  std::uint64_t hi = 0xfd00ULL << 48;
-  hi |= static_cast<std::uint64_t>(switch_id) << 35;
-  hi |= static_cast<std::uint64_t>(path_id) << 32;
-  hi |= static_cast<std::uint64_t>(topology) << 30;
-  return {hi, server_uid};
-}
-
-FlatTreeAddressV6 FlatTreeAddressV6::from_ipv6(std::uint64_t hi,
-                                               std::uint64_t lo) {
-  if ((hi >> 48) != 0xfd00) {
-    throw std::invalid_argument("FlatTreeAddressV6: not in fd00::/16");
-  }
-  FlatTreeAddressV6 a;
-  a.switch_id = static_cast<std::uint16_t>((hi >> 35) & 0x1fff);
-  a.path_id = static_cast<std::uint8_t>((hi >> 32) & 0x7);
-  a.topology = static_cast<std::uint8_t>((hi >> 30) & 0x3);
-  a.server_uid = lo;
-  return a;
-}
-
-std::string FlatTreeAddressV6::str() const {
-  const auto [hi, lo] = to_ipv6();
-  char buffer[48];
-  std::snprintf(buffer, sizeof(buffer),
-                "%04x:%04x:%04x:%04x:%04x:%04x:%04x:%04x",
-                static_cast<unsigned>(hi >> 48),
-                static_cast<unsigned>((hi >> 32) & 0xffff),
-                static_cast<unsigned>((hi >> 16) & 0xffff),
-                static_cast<unsigned>(hi & 0xffff),
-                static_cast<unsigned>(lo >> 48),
-                static_cast<unsigned>((lo >> 32) & 0xffff),
-                static_cast<unsigned>((lo >> 16) & 0xffff),
-                static_cast<unsigned>(lo & 0xffff));
-  return buffer;
-}
-
 AddressPlan::AddressPlan(const Graph& realized, TopoCode topo, std::uint32_t k)
     : topo_{topo}, k_{k}, per_server_{addresses_for_k(k)} {
   const std::uint32_t num_servers =
@@ -141,35 +98,6 @@ std::optional<NodeId> AddressPlan::server_for(FlatTreeAddress addr) const {
   const auto it = reverse_.find(addr.to_ipv4());
   if (it == reverse_.end()) return std::nullopt;
   return it->second;
-}
-
-AddressPlanV6::AddressPlanV6(const Graph& realized, TopoCode topo,
-                             std::uint32_t k)
-    : per_server_{addresses_for_k(k)} {
-  const std::uint32_t num_servers =
-      static_cast<std::uint32_t>(realized.count_role(NodeRole::kServer));
-  per_server_addresses_.resize(realized.node_count());
-  for (NodeId server : realized.servers()) {
-    const NodeId sw = realized.attachment_switch(server);
-    const std::uint32_t switch_id = sw.value() - num_servers;
-    if (switch_id >= (1u << 13)) {
-      throw std::invalid_argument("AddressPlanV6: more than 8192 switches");
-    }
-    auto& list = per_server_addresses_[server.index()];
-    for (std::uint32_t path = 0; path < per_server_; ++path) {
-      FlatTreeAddressV6 addr;
-      addr.switch_id = static_cast<std::uint16_t>(switch_id);
-      addr.path_id = static_cast<std::uint8_t>(path);
-      addr.topology = static_cast<std::uint8_t>(topo);
-      addr.server_uid = server.value();  // globally unique, mode-stable
-      list.push_back(addr);
-    }
-  }
-}
-
-const std::vector<FlatTreeAddressV6>& AddressPlanV6::addresses(
-    NodeId server) const {
-  return per_server_addresses_.at(server.index());
 }
 
 AddressBook::AddressBook(const FlatTree& tree, std::uint32_t k_global,

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <utility>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -84,61 +83,6 @@ class AddressPlan {
   std::vector<std::vector<FlatTreeAddress>> per_server_addresses_;  // by server node index
   std::vector<NodeId> server_nodes_;
   std::unordered_map<std::uint32_t, NodeId> reverse_;  // ipv4 -> server
-};
-
-// IPv6 form of the scheme (§4.2.1: "can be easily extended to IPv6
-// addresses, which even support globally unique server IDs"). Layout within
-// a ULA /16:
-//
-//   16 bits  fixed fd00::/16
-//   13 bits  ingress/egress switch ID
-//   3 bits   path ID
-//   2 bits   topology mode
-//   30 bits  reserved (zero)
-//   64 bits  globally unique server ID (no 64-servers-per-switch reuse)
-//
-// The first 34 bits (prefix + switch + path + topology) aggregate rules at
-// the ingress switch exactly as the /24 does for IPv4.
-struct FlatTreeAddressV6 {
-  std::uint16_t switch_id{0};   // 13 bits
-  std::uint8_t path_id{0};      // 3 bits
-  std::uint8_t topology{0};     // 2 bits
-  std::uint64_t server_uid{0};  // globally unique
-
-  // The 128-bit address as two big-endian halves.
-  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> to_ipv6() const;
-  [[nodiscard]] static FlatTreeAddressV6 from_ipv6(std::uint64_t hi,
-                                                   std::uint64_t lo);
-
-  // RFC 5952-ish textual form (full, un-abbreviated groups).
-  [[nodiscard]] std::string str() const;
-
-  // The aggregating prefix: top 34 bits of the high half.
-  [[nodiscard]] std::uint64_t ingress_prefix() const {
-    return to_ipv6().first >> 30;
-  }
-
-  friend bool operator==(const FlatTreeAddressV6&,
-                         const FlatTreeAddressV6&) = default;
-};
-
-// IPv6 address assignment for one mode: like AddressPlan but with globally
-// unique server IDs (the server's stable node id) in the low 64 bits, so
-// no per-switch rank reuse is needed and a server keeps the same low half
-// across every topology mode.
-class AddressPlanV6 {
- public:
-  AddressPlanV6(const Graph& realized, TopoCode topo, std::uint32_t k);
-
-  [[nodiscard]] const std::vector<FlatTreeAddressV6>& addresses(
-      NodeId server) const;
-  [[nodiscard]] std::uint32_t addresses_per_server() const {
-    return per_server_;
-  }
-
- private:
-  std::uint32_t per_server_{0};
-  std::vector<std::vector<FlatTreeAddressV6>> per_server_addresses_;
 };
 
 // The full pre-configured address book of a convertible network: one plan

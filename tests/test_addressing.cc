@@ -168,98 +168,14 @@ TEST(AddressBook, SwitchIdStableServerIdChanges) {
   }
 }
 
-TEST(FlatTreeAddressV6, RoundTrip) {
-  FlatTreeAddressV6 a;
-  a.switch_id = 4321;
-  a.path_id = 6;
-  a.topology = 1;
-  a.server_uid = 0xdeadbeefcafef00dULL;
-  const auto [hi, lo] = a.to_ipv6();
-  EXPECT_EQ(FlatTreeAddressV6::from_ipv6(hi, lo), a);
-}
-
-TEST(FlatTreeAddressV6, InUlaPrefix) {
-  FlatTreeAddressV6 a;
-  a.switch_id = 1;
-  EXPECT_EQ(a.to_ipv6().first >> 48, 0xfd00u);
-  EXPECT_TRUE(a.str().starts_with("fd00:"));
-}
-
-TEST(FlatTreeAddressV6, GloballyUniqueServerIds) {
-  // Unlike IPv4's 6-bit reused server IDs, the v6 low half carries the full
-  // unique server id — two servers under different switches never collide.
-  FlatTreeAddressV6 a, b;
-  a.switch_id = 1;
-  a.server_uid = 70000;  // > 64: impossible in the IPv4 scheme
-  b.switch_id = 2;
-  b.server_uid = 70000;
-  EXPECT_NE(a.to_ipv6(), b.to_ipv6());
-  EXPECT_EQ(a.to_ipv6().second, 70000u);
-}
-
-TEST(FlatTreeAddressV6, PrefixAggregatesBySwitchPathTopology) {
-  FlatTreeAddressV6 a, b, c;
-  a.switch_id = b.switch_id = 9;
-  a.path_id = b.path_id = 2;
-  a.topology = b.topology = 1;
-  a.server_uid = 1;
-  b.server_uid = 999999;
-  c = a;
-  c.switch_id = 10;
-  EXPECT_EQ(a.ingress_prefix(), b.ingress_prefix());
-  EXPECT_NE(a.ingress_prefix(), c.ingress_prefix());
-}
-
-TEST(FlatTreeAddressV6, OverflowThrows) {
-  FlatTreeAddressV6 a;
-  a.switch_id = 1u << 13;
-  EXPECT_THROW((void)a.to_ipv6(), std::invalid_argument);
-  EXPECT_THROW((void)FlatTreeAddressV6::from_ipv6(0x2001000000000000ULL, 0),
-               std::invalid_argument);
-}
-
-TEST(AddressPlanV6, NoServerCountLimit) {
-  // The IPv4 plan caps at 64 servers per switch; v6 does not.
+TEST(AddressPlan, MoreThan64ServersPerSwitchThrows) {
+  // The 6-bit server ID caps a switch at 64 servers.
   Graph g;
   std::vector<NodeId> servers;
-  const NodeId sw = [&] {
-    for (int i = 0; i < 100; ++i) servers.push_back(g.add_node(NodeRole::kServer));
-    return g.add_node(NodeRole::kEdge);
-  }();
+  for (int i = 0; i < 65; ++i) servers.push_back(g.add_node(NodeRole::kServer));
+  const NodeId sw = g.add_node(NodeRole::kEdge);
   for (NodeId s : servers) g.add_link(s, sw, 1e9);
   EXPECT_THROW((AddressPlan{g, TopoCode::kClos, 4}), std::invalid_argument);
-  const AddressPlanV6 v6{g, TopoCode::kClos, 4};
-  EXPECT_EQ(v6.addresses(servers[99]).size(), 2u);
-}
-
-TEST(AddressPlanV6, ServerUidStableAcrossModes) {
-  const FlatTree tree = testbed_tree();
-  const AddressPlanV6 global{tree.realize_uniform(PodMode::kGlobal),
-                             TopoCode::kGlobal, 4};
-  const AddressPlanV6 clos{tree.realize_uniform(PodMode::kClos),
-                           TopoCode::kClos, 4};
-  for (std::uint32_t s = 0; s < 24; ++s) {
-    EXPECT_EQ(global.addresses(NodeId{s})[0].server_uid,
-              clos.addresses(NodeId{s})[0].server_uid);
-    EXPECT_EQ(global.addresses(NodeId{s})[0].server_uid, s);
-  }
-}
-
-TEST(AddressPlanV6, SwitchFieldTracksRelocation) {
-  const FlatTree tree = testbed_tree();
-  const Graph global = tree.realize_uniform(PodMode::kGlobal);
-  const Graph clos = tree.realize_uniform(PodMode::kClos);
-  const AddressPlanV6 gplan{global, TopoCode::kGlobal, 4};
-  const AddressPlanV6 cplan{clos, TopoCode::kClos, 4};
-  bool any_moved = false;
-  for (NodeId s : global.servers()) {
-    if (global.attachment_switch(s) != clos.attachment_switch(s)) {
-      EXPECT_NE(gplan.addresses(s)[0].switch_id,
-                cplan.addresses(s)[0].switch_id);
-      any_moved = true;
-    }
-  }
-  EXPECT_TRUE(any_moved);
 }
 
 TEST(CodeFor, MatchesFigure5) {
