@@ -81,8 +81,8 @@ cmake --build "build-${SANITIZE_PRESET}" -j "${JOBS}" \
 # path).
 "./build-${SANITIZE_PRESET}/tests/test_ksp_diff"
 # The event queue's fuzz battery (lanes and heap) against a priority_queue
-# oracle, the packet simulator's unit cases (conversions and failures,
-# whose blackout-delayed sends take the queue's heap instead of a lane),
+# oracle, the packet simulator's unit cases (conversions, whose
+# blackout-delayed sends take the queue's heap instead of a lane),
 # and its pinned result digests (which also drive ShardedPacketSim across a
 # pool, the TSan-relevant path).
 "./build-${SANITIZE_PRESET}/tests/test_event_queue"

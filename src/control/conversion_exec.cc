@@ -1776,7 +1776,6 @@ void drive_packet_sim(PacketSim& sim, const ExecutionReport& report,
     const TimelinePoint& pt = report.timeline[k];
     if (pt.t >= horizon_s) break;
     sim.run_until(pt.t);
-    sim.begin_segment();
     const auto paths_for = [&](std::uint32_t fi) -> std::vector<Path> {
       if (fi < flows.size()) {
         const Flow& f = flows[fi];

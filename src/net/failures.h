@@ -9,8 +9,8 @@
 //     random fraction) of links and/or switches removed, keeping node ids
 //     stable so workloads and routing carry over unchanged.
 //   * Dynamic: a FailureSchedule of time-stamped fail/recover events that
-//     the simulators consume mid-run (FluidSimulator::run_with_schedule,
-//     PacketSim::apply_failure / run_with_schedule) and the controller
+//     the fluid simulator consumes mid-run (FluidSimulator::run_with_schedule),
+//     the conversion executor folds into its steps, and the controller
 //     repairs around (Controller::plan_repair).
 //
 // Failed switches keep their node id and their server access links — the

@@ -15,7 +15,7 @@ void PacketSim::attach_obs(const obs::ObsSink& sink) {
   if (reg == nullptr) {
     c_drops_ = c_rto_ = c_fast_rtx_ = nullptr;
     c_flows_started_ = c_flows_done_ = nullptr;
-    c_conversions_ = c_failures_ = c_events_ = nullptr;
+    c_conversions_ = c_events_ = nullptr;
     g_heap_max_ = g_arena_ = nullptr;
     h_fct_ = h_queue_depth_ = h_cwnd_ = nullptr;
     return;
@@ -33,7 +33,6 @@ void PacketSim::attach_obs(const obs::ObsSink& sink) {
   c_flows_started_ = &reg->counter("packet.flows.started");
   c_flows_done_ = &reg->counter("packet.flows.completed");
   c_conversions_ = &reg->counter("packet.conversions");
-  c_failures_ = &reg->counter("packet.failures");
   h_fct_ = &reg->histogram(
       "packet.fct_s", {0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0});
   h_queue_depth_ = &reg->histogram(
@@ -73,9 +72,10 @@ void PacketSim::update_pipes(const Graph& graph, double blackout_s,
       const auto it = wanted.find(key(from, to));
       if (it == wanted.end()) {
         // Circuit rewired away: everything queued on it is lost. The dead
-        // pipe stays in the map so a later recovery resurrects the same
-        // index — subflows hold pipe indices, and a flow whose route is
-        // unchanged across fail + recover must come back to a live pipe.
+        // pipe stays in the map so a later conversion that wires it again
+        // resurrects the same index — subflows hold pipe indices, and a
+        // flow whose route is unchanged across the round trip must come
+        // back to a live pipe.
         pipe.dead = true;
         count_drop(pipe.queue.size());
         pipe.queue.clear();
@@ -86,8 +86,8 @@ void PacketSim::update_pipes(const Graph& graph, double blackout_s,
         continue;
       }
       if (pipe.dead) {
-        // The circuit is back (failure recovered): revive in place. The
-        // queue is already empty; traffic resumes on the next send.
+        // The circuit is back: revive in place. The queue is already
+        // empty; traffic resumes on the next send.
         pipe.dead = false;
         set_rate(pipe, it->second);
         pipe.blocked_until = std::max(pipe.blocked_until, stall_until);
@@ -233,7 +233,6 @@ void PacketSim::run_until(double t_s) {
     const EventPayload event = queue_.pop(&t);
     now_ = std::max(now_, t);
     ++events_done_;
-    ++segment_.events_processed;
     ++processed;
     dispatch(event);
   }
@@ -419,8 +418,6 @@ void PacketSim::on_ack_at_sender(const Packet& packet) {
     flow.packets_acked += newly;
     flow.bytes_acked +=
         static_cast<std::uint64_t>(newly) * options_.mtu_bytes;
-    segment_.bytes_acked +=
-        static_cast<std::uint64_t>(newly) * options_.mtu_bytes;
 
     // RTT sample from the echoed timestamp (Karn-safe enough here: the
     // timestamp rides the data packet that triggered this cumulative ACK).
@@ -460,7 +457,6 @@ void PacketSim::on_ack_at_sender(const Packet& packet) {
             static_cast<std::uint64_t>(flow.total_packets)) {
       flow.done = true;
       flow.finish_s = now_;
-      ++segment_.flows_completed;
       obs::add(c_flows_done_);
       obs::record(h_fct_, now_ - flow.start_s);
       if (tracer_ != nullptr) {
@@ -479,7 +475,6 @@ void PacketSim::on_ack_at_sender(const Packet& packet) {
       sf.recover_point = sf.next_seq;
       sf.ssthresh = std::max(sf.cwnd / 2.0, 2.0);
       sf.cwnd = sf.ssthresh;
-      ++segment_.fast_retransmits;
       obs::add(c_fast_rtx_);
       subflow_send_packet(packet.flow, packet.subflow, sf.cum_acked);
     }
@@ -523,7 +518,6 @@ void PacketSim::handle_timer(const EventPayload& event) {
   sf.recover_point = sf.next_seq;
   sf.rto = std::min(sf.rto * 2.0, options_.max_rto_s);
   sf.timer_armed = false;
-  ++segment_.rto_timeouts;
   obs::add(c_rto_);
   subflow_send_packet(event.a, sf_index, sf.cum_acked);
   if (!sf.timer_armed) arm_timer(event.a, sf_index);
@@ -562,18 +556,6 @@ void PacketSim::apply_conversion(
     attach_subflows(fi, std::move(paths));
     if (flow.started) maybe_send(fi);
   }
-}
-
-void PacketSim::apply_failure(const Graph& degraded_graph) {
-  if (!network_set_) {
-    throw std::logic_error("PacketSim: set_network before apply_failure");
-  }
-  // Pipes missing from the degraded graph die (queues dropped) and swallow
-  // everything still routed into them; surviving pipes are untouched — no
-  // blackout and no re-pathing until the controller's repair arrives.
-  obs::add(c_failures_);
-  if (tracer_ != nullptr) tracer_->instant("packet", "failure", now_);
-  update_pipes(degraded_graph, 0.0, ConversionScope::kChangedOnly);
 }
 
 const std::vector<Path>& PacketSim::flow_paths(std::uint32_t flow) const {
@@ -616,63 +598,6 @@ std::vector<obs::FlowRecord> PacketSim::export_flow_records() const {
     records.push_back(r);
   }
   return records;
-}
-
-void run_with_schedule(
-    PacketSim& sim, const Graph& base, const FailureSchedule& schedule,
-    const std::function<std::vector<Path>(std::uint32_t, const Graph&)>&
-        repath,
-    double horizon_s, const PacketScheduleOptions& options) {
-  // Two steps per schedule event: the data plane breaks (or heals) at the
-  // event time, the control plane installs refreshed routes one repair lag
-  // later. Ties resolve data-plane first — a repair landing exactly when the
-  // next failure strikes still repairs the pre-failure state.
-  struct Step {
-    double t{0.0};
-    bool repair{false};
-    std::size_t event{0};
-  };
-  const auto& events = schedule.events();
-  std::vector<Step> steps;
-  steps.reserve(2 * events.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    steps.push_back({events[i].time_s, false, i});
-    steps.push_back({events[i].time_s + options.repair_lag_s, true, i});
-  }
-  std::stable_sort(steps.begin(), steps.end(),
-                   [](const Step& a, const Step& b) {
-                     if (a.t != b.t) return a.t < b.t;
-                     return !a.repair && b.repair;
-                   });
-
-  for (const Step& step : steps) {
-    if (step.t > horizon_s) break;
-    sim.run_until(step.t);
-    // Each failure/repair step opens a fresh stats segment so recovery-phase
-    // metrics (drops, retransmits, completions) don't inherit samples from
-    // the phase before it; the queue-drop burst the step itself causes lands
-    // in the new segment.
-    sim.begin_segment();
-    // The controller reacts to the event this step belongs to: its repair
-    // reflects the failure state as of that event (later events get their
-    // own, later, repair steps).
-    const FailureSet active = schedule.active_at(events[step.event].time_s);
-    if (!step.repair) {
-      sim.apply_failure(degrade(base, active));
-      continue;
-    }
-    const Graph repaired =
-        options.planner ? options.planner(active) : degrade(base, active);
-    sim.apply_conversion(
-        repaired,
-        [&](std::uint32_t fi) -> std::vector<Path> {
-          auto paths = repath(fi, repaired);
-          if (paths.empty()) return sim.flow_paths(fi);  // pair disconnected
-          return paths;
-        },
-        options.rule_blackout_s, options.scope);
-  }
-  sim.run_until(horizon_s);
 }
 
 }  // namespace flattree

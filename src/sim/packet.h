@@ -30,7 +30,6 @@
 #include <limits>
 #include <vector>
 
-#include "net/failures.h"
 #include "net/graph.h"
 #include "obs/sink.h"
 #include "obs/telemetry.h"
@@ -85,39 +84,14 @@ class PacketSim {
       double blackout_s,
       ConversionScope scope = ConversionScope::kFullBlackout);
 
-  // Data-plane failure at the current simulation time: pipes absent from
-  // `degraded_graph` die immediately (queues dropped) and black-hole every
-  // packet still routed into them — no blackout, no re-pathing. Senders
-  // keep retransmitting into the holes and collapse through RTO backoff,
-  // exactly the pre-repair behaviour; routing catches up only when a later
-  // apply_conversion() installs refreshed paths (the controller's repair,
-  // one repair lag behind the failure).
-  void apply_failure(const Graph& degraded_graph);
-
   // -- observability --------------------------------------------------------
 
   // Attaches the sink: caches metric handles (packet.drops, packet.fct_s,
   // packet.queue.depth_pkts, packet.cwnd_pkts, retransmit counters, ...) and
-  // the tracer (flow-lifetime spans, conversion/failure instants) so the hot
+  // the tracer (flow-lifetime and conversion-blackout spans) so the hot
   // path only pays a null-pointer check when observability is off. Call
   // before running; a default-constructed sink detaches.
   void attach_obs(const obs::ObsSink& sink);
-
-  // Stats for the current schedule segment (the interval since the last
-  // begin_segment() call). The driver in run_with_schedule() opens a new
-  // segment at every failure/repair step so recovery-phase metrics do not
-  // inherit pre-failure samples; the cumulative accessors below are
-  // unaffected.
-  struct SegmentStats {
-    std::uint64_t packets_dropped{0};
-    std::uint64_t events_processed{0};
-    std::uint64_t rto_timeouts{0};
-    std::uint64_t fast_retransmits{0};
-    std::uint64_t flows_completed{0};
-    std::uint64_t bytes_acked{0};
-  };
-  void begin_segment() { segment_ = SegmentStats{}; }
-  [[nodiscard]] const SegmentStats& segment_stats() const { return segment_; }
 
   // -- metrics --------------------------------------------------------------
 
@@ -286,7 +260,6 @@ class PacketSim {
 
   void count_drop(std::uint64_t n = 1) {
     drops_ += n;
-    segment_.packets_dropped += n;
     obs::add(c_drops_, n);
   }
 
@@ -296,7 +269,6 @@ class PacketSim {
   std::uint64_t events_done_{0};
   std::uint64_t heap_max_{0};
   bool network_set_{false};
-  SegmentStats segment_;
 
   // Cached observability handles; null when detached (the default).
   obs::EventTracer* tracer_{nullptr};
@@ -306,7 +278,6 @@ class PacketSim {
   obs::Counter* c_flows_started_{nullptr};
   obs::Counter* c_flows_done_{nullptr};
   obs::Counter* c_conversions_{nullptr};
-  obs::Counter* c_failures_{nullptr};
   obs::Counter* c_events_{nullptr};
   obs::Gauge* g_heap_max_{nullptr};
   obs::Gauge* g_arena_{nullptr};
@@ -322,33 +293,5 @@ class PacketSim {
   std::vector<SimFlow> flows_;
   std::vector<Subflow> subflows_;
 };
-
-// -- failure schedule driver -------------------------------------------------
-
-struct PacketScheduleOptions {
-  double repair_lag_s{0.2};     // failure event -> routing refresh delay
-  double rule_blackout_s{0.0};  // switch-table rewrite stall at each repair
-  ConversionScope scope{ConversionScope::kChangedOnly};
-  // Optional repair planner: maps the active failure set to the post-repair
-  // operating topology (e.g. Controller::plan_repair's converter-rewired
-  // graph). Null = pure rerouting on degrade(base, active). Link ids in the
-  // schedule always refer to `base`'s numbering; a planner that rewires must
-  // keep node ids stable (every FlatTree realization does).
-  std::function<Graph(const FailureSet& active)> planner;
-};
-
-// Drives `sim` through a failure schedule against the realized graph
-// `base`: at each event the data plane degrades (or recovers) immediately
-// via apply_failure(); repair_lag_s later the control plane installs
-// refreshed routes via apply_conversion(). `repath` receives each flow
-// index and the post-repair topology and returns the flow's new subflow
-// paths — returning an empty set keeps the flow's current (possibly
-// black-holed) paths, the fate of a disconnected pair. Finally runs the
-// event loop to `horizon_s`.
-void run_with_schedule(
-    PacketSim& sim, const Graph& base, const FailureSchedule& schedule,
-    const std::function<std::vector<Path>(std::uint32_t, const Graph&)>&
-        repath,
-    double horizon_s, const PacketScheduleOptions& options = {});
 
 }  // namespace flattree

@@ -14,7 +14,6 @@
 #include "core/flat_tree.h"
 #include "routing/ksp.h"
 #include "sim/fluid.h"
-#include "sim/packet.h"
 #include "topo/clos.h"
 #include "traffic/patterns.h"
 
@@ -664,50 +663,6 @@ TEST(SameTimestampFailRecover, FluidInsertionOrderBreaksTies) {
   ASSERT_TRUE(results[0].completed);
   // 0.1 s of progress, a 0.9 s outage, the remaining 0.7 s.
   EXPECT_NEAR(results[0].fct_s(), 1.7, 1e-6);
-}
-
-TEST(SameTimestampFailRecover, PacketNeverObservesTheOutage) {
-  ScheduleDumbbell net;
-  PathCache cache{net.g, 1};
-  const auto paths = cache.server_paths(NodeId{0}, NodeId{1});
-  ASSERT_FALSE(paths.empty());
-
-  PacketSim clean;
-  clean.set_network(net.g);
-  const auto base_id = clean.add_flow(0, 1, 10e6, 0.0, paths);
-  clean.run_until(5.0);
-  ASSERT_TRUE(clean.flow_completed(base_id));
-  const double baseline = clean.flow_finish_time(base_id);
-
-  PacketSim sim;
-  sim.set_network(net.g);
-  const auto id = sim.add_flow(0, 1, 10e6, 0.0, paths);
-  FailureSchedule schedule;
-  schedule.fail_at(0.5, FailureSet{{net.bottleneck}, {}});
-  schedule.recover_at(0.5, FailureSet{{net.bottleneck}, {}});
-  const auto repath = [](std::uint32_t, const Graph& degraded) {
-    PathCache fresh{degraded, 1};
-    return fresh.server_paths(NodeId{0}, NodeId{1});
-  };
-  run_with_schedule(sim, net.g, schedule, repath, /*horizon_s=*/5.0);
-  ASSERT_TRUE(sim.flow_completed(id));
-  // The schedule driver degrades against active_at(0.5), which folds the
-  // batch to the empty set: no pipe ever dies, no packet is ever dropped,
-  // and completion is bit-identical to the clean run.
-  EXPECT_NEAR(sim.flow_finish_time(id), baseline, 1e-9);
-
-  // Control: the same events pulled apart delay completion past the
-  // recovery (10 MB needs ~0.85 s, impossible before the t=0.5 outage).
-  PacketSim stalled;
-  stalled.set_network(net.g);
-  const auto slow_id = stalled.add_flow(0, 1, 10e6, 0.0, paths);
-  FailureSchedule apart;
-  apart.fail_at(0.5, FailureSet{{net.bottleneck}, {}});
-  apart.recover_at(1.5, FailureSet{{net.bottleneck}, {}});
-  run_with_schedule(stalled, net.g, apart, repath, /*horizon_s=*/5.0);
-  ASSERT_TRUE(stalled.flow_completed(slow_id));
-  EXPECT_GT(stalled.flow_finish_time(slow_id), 1.5);
-  EXPECT_GT(stalled.flow_finish_time(slow_id), baseline);
 }
 
 }  // namespace

@@ -229,86 +229,6 @@ TEST(PacketSim, FlowPathsAccessor) {
   EXPECT_EQ(sim.flow_paths(id), paths);
 }
 
-TEST(PacketSim, FailureBlackHolesTraffic) {
-  // The bottleneck pipe dies mid-run: packets routed into it vanish and
-  // goodput stops until routing state is refreshed.
-  Dumbbell net;
-  PacketSim sim;
-  sim.set_network(net.g);
-  sim.add_flow(0, 2, 0, 0.0, net.path(0, 2));
-  sim.run_until(1.0);
-  const std::uint64_t before = sim.flow_bytes_acked(0);
-  EXPECT_GT(before, 5e6);
-  sim.apply_failure(degrade(net.g, FailureSet{{LinkId{4}}, {}}));
-  sim.run_until(2.0);
-  // Only acks already in flight can still land; no new data gets across.
-  EXPECT_LT(sim.flow_bytes_acked(0) - before, 1e5);
-}
-
-TEST(PacketSim, ScheduledFailureStallsThenRecovers) {
-  // A finite flow is cut off by an outage spanning its natural completion
-  // and finishes only after the recovery event restores the pipe.
-  Dumbbell net;
-  PacketSim sim;
-  sim.set_network(net.g);
-  const auto id = sim.add_flow(0, 2, 10e6, 0.0, net.path(0, 2));
-  FailureSchedule schedule;
-  schedule.fail_at(0.5, FailureSet{{LinkId{4}}, {}});
-  schedule.recover_at(1.5, FailureSet{{LinkId{4}}, {}});
-  const auto repath = [](std::uint32_t, const Graph& g) -> std::vector<Path> {
-    PathCache cache{g, 1};
-    return cache.server_paths(NodeId{0}, NodeId{2});
-  };
-  run_with_schedule(sim, net.g, schedule, repath, /*horizon_s=*/5.0);
-  EXPECT_TRUE(sim.flow_completed(id));
-  // 10 MB needs ~0.85 s at 100 Mb/s: impossible before the t=0.5 outage,
-  // so completion lands after the t=1.5 recovery.
-  EXPECT_GT(sim.flow_finish_time(id), 1.5);
-  EXPECT_LT(sim.flow_finish_time(id), 3.0);
-}
-
-TEST(PacketSim, ScheduledFailureReroutesOntoSurvivingPath) {
-  // Parallel aggs: when the path in use dies, the repair step re-paths the
-  // flow onto the surviving agg and goodput continues despite the element
-  // never recovering.
-  Graph g;
-  const NodeId s0 = g.add_node(NodeRole::kServer);
-  const NodeId s1 = g.add_node(NodeRole::kServer);
-  const NodeId e0 = g.add_node(NodeRole::kEdge);
-  const NodeId a0 = g.add_node(NodeRole::kAgg);
-  const NodeId a1 = g.add_node(NodeRole::kAgg);
-  const NodeId e1 = g.add_node(NodeRole::kEdge);
-  g.add_link(s0, e0, 1e9);
-  g.add_link(s1, e1, 1e9);
-  g.add_link(e0, a0, 100e6);
-  g.add_link(e0, a1, 100e6);
-  g.add_link(a0, e1, 100e6);
-  g.add_link(a1, e1, 100e6);
-  PathCache cache{g, 1};
-  const auto paths = cache.server_paths(s0, s1);
-  ASSERT_EQ(paths[0].size(), 5u);  // s0 e0 agg e1 s1
-  const NodeId agg_used = paths[0][2];
-
-  PacketSim sim;
-  sim.set_network(g);
-  const auto id = sim.add_flow(0, 1, 0, 0.0, paths);
-  FailureSchedule schedule;
-  schedule.fail_at(1.0, FailureSet{{}, {agg_used}});
-  const auto repath = [](std::uint32_t, const Graph& degraded) {
-    PathCache fresh{degraded, 1};
-    return fresh.server_paths(NodeId{0}, NodeId{1});
-  };
-  PacketScheduleOptions options;
-  options.repair_lag_s = 0.2;
-  run_with_schedule(sim, g, schedule, repath, /*horizon_s=*/3.0, options);
-  // The refreshed path avoids the dead agg...
-  ASSERT_EQ(sim.flow_paths(id).size(), 1u);
-  EXPECT_NE(sim.flow_paths(id)[0][2], agg_used);
-  // ...and the flow kept moving after the outage: >2.5 s of useful time at
-  // ~100 Mb/s minus the 0.2 s repair lag.
-  EXPECT_GT(sim.flow_bytes_acked(id) * 8.0, 0.6 * 100e6 * 2.8);
-}
-
 TEST(PacketSim, Deterministic) {
   Dumbbell net;
   std::uint64_t acked[2];
@@ -332,56 +252,52 @@ TEST(PacketSim, ErrorsOnMisuse) {
   EXPECT_THROW((void)sim.add_flow(0, 2, 0, 0.0, {}), std::invalid_argument);
 }
 
-TEST(PacketSim, SegmentStatsResetWithoutTouchingCumulativeCounters) {
-  // Regression: per-segment stats must start from zero at begin_segment()
-  // while the cumulative accessors (which older tests and the validation
-  // bench assert against) keep counting across segments.
-  Dumbbell net;
+TEST(PacketSim, ConversionRoundTripRevivesRemovedPipes) {
+  // Global -> Clos -> Global on the testbed. A flow from a server that
+  // global mode relocates keeps its global path set throughout, as a
+  // black-holed pair does under drive_packet_sim: Clos mode removes the
+  // server's global access link, so its packets die there, and the
+  // conversion back revives that pipe at the same index the flow's
+  // subflow still holds. The flow then completes on its unchanged paths.
+  FlatTreeParams p;
+  p.clos = ClosParams::testbed();
+  p.clos.link_bps = 100e6;
+  p.six_port_per_column = 1;
+  p.four_port_per_column = 1;
+  const FlatTree tree{p};
+  const Graph global = tree.realize_uniform(PodMode::kGlobal);
+  const Graph clos = tree.realize_uniform(PodMode::kClos);
+  std::uint32_t src = 0;
+  while (global.attachment_switch(NodeId{src}) ==
+         clos.attachment_switch(NodeId{src})) {
+    ++src;
+  }
+  const std::uint32_t dst = (src + 12) % 24;
+  PathCache cache{global, 1};
+  const std::vector<Path> paths =
+      cache.server_paths(NodeId{src}, NodeId{dst});
+  const auto same_paths = [&](std::uint32_t) { return paths; };
+
   PacketSim sim;
-  sim.set_network(net.g);
-  sim.add_flow(0, 2, 1e6, 0.0, net.path(0, 2));
-  sim.run_until(1.0);
-  const std::uint64_t events_before = sim.events_processed();
-  ASSERT_GT(events_before, 0u);
-  EXPECT_EQ(sim.segment_stats().events_processed, events_before);
-  EXPECT_EQ(sim.segment_stats().flows_completed, 1u);
+  sim.set_network(global);
+  const auto id = sim.add_flow(src, dst, 2e6, 0.0, paths);
+  sim.run_until(0.05);
+  const std::uint64_t before = sim.flow_bytes_acked(id);
+  ASSERT_GT(before, 0u);
+  ASSERT_FALSE(sim.flow_completed(id));
 
-  sim.begin_segment();
-  EXPECT_EQ(sim.segment_stats().events_processed, 0u);
-  EXPECT_EQ(sim.segment_stats().flows_completed, 0u);
-  EXPECT_EQ(sim.segment_stats().bytes_acked, 0u);
-  EXPECT_EQ(sim.events_processed(), events_before);  // cumulative untouched
+  sim.apply_conversion(clos, same_paths, 0.01);
+  sim.run_until(0.5);
+  // Dead access pipe: nothing sent after the conversion gets across.
+  EXPECT_FALSE(sim.flow_completed(id));
+  EXPECT_LT(sim.flow_bytes_acked(id) - before, 1e5);
 
-  sim.add_flow(1, 3, 1e5, 1.5, net.path(1, 3));
-  sim.run_until(3.0);
-  EXPECT_GT(sim.segment_stats().events_processed, 0u);
-  EXPECT_EQ(sim.segment_stats().flows_completed, 1u);
-  EXPECT_GT(sim.events_processed(),
-            events_before + sim.segment_stats().events_processed - 1);
-}
-
-TEST(PacketSim, ScheduleDriverOpensFreshSegmentPerStep) {
-  // run_with_schedule() must call begin_segment() at every schedule step:
-  // after a run with a mid-stream failure, the live segment covers only the
-  // post-recovery interval, not the whole run.
-  Dumbbell net;
-  PacketSim sim;
-  sim.set_network(net.g);
-  sim.add_flow(0, 2, 10e6, 0.0, net.path(0, 2));
-  FailureSchedule schedule;
-  schedule.fail_at(0.5, FailureSet{{LinkId{4}}, {}});
-  schedule.recover_at(1.5, FailureSet{{LinkId{4}}, {}});
-  const auto repath = [](std::uint32_t, const Graph& g) -> std::vector<Path> {
-    PathCache cache{g, 1};
-    return cache.server_paths(NodeId{0}, NodeId{2});
-  };
-  run_with_schedule(sim, net.g, schedule, repath, /*horizon_s=*/5.0);
-  ASSERT_GT(sim.events_processed(), 0u);
-  EXPECT_LT(sim.segment_stats().events_processed, sim.events_processed());
-  EXPECT_LT(sim.segment_stats().bytes_acked, sim.total_bytes_acked());
-  // The pre-failure segment finished no flow, so the completion landed in
-  // the segment opened by a schedule step.
-  EXPECT_EQ(sim.segment_stats().flows_completed, 1u);
+  sim.apply_conversion(global, same_paths, 0.01);
+  sim.run_until(5.0);
+  EXPECT_EQ(sim.flow_paths(id), paths);
+  ASSERT_TRUE(sim.flow_completed(id));
+  EXPECT_GT(sim.flow_finish_time(id), 0.5);
+  EXPECT_EQ(sim.flow_bytes_acked(id), 1334u * 1500u);  // ceil(2e6 / MTU)
 }
 
 TEST(PacketSim, TestbedFlatTreeGlobalModeRuns) {
