@@ -105,19 +105,4 @@ DemandEstimate TrafficMatrixEstimator::estimate() const {
   return est;
 }
 
-EstimatorState TrafficMatrixEstimator::state() const {
-  return EstimatorState{t_, inter_pod_, per_pod_profile_};
-}
-
-void TrafficMatrixEstimator::restore(const EstimatorState& state) {
-  if (state.inter_pod.size() != inter_pod_.size() ||
-      state.per_pod.size() != per_pod_profile_.size()) {
-    throw std::invalid_argument(
-        "TrafficMatrixEstimator::restore: state shape mismatch");
-  }
-  t_ = state.t;
-  inter_pod_ = state.inter_pod;
-  per_pod_profile_ = state.per_pod;
-}
-
 }  // namespace flattree

@@ -13,10 +13,7 @@
 // telemetry arrives as a FlowRecord vector in flow order, decay factors
 // are pure functions of (t_prev, t_now, half_life), and no wall-clock or
 // scheduling-dependent value ever enters the state. Two estimators fed the
-// same observation sequence hold bit-identical state — which is also the
-// failover story: EstimatorState is plain data a standby can restore() and
-// continue from, byte-exact (pinned by
-// AutopilotTest.EstimatorStateSurvivesFailover).
+// same observation sequence hold bit-identical state.
 #pragma once
 
 #include <cstdint>
@@ -50,18 +47,9 @@ struct DemandEstimate {
 
   // Rejects negative/NaN mass anywhere (per-field diagnostics via
   // PodTrafficProfile::validate) and shape mismatches. The policy engine
-  // validates every estimate it prices — the estimator is upstream of a
-  // trust boundary once state crosses a failover.
+  // validates every estimate it prices, including the hand-built ones a
+  // caller passes to ReconfigPolicy::evaluate directly.
   void validate() const;
-};
-
-// Serializable estimator state for controller failover: plain data, no
-// hidden caches. restore() on a fresh estimator reproduces the primary's
-// subsequent estimates byte-for-byte.
-struct EstimatorState {
-  double t{0.0};
-  std::vector<double> inter_pod;
-  std::vector<PodTrafficProfile> per_pod;
 };
 
 class TrafficMatrixEstimator {
@@ -84,10 +72,6 @@ class TrafficMatrixEstimator {
   [[nodiscard]] DemandEstimate estimate() const;
   [[nodiscard]] double now() const { return t_; }
   [[nodiscard]] const ClosParams& layout() const { return layout_; }
-
-  // Failover support: plain-data state out / in.
-  [[nodiscard]] EstimatorState state() const;
-  void restore(const EstimatorState& state);
 
  private:
   void fold(std::uint32_t src, std::uint32_t dst, double bytes);

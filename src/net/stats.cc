@@ -79,16 +79,4 @@ std::vector<std::size_t> links_by_peer_role(const Graph& graph, NodeRole role,
   return counts;
 }
 
-double core_link_capacity(const Graph& graph) {
-  double total = 0;
-  for (std::size_t i = 0; i < graph.link_count(); ++i) {
-    const Link& l = graph.link(LinkId{static_cast<std::uint32_t>(i)});
-    if (graph.node(l.a).role == NodeRole::kCore ||
-        graph.node(l.b).role == NodeRole::kCore) {
-      total += l.capacity_bps;
-    }
-  }
-  return total;
-}
-
 }  // namespace flattree

@@ -50,8 +50,4 @@ struct PathLengthStats {
   return v[lo] * (1 - frac) + v[hi] * frac;
 }
 
-// Total bisection-ish capacity proxy: the sum of capacities of all links with
-// at least one core-switch endpoint (the paper's "network core bandwidth").
-[[nodiscard]] double core_link_capacity(const Graph& graph);
-
 }  // namespace flattree

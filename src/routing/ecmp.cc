@@ -59,44 +59,4 @@ Path EcmpRouter::flow_path(NodeId src_server, NodeId dst_server,
   return path;
 }
 
-std::uint64_t EcmpRouter::equal_cost_path_count(NodeId src_switch,
-                                                NodeId dst_switch,
-                                                std::uint64_t cap) {
-  if (src_switch == dst_switch) return 1;
-  const auto& dist = distances_to(dst_switch);
-  if (dist[src_switch.index()] == Graph::kUnreachable) return 0;
-  // Count paths along the BFS DAG with memoization.
-  std::vector<std::uint64_t> memo(graph_->node_count(), 0);
-  memo[dst_switch.index()] = 1;
-  // Process switches in increasing distance from dst.
-  std::vector<NodeId> order = graph_->switches();
-  std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-    return dist[a.index()] < dist[b.index()];
-  });
-  for (NodeId u : order) {
-    if (u == dst_switch || dist[u.index()] == Graph::kUnreachable) continue;
-    // Unique peers only: parallel links are one logical next hop.
-    std::vector<NodeId> downhill;
-    for (const Adjacency& adj : graph_->neighbors(u)) {
-      if (!is_switch(graph_->node(adj.peer).role)) continue;
-      if (dist[adj.peer.index()] + 1 == dist[u.index()]) {
-        downhill.push_back(adj.peer);
-      }
-    }
-    std::sort(downhill.begin(), downhill.end());
-    downhill.erase(std::unique(downhill.begin(), downhill.end()),
-                   downhill.end());
-    std::uint64_t total = 0;
-    for (NodeId peer : downhill) {
-      total += memo[peer.index()];
-      if (total >= cap) {
-        total = cap;
-        break;
-      }
-    }
-    memo[u.index()] = total;
-  }
-  return memo[src_switch.index()];
-}
-
 }  // namespace flattree

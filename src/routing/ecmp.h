@@ -25,12 +25,6 @@ class EcmpRouter {
   [[nodiscard]] Path flow_path(NodeId src_server, NodeId dst_server,
                                std::uint64_t flow_key);
 
-  // Number of distinct equal-cost shortest switch paths (for diagnostics /
-  // tests; counts paths, does not enumerate beyond the given cap).
-  [[nodiscard]] std::uint64_t equal_cost_path_count(NodeId src_switch,
-                                                    NodeId dst_switch,
-                                                    std::uint64_t cap = 1u << 20);
-
  private:
   // BFS distances to `dst` over switches; cached per destination switch.
   const std::vector<std::uint32_t>& distances_to(NodeId dst_switch);

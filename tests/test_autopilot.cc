@@ -93,38 +93,6 @@ TEST(AutopilotTest, EstimatorClockNeverRunsBackwards) {
   EXPECT_DOUBLE_EQ(est.estimate().at(0, 1), 64.0);
 }
 
-TEST(AutopilotTest, EstimatorStateSurvivesFailover) {
-  const ClosParams layout = ClosParams::testbed();
-  TrafficMatrixEstimator primary{layout, {.half_life_s = 1.5}};
-  primary.observe({cross_pod(layout, 0, 2, 7e6),
-                   cross_pod(layout, 1, 3, 3e6)},
-                  1.0);
-  primary.observe({cross_pod(layout, 2, 0, 5e6)}, 2.25);
-
-  // Standby restores the snapshot mid-stream, then both fold the same
-  // subsequent telemetry: every later estimate must be byte-exact equal.
-  TrafficMatrixEstimator standby{layout, {.half_life_s = 1.5}};
-  standby.restore(primary.state());
-  const std::vector<obs::FlowRecord> later{cross_pod(layout, 3, 1, 9e6),
-                                           cross_pod(layout, 0, 0, 2e6)};
-  primary.observe(later, 3.5);
-  standby.observe(later, 3.5);
-
-  const DemandEstimate a = primary.estimate();
-  const DemandEstimate b = standby.estimate();
-  ASSERT_EQ(a.inter_pod.size(), b.inter_pod.size());
-  for (std::size_t i = 0; i < a.inter_pod.size(); ++i) {
-    EXPECT_EQ(a.inter_pod[i], b.inter_pod[i]) << "entry " << i;
-  }
-  for (std::size_t p = 0; p < a.per_pod.size(); ++p) {
-    EXPECT_EQ(a.per_pod[p].intra_rack, b.per_pod[p].intra_rack);
-    EXPECT_EQ(a.per_pod[p].intra_pod, b.per_pod[p].intra_pod);
-    EXPECT_EQ(a.per_pod[p].inter_pod, b.per_pod[p].inter_pod);
-    EXPECT_EQ(a.per_pod[p].total_bytes, b.per_pod[p].total_bytes);
-  }
-  EXPECT_EQ(a.total_bytes, b.total_bytes);
-}
-
 // --- ReconfigPolicy hysteresis edges ---------------------------------------
 
 TEST(AutopilotTest, EmptyTelemetryColdStartHolds) {

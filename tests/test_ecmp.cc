@@ -61,24 +61,6 @@ TEST(Ecmp, SingleFlowUsesSinglePath) {
   }
 }
 
-TEST(Ecmp, EqualCostPathCountFatTree) {
-  // k-ary fat-tree: (k/2)^2 shortest paths between edge switches in
-  // different pods, k/2 within a pod.
-  const Graph g = build_clos(ClosParams::fat_tree(4));
-  EcmpRouter router{g};
-  const auto edges = g.nodes_with_role(NodeRole::kEdge);
-  EXPECT_EQ(router.equal_cost_path_count(edges[0], edges[2]), 4u);
-  EXPECT_EQ(router.equal_cost_path_count(edges[0], edges[1]), 2u);
-  EXPECT_EQ(router.equal_cost_path_count(edges[0], edges[0]), 1u);
-}
-
-TEST(Ecmp, EqualCostPathCountCap) {
-  const Graph g = build_clos(ClosParams::fat_tree(8));
-  EcmpRouter router{g};
-  const auto edges = g.nodes_with_role(NodeRole::kEdge);
-  EXPECT_EQ(router.equal_cost_path_count(edges[0], edges[8], 3), 3u);
-}
-
 TEST(Ecmp, SeedChangesHashing) {
   const Graph g = build_clos(ClosParams::fat_tree(8));
   EcmpRouter r1{g, 1}, r2{g, 2};

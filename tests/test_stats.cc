@@ -93,13 +93,5 @@ TEST(LinksByPeerRole, ClosCoreSeesOnlyAggs) {
   for (const std::size_t c : edge_links) EXPECT_EQ(c, 0u);
 }
 
-TEST(CoreLinkCapacity, CountsOnlyCoreLinks) {
-  const ClosParams p = ClosParams::testbed();
-  const Graph g = build_clos(p);
-  // testbed: 4 cores x 4 downlinks x 10G = 160G of core-adjacent capacity.
-  EXPECT_DOUBLE_EQ(core_link_capacity(g),
-                   p.cores * p.core_ports * p.link_bps);
-}
-
 }  // namespace
 }  // namespace flattree
