@@ -2,12 +2,8 @@
 // observable of a run — per-flow completion, FCT bit patterns and bytes,
 // drop and event counts, the heap peak and the deterministic metrics
 // export — is folded into one FNV-1a digest and compared against a pinned
-// constant. The engine they were first recorded with (a 4-ary indexed
-// heap) was itself pinned event-for-event against the seed priority_queue
-// engine; they were re-pinned once, with the run unchanged, when capture()
-// stopped hashing the removed per-segment stats (equal to the cumulative
-// counters it hashes) and the metrics export lost its packet.failures
-// counter (always 0 here). The event
+// constant. The runs these digests pin were checked event-for-event
+// against a 4-ary indexed heap and the seed priority_queue engine. The event
 // order is the total order (time, schedule sequence), so any queue that
 // honours it reproduces these digests bit for bit; the oracle lives here,
 // not behind a production option. Also pins the ShardedPacketSim
