@@ -59,7 +59,6 @@ AddressPlan::AddressPlan(const Graph& realized, TopoCode topo, std::uint32_t k)
   const std::uint32_t num_servers =
       static_cast<std::uint32_t>(realized.count_role(NodeRole::kServer));
   per_server_addresses_.resize(realized.node_count());
-  server_nodes_ = realized.servers();
 
   // Rank servers under each switch by global server index ("ordered from
   // left to right" in Figure 5b).
@@ -83,7 +82,6 @@ AddressPlan::AddressPlan(const Graph& realized, TopoCode topo, std::uint32_t k)
         addr.topology = static_cast<std::uint8_t>(topo);
         addr.server_id = static_cast<std::uint8_t>(rank);
         list.push_back(addr);
-        reverse_.emplace(addr.to_ipv4(), attached[rank]);
       }
     }
   }
@@ -92,12 +90,6 @@ AddressPlan::AddressPlan(const Graph& realized, TopoCode topo, std::uint32_t k)
 const std::vector<FlatTreeAddress>& AddressPlan::addresses(
     NodeId server) const {
   return per_server_addresses_.at(server.index());
-}
-
-std::optional<NodeId> AddressPlan::server_for(FlatTreeAddress addr) const {
-  const auto it = reverse_.find(addr.to_ipv4());
-  if (it == reverse_.end()) return std::nullopt;
-  return it->second;
 }
 
 AddressBook::AddressBook(const FlatTree& tree, std::uint32_t k_global,

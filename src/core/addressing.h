@@ -17,9 +17,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/flat_tree.h"
@@ -69,9 +67,6 @@ class AddressPlan {
   [[nodiscard]] const std::vector<FlatTreeAddress>& addresses(
       NodeId server) const;
 
-  // Reverse lookup: which server owns this address (if any).
-  [[nodiscard]] std::optional<NodeId> server_for(FlatTreeAddress addr) const;
-
   [[nodiscard]] std::uint32_t addresses_per_server() const { return per_server_; }
   [[nodiscard]] TopoCode topo() const { return topo_; }
   [[nodiscard]] std::uint32_t k() const { return k_; }
@@ -81,8 +76,6 @@ class AddressPlan {
   std::uint32_t k_;
   std::uint32_t per_server_{0};
   std::vector<std::vector<FlatTreeAddress>> per_server_addresses_;  // by server node index
-  std::vector<NodeId> server_nodes_;
-  std::unordered_map<std::uint32_t, NodeId> reverse_;  // ipv4 -> server
 };
 
 // The full pre-configured address book of a convertible network: one plan

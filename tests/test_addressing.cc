@@ -104,21 +104,6 @@ TEST(AddressPlan, AddressesAreUnique) {
   }
 }
 
-TEST(AddressPlan, ReverseLookup) {
-  const FlatTree tree = testbed_tree();
-  const Graph g = tree.realize_uniform(PodMode::kLocal);
-  const AddressPlan plan{g, TopoCode::kLocal, 8};
-  for (NodeId s : g.servers()) {
-    for (const FlatTreeAddress& a : plan.addresses(s)) {
-      const auto owner = plan.server_for(a);
-      ASSERT_TRUE(owner.has_value());
-      EXPECT_EQ(*owner, s);
-    }
-  }
-  FlatTreeAddress unknown{8000, 0, 0, 63};
-  EXPECT_FALSE(plan.server_for(unknown).has_value());
-}
-
 TEST(AddressPlan, SameSwitchServersSharePrefix) {
   // The /24 prefix aggregates by (switch, path id): all servers under one
   // ingress switch share it — the §4.2 state-reduction invariant.
