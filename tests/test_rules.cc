@@ -77,7 +77,7 @@ TEST(StateCounts, KScalesIngressState) {
   EXPECT_GT(k4.ingress_avg, k2.ingress_avg);
 }
 
-TEST(SourceRouteBudget, TestbedShortestPathsFitSixSwitchHops) {
+TEST(SourceRouteBudget, TestbedPathsAgainstTheSixHopMac) {
   // §4.2.2: the ingress switch writes a route into the 48-bit source MAC,
   // one byte per switch hop, so a source route holds at most 6 hops. The
   // "src-routed" state of bench_states assumes the installed paths fit.
