@@ -91,27 +91,6 @@ struct Outcome {
   double packet_bytes{0.0};
 };
 
-std::string mode_string(const ModeAssignment& assignment) {
-  std::string s;
-  for (PodMode m : assignment.pod_modes) {
-    s += m == PodMode::kClos ? 'C' : (m == PodMode::kLocal ? 'L' : 'G');
-  }
-  return s;
-}
-
-// The same epoch partition AutopilotLoop uses, so static and oracle arms
-// are served apples-to-apples with the closed loop.
-std::vector<Workload> bucketize(const Workload& flows, double duration_s) {
-  const auto epochs =
-      static_cast<std::size_t>(std::ceil(duration_s / kEpoch - 1e-12));
-  std::vector<Workload> bucket(epochs);
-  for (const Flow& f : flows) {
-    const auto e = static_cast<std::size_t>(f.start_s / kEpoch);
-    bucket[std::min(e, bucket.size() - 1)].push_back(f);
-  }
-  return bucket;
-}
-
 struct EpochStats {
   std::size_t completed{0};
   double fct_sum_s{0.0};
@@ -123,11 +102,7 @@ EpochStats serve_epoch(const CompiledMode& mode, const Workload& flows,
   if (flows.empty()) return stats;
   FluidOptions opts;
   opts.sink = sink;
-  FluidSimulator sim{mode.graph(),
-                     [&mode](NodeId src, NodeId dst, std::uint32_t) {
-                       return mode.paths().server_paths(src, dst);
-                     },
-                     opts};
+  FluidSimulator sim{mode.graph(), mode_provider(mode), opts};
   for (const FluidFlowResult& r : sim.run(flows)) {
     if (!r.completed) continue;
     ++stats.completed;
@@ -179,13 +154,14 @@ Outcome run_autopilot(const Controller& controller, const Workload& flows,
       ++out.holds;
     }
   }
-  out.final_modes = mode_string(result.final_assignment);
+  out.final_modes = mode_letters(result.final_assignment);
 
   // Packet-side spot check: replay the first conversion's timeline through
   // the packet simulator and summarize its exported flow records.
   if (!result.conversions.empty()) {
     const ExecutionReport& report = result.conversions.front();
-    const std::vector<Workload> bucket = bucketize(flows, duration_s);
+    const std::vector<Workload> bucket =
+        epoch_buckets(flows, duration_s, kEpoch);
     Workload epoch_flows;
     for (const EpochRecord& rec : result.epochs) {
       if (rec.conversion_executed) {
@@ -194,16 +170,7 @@ Outcome run_autopilot(const Controller& controller, const Workload& flows,
       }
     }
     PacketSim sim;
-    sim.set_network(*report.timeline.front().graph);
-    const std::size_t spot = std::min<std::size_t>(8, epoch_flows.size());
-    Workload spot_flows;
-    for (std::size_t i = 0; i < spot; ++i) {
-      const Flow& f = epoch_flows[i];
-      sim.add_flow(f.src, f.dst, 2e6, 0.0,
-                   conversion_paths_for(report, f));
-      spot_flows.push_back(f);
-    }
-    drive_packet_sim(sim, report, spot_flows, report.finish_s + 5.0);
+    bench::drive_spot_check(sim, report, epoch_flows);
     std::set<std::pair<std::uint32_t, std::uint32_t>> pairs;
     for (const obs::FlowRecord& r : sim.export_flow_records()) {
       pairs.emplace(r.src, r.dst);
@@ -214,18 +181,20 @@ Outcome run_autopilot(const Controller& controller, const Workload& flows,
   return out;
 }
 
+// The static and oracle arms serve AutopilotLoop's own epoch partition,
+// apples-to-apples with the closed loop.
 Outcome run_static(const Controller& controller, const Workload& flows,
                    double duration_s, PodMode mode,
                    const obs::ObsSink& sink) {
   const CompiledMode compiled = controller.compile_uniform(mode);
   Outcome out;
-  for (const Workload& epoch : bucketize(flows, duration_s)) {
+  for (const Workload& epoch : epoch_buckets(flows, duration_s, kEpoch)) {
     out.flows += epoch.size();
     const EpochStats stats = serve_epoch(compiled, epoch, sink);
     out.completed += stats.completed;
     out.fct_sum_s += stats.fct_sum_s;
   }
-  out.final_modes = mode_string(compiled.assignment());
+  out.final_modes = mode_letters(compiled.assignment());
   return out;
 }
 
@@ -236,7 +205,7 @@ Outcome run_oracle(const Controller& controller, const Workload& flows,
                                  controller.compile_uniform(PodMode::kGlobal)};
   Outcome out;
   std::size_t last_best = 0;
-  for (const Workload& epoch : bucketize(flows, duration_s)) {
+  for (const Workload& epoch : epoch_buckets(flows, duration_s, kEpoch)) {
     out.flows += epoch.size();
     EpochStats best;
     bool first = true;
@@ -254,7 +223,7 @@ Outcome run_oracle(const Controller& controller, const Workload& flows,
     out.completed += best.completed;
     out.fct_sum_s += best.fct_sum_s;
   }
-  out.final_modes = mode_string(modes[last_best].assignment());
+  out.final_modes = mode_letters(modes[last_best].assignment());
   return out;
 }
 

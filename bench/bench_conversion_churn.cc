@@ -28,24 +28,15 @@
 #include "control/conversion_exec.h"
 #include "control/controller.h"
 #include "core/flat_tree.h"
-#include "sim/packet.h"
 #include "traffic/patterns.h"
 
 namespace flattree {
 namespace {
 
-using bench::RunStats;
-using bench::summarize;
-
 // Everything one (staged, loss) cell produces.
 struct CellOutcome {
   ExecutionReport report;
-  RunStats base;
-  RunStats churn;
-  ScheduleRunStats sched;
-  std::uint64_t packet_bytes_acked{0};
-  std::size_t packet_completed{0};
-  std::size_t packet_flows{0};
+  bench::ConversionReplay replay;
 };
 
 void run(int argc, char** argv) {
@@ -103,12 +94,7 @@ void run(int argc, char** argv) {
                   controller.compile_uniform(PodMode::kGlobal);
 
               // Track exactly the pairs the workload uses.
-              const auto& servers = from.graph().servers();
-              std::vector<std::pair<NodeId, NodeId>> pairs;
-              pairs.reserve(flows.size());
-              for (const Flow& f : flows) {
-                pairs.emplace_back(servers[f.src], servers[f.dst]);
-              }
+              const auto pairs = tracked_pairs(from.graph(), flows);
 
               ConversionExecOptions exec_opts;
               exec_opts.staged = staged;
@@ -122,37 +108,11 @@ void run(int argc, char** argv) {
                                             ConversionFaults{}, t0);
 
               // Undisturbed baseline on the outgoing mode vs the same
-              // workload replayed through every transient topology.
-              FluidOptions fluid_opts;
-              fluid_opts.sink = runner.obs();
-              FluidSimulator baseline{
-                  from.graph(),
-                  [&](NodeId src, NodeId dst, std::uint32_t) {
-                    return from.paths().server_paths(src, dst);
-                  },
-                  fluid_opts};
-              out.base = summarize(baseline.run(flows));
-              out.churn = summarize(run_fluid_with_conversion(
-                  out.report, flows, fluid_opts, &out.sched));
-
-              // Packet-level spot check: a few small flows ride the same
-              // timeline; goodput shows whether the churn window ever
-              // swallowed packets.
-              PacketSim sim;
-              sim.set_network(*out.report.timeline.front().graph);
-              out.packet_flows = 8;
-              for (std::size_t i = 0; i < out.packet_flows; ++i) {
-                const Flow& f = flows[i];
-                sim.add_flow(f.src, f.dst, 2e6, 0.0,
-                             conversion_paths_for(out.report, f));
-              }
-              drive_packet_sim(sim, out.report, flows,
-                               out.report.finish_s + 5.0);
-              for (std::size_t i = 0; i < out.packet_flows; ++i) {
-                const auto fi = static_cast<std::uint32_t>(i);
-                out.packet_bytes_acked += sim.flow_bytes_acked(fi);
-                if (sim.flow_completed(fi)) ++out.packet_completed;
-              }
+              // workload replayed through every transient topology, plus a
+              // packet-level spot check: goodput shows whether the churn
+              // window ever swallowed packets.
+              out.replay = bench::replay_conversion(from, out.report, flows,
+                                                    runner.obs());
               return out;
             });
       });
@@ -162,30 +122,31 @@ void run(int argc, char** argv) {
     const bool staged = stagings[cell / 3];
     const double loss = losses[cell % 3];
     const ExecutionReport& rep = out.report;
+    const bench::ConversionReplay& replay = out.replay;
     bench::print_row(
         {staged ? "staged" : "atomic", bench::fmt(100.0 * loss, 0) + "%",
-         to_string(rep.outcome), bench::fmt(out.base.worst_fct, 3),
-         bench::fmt(out.churn.worst_fct, 3),
-         bench::fmt(out.churn.worst_fct / out.base.worst_fct, 2) + "x",
+         to_string(rep.outcome), bench::fmt(replay.base.worst_fct, 3),
+         bench::fmt(replay.churn.worst_fct, 3),
+         bench::fmt(replay.churn.worst_fct / replay.base.worst_fct, 2) + "x",
          bench::fmt(rep.total_blackhole_s, 3),
          std::to_string(rep.steps.size()), std::to_string(rep.retries),
          std::to_string(rep.messages_dropped),
          std::to_string(rep.violations.size())},
         11);
-    if (out.churn.completed != out.churn.total) {
+    if (replay.churn.completed != replay.churn.total) {
       std::printf("  (%s @ %.0f%%: %zu/%zu flows completed)\n",
                   staged ? "staged" : "atomic", 100.0 * loss,
-                  out.churn.completed, out.churn.total);
+                  replay.churn.completed, replay.churn.total);
     }
     exec::ResultRow row;
     row.set("protocol", staged ? "staged" : "atomic")
         .set("loss", loss)
         .set("outcome", to_string(rep.outcome))
-        .set("base_worst_fct_s", out.base.worst_fct)
-        .set("base_p99_fct_s", out.base.p99_fct)
-        .set("churn_worst_fct_s", out.churn.worst_fct)
-        .set("churn_p99_fct_s", out.churn.p99_fct)
-        .set("inflation", out.churn.worst_fct / out.base.worst_fct)
+        .set("base_worst_fct_s", replay.base.worst_fct)
+        .set("base_p99_fct_s", replay.base.p99_fct)
+        .set("churn_worst_fct_s", replay.churn.worst_fct)
+        .set("churn_p99_fct_s", replay.churn.p99_fct)
+        .set("inflation", replay.churn.worst_fct / replay.base.worst_fct)
         .set("total_blackhole_s", rep.total_blackhole_s)
         .set("max_pair_blackhole_s", rep.max_pair_blackhole_s)
         .set("duration_s", rep.finish_s - rep.start_s)
@@ -196,12 +157,12 @@ void run(int argc, char** argv) {
         .set("pairs_patched", rep.pairs_patched)
         .set("rules_added", rep.rules_added)
         .set("rules_deleted", rep.rules_deleted)
-        .set("completed", out.churn.completed)
-        .set("total_flows", out.churn.total)
-        .set("black_holed_lookups", out.sched.black_holed)
-        .set("packet_bytes_acked", out.packet_bytes_acked)
-        .set("packet_completed", out.packet_completed)
-        .set("packet_flows", out.packet_flows);
+        .set("completed", replay.churn.completed)
+        .set("total_flows", replay.churn.total)
+        .set("black_holed_lookups", replay.sched.black_holed)
+        .set("packet_bytes_acked", replay.packet_bytes_acked)
+        .set("packet_completed", replay.packet_completed)
+        .set("packet_flows", replay.packet_flows);
     runner.add_row(std::move(row));
   }
 

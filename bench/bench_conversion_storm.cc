@@ -36,45 +36,10 @@
 #include "control/controller.h"
 #include "core/flat_tree.h"
 #include "net/failures.h"
-#include "sim/packet.h"
 #include "traffic/patterns.h"
 
 namespace flattree {
 namespace {
-
-using bench::RunStats;
-using bench::summarize;
-
-// Distinct fabric links that installed routes of the tracked pairs cross —
-// flapping one is guaranteed to hit live traffic.
-std::vector<LinkId> route_fabric_links(
-    const CompiledMode& mode,
-    const std::vector<std::pair<NodeId, NodeId>>& pairs, std::size_t want) {
-  const Graph& g = mode.graph();
-  std::vector<bool> taken(g.link_count(), false);
-  std::vector<LinkId> picked;
-  for (const auto& [src, dst] : pairs) {
-    if (picked.size() >= want) break;
-    for (const Path& path : mode.paths().server_paths(src, dst)) {
-      if (picked.size() >= want) break;
-      for (std::size_t h = 1; h + 2 < path.size(); ++h) {
-        const NodeId a = path[h];
-        const NodeId b = path[h + 1];
-        for (std::uint32_t i = 0; i < g.link_count(); ++i) {
-          if (taken[i]) continue;
-          const Link& l = g.link(LinkId{i});
-          if ((l.a == a && l.b == b) || (l.a == b && l.b == a)) {
-            taken[i] = true;
-            picked.push_back(LinkId{i});
-            break;
-          }
-        }
-        if (picked.size() >= want) break;
-      }
-    }
-  }
-  return picked;
-}
 
 // One flap per link: fails staggered across [t0, t0 + 0.55 * window], each
 // outage lasting six gaps (adjacent outages overlap). Long outages matter:
@@ -127,12 +92,8 @@ struct Scenario {
 
 struct CellOutcome {
   ExecutionReport report;
-  RunStats base;
-  RunStats churn;
+  bench::ConversionReplay replay;
   bool terminal_ok{false};
-  std::uint64_t packet_bytes_acked{0};
-  std::size_t packet_completed{0};
-  std::size_t packet_flows{0};
 };
 
 void run(int argc, char** argv) {
@@ -171,12 +132,7 @@ void run(int argc, char** argv) {
   // protocols; the OCS fault targets each protocol's own last pass.
   const CompiledMode cal_from = controller.compile_uniform(PodMode::kClos);
   const CompiledMode cal_to = controller.compile_uniform(PodMode::kGlobal);
-  const auto& cal_servers = cal_from.graph().servers();
-  std::vector<std::pair<NodeId, NodeId>> cal_pairs;
-  cal_pairs.reserve(flows.size());
-  for (const Flow& f : flows) {
-    cal_pairs.emplace_back(cal_servers[f.src], cal_servers[f.dst]);
-  }
+  const auto cal_pairs = tracked_pairs(cal_from.graph(), flows);
   double window[2] = {0.0, 0.0};
   std::uint32_t last_partition[2] = {0, 0};
   for (std::size_t pi = 0; pi < 2; ++pi) {
@@ -198,7 +154,7 @@ void run(int argc, char** argv) {
   // shorter calm run so every recovery folds before either finishes; the
   // controller dies at 45% of each protocol's own calm duration.
   const std::vector<LinkId> victims =
-      route_fabric_links(cal_from, cal_pairs, 12);
+      bench::route_links(cal_from, cal_pairs, 12);
   const FailureSchedule storm =
       make_flap_storm(victims, t0, std::min(window[0], window[1]));
   const double kill_at[2] = {t0 + 0.45 * window[0], t0 + 0.45 * window[1]};
@@ -232,12 +188,7 @@ void run(int argc, char** argv) {
                   controller.compile_uniform(PodMode::kClos);
               const CompiledMode to =
                   controller.compile_uniform(PodMode::kGlobal);
-              const auto& servers = from.graph().servers();
-              std::vector<std::pair<NodeId, NodeId>> pairs;
-              pairs.reserve(flows.size());
-              for (const Flow& f : flows) {
-                pairs.emplace_back(servers[f.src], servers[f.dst]);
-              }
+              const auto pairs = tracked_pairs(from.graph(), flows);
 
               ConversionExecOptions exec_opts;
               exec_opts.stage_checkpoints = tolerant;
@@ -260,34 +211,8 @@ void run(int argc, char** argv) {
                   from, to, pairs, sc.storm ? storm : FailureSchedule{},
                   faults, t0);
               out.terminal_ok = terminal_is_checkpoint(controller, out.report);
-
-              FluidOptions fluid_opts;
-              fluid_opts.sink = runner.obs();
-              FluidSimulator baseline{
-                  from.graph(),
-                  [&](NodeId src, NodeId dst, std::uint32_t) {
-                    return from.paths().server_paths(src, dst);
-                  },
-                  fluid_opts};
-              out.base = summarize(baseline.run(flows));
-              out.churn = summarize(
-                  run_fluid_with_conversion(out.report, flows, fluid_opts));
-
-              PacketSim sim;
-              sim.set_network(*out.report.timeline.front().graph);
-              out.packet_flows = 8;
-              for (std::size_t i = 0; i < out.packet_flows; ++i) {
-                const Flow& f = flows[i];
-                sim.add_flow(f.src, f.dst, 2e6, 0.0,
-                             conversion_paths_for(out.report, f));
-              }
-              drive_packet_sim(sim, out.report, flows,
-                               out.report.finish_s + 5.0);
-              for (std::size_t i = 0; i < out.packet_flows; ++i) {
-                const auto fi = static_cast<std::uint32_t>(i);
-                out.packet_bytes_acked += sim.flow_bytes_acked(fi);
-                if (sim.flow_completed(fi)) ++out.packet_completed;
-              }
+              out.replay = bench::replay_conversion(from, out.report, flows,
+                                                    runner.obs());
               return out;
             });
       });
@@ -299,6 +224,7 @@ void run(int argc, char** argv) {
     const bool tolerant = protocols[cell / kScenarios];
     const Scenario& sc = scenarios[cell % kScenarios];
     const ExecutionReport& rep = out.report;
+    const bench::ConversionReplay& replay = out.replay;
     if (sc.storm) {
       (tolerant ? tolerant_storm_blackhole : baseline_storm_blackhole) +=
           rep.total_blackhole_s;
@@ -309,9 +235,9 @@ void run(int argc, char** argv) {
              std::to_string(rep.stages_total),
          bench::fmt(rep.total_blackhole_s, 3), std::to_string(rep.replans),
          std::to_string(rep.failovers),
-         bench::fmt(out.churn.worst_fct / out.base.worst_fct, 2) + "x",
-         std::to_string(out.churn.completed) + "/" +
-             std::to_string(out.churn.total),
+         bench::fmt(replay.churn.worst_fct / replay.base.worst_fct, 2) + "x",
+         std::to_string(replay.churn.completed) + "/" +
+             std::to_string(replay.churn.total),
          out.terminal_ok ? "yes" : "NO"},
         12);
     exec::ResultRow row;
@@ -334,15 +260,15 @@ void run(int argc, char** argv) {
         .set("failovers", rep.failovers)
         .set("steps_reissued", rep.steps_reissued)
         .set("violations", rep.violations.size())
-        .set("base_worst_fct_s", out.base.worst_fct)
-        .set("churn_worst_fct_s", out.churn.worst_fct)
-        .set("churn_p99_fct_s", out.churn.p99_fct)
-        .set("inflation", out.churn.worst_fct / out.base.worst_fct)
-        .set("completed", out.churn.completed)
-        .set("total_flows", out.churn.total)
-        .set("packet_bytes_acked", out.packet_bytes_acked)
-        .set("packet_completed", out.packet_completed)
-        .set("packet_flows", out.packet_flows);
+        .set("base_worst_fct_s", replay.base.worst_fct)
+        .set("churn_worst_fct_s", replay.churn.worst_fct)
+        .set("churn_p99_fct_s", replay.churn.p99_fct)
+        .set("inflation", replay.churn.worst_fct / replay.base.worst_fct)
+        .set("completed", replay.churn.completed)
+        .set("total_flows", replay.churn.total)
+        .set("packet_bytes_acked", replay.packet_bytes_acked)
+        .set("packet_completed", replay.packet_completed)
+        .set("packet_flows", replay.packet_flows);
     runner.add_row(std::move(row));
   }
 

@@ -15,7 +15,8 @@
 // on the union of the base realization and the rescue circuits — unused
 // links are inert under max-min filling, so pre-repair behaviour is
 // unchanged and the rescued attachments become routable the moment the
-// repaired paths arrive.
+// repaired paths arrive. Each mode is one scenario, built in code and run
+// through scenario::run_scenario's repair pipeline.
 //
 // The claim to check (footnote 2 made dynamic): Clos concentrates all
 // inter-pod capacity in the core layer, so losing most of it throttles the
@@ -25,70 +26,63 @@
 // unthrottled — worst-case FCT inflates faster in Clos mode than in global
 // mode under the same FailureSchedule.
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench/util.h"
 #include "control/controller.h"
 #include "core/flat_tree.h"
 #include "net/failures.h"
-#include "sim/fluid.h"
-#include "traffic/patterns.h"
+#include "scenario/runner.h"
 
 namespace flattree {
 namespace {
 
-using bench::RunStats;
-using bench::summarize;
-
-PathProvider mode_provider(CompiledMode& mode) {
-  return [&mode](NodeId src, NodeId dst, std::uint32_t) {
-    return mode.paths().server_paths(src, dst);
-  };
+// One mode's cell as a scenario: the same fabric, workload, failure and
+// repair pipeline for every mode, with every field the grammar would
+// resolve at parse time set explicitly.
+scenario::Scenario mode_scenario(PodMode mode, std::uint64_t seed) {
+  scenario::Scenario spec;
+  spec.name = std::string{"failure_recovery_"} + to_string(mode);
+  spec.seed = seed;
+  // 256 servers, 2:1 edge: k = 8 with 8 servers per edge switch.
+  spec.topology.kind = scenario::TopologyKind::kFlatTree;
+  spec.topology.k = 8;
+  spec.topology.servers_per_edge = 8;
+  spec.topology.m = 2;
+  spec.topology.n = 2;
+  spec.topology.pod_modes = {mode};
+  scenario::TrafficSpec traffic;
+  traffic.seed = seed;
+  traffic.bytes = 200e6;  // 200 MB permutation flows, all arriving at t=0
+  spec.traffic = {traffic};
+  // Three whole core columns (12 of the 16 cores) die at t=0.05 s and stay
+  // down past the run. Node ids are mode-invariant, so the identical
+  // schedule applies to every mode.
+  scenario::FailureSpec columns;
+  columns.kind = scenario::FailureKind::kCoreColumn;
+  columns.first = 0;
+  columns.count = 12;
+  columns.fail_at = 0.05;
+  columns.recover_at = 60.0;
+  columns.seed = seed;
+  spec.failures = {columns};
+  // Rule updates fan out over distributed controllers (§4.3: "a set of
+  // controllers each managing a number of switches") so the repair lag
+  // lands on the same time scale as the FCTs; the 160 ms OCS pass does not
+  // divide. The fluid section prices repairs per pair, so no rule counts.
+  spec.sim.refresh = scenario::RefreshMode::kRepair;
+  spec.sim.controllers = 64;
+  spec.sim.k_paths = 8;
+  spec.sim.count_rules = false;
+  return spec;
 }
-
-// Everything one mode's pipeline produces: baseline sim, repair plan,
-// scheduled (failure-injected) sim. One exec cell per mode.
-struct ModeOutcome {
-  RunStats base;
-  RunStats failed;
-  double repair_lag_s{0.0};
-  std::size_t pairs_invalidated{0};
-  std::size_t pairs_retained{0};
-  ScheduleRunStats sched;
-};
 
 void run(int argc, char** argv) {
   // Default seed = the permutation-workload seed the seed-state bench
   // hard-coded.
   exec::ExperimentRunner runner{
       bench::parse_runner_options("failure_recovery", argc, argv, 17)};
-  const ClosParams clos{8, 4, 4, 4, 8, 4, 16, 8};  // 256 servers, 2:1 edge
-  FlatTreeParams params;
-  params.clos = clos;
-  params.six_port_per_column = 2;
-  params.four_port_per_column = 2;
-  const FlatTree tree{params};
-
-  // Rule updates fan out over distributed controllers (§4.3: "a set of
-  // controllers each managing a number of switches") so the repair lag
-  // lands on the same time scale as the FCTs; the 160 ms OCS pass does not
-  // divide.
-  ControllerOptions opts;
-  opts.count_rules = false;  // the fluid section prices repairs per pair
-  opts.delay.controllers = 64;
-  opts.sink = runner.obs();
-  const Controller controller{FlatTree{params}, opts};
-
-  Rng traffic_rng{runner.seed()};
-  Workload flows = permutation_traffic(clos.total_servers(), traffic_rng);
-  for (Flow& f : flows) f.bytes = 200e6;  // 200 MB, all arriving at t=0
-
-  // Three whole core columns (three quarters of the core layer) die at
-  // t=0.05 s and stay down past the run. Node ids are mode-invariant, so
-  // the identical schedule applies to every mode.
-  const std::uint32_t column_width = clos.core_connectors_per_edge();
-  const double t_fail = 0.05;
-  const double t_recover = 60.0;
 
   bench::print_header(
       "Extension: FCT inflation under live core-column failure + recovery",
@@ -101,94 +95,56 @@ void run(int argc, char** argv) {
                     "lag(s)", "evicted", "retained", "reroutes", "blackhole"},
                    11);
 
-  // The three modes share nothing mutable (each cell compiles its own
-  // CompiledModes and runs its own simulators), so they fan across the
-  // pool as multi-replicate fluid-sim runs.
+  // The three scenarios share nothing mutable, so they fan across the pool.
   const PodMode modes[] = {PodMode::kClos, PodMode::kLocal, PodMode::kGlobal};
-  const std::vector<ModeOutcome> outcomes = runner.timed_stage(
+  scenario::RunOptions run_options;
+  run_options.sink = runner.obs();
+  const std::vector<scenario::ScenarioResult> results = runner.timed_stage(
       "failure_recovery modes", [&] {
         return exec::parallel_map(
             runner.pool(), 3, [&](std::size_t cell) {
-              const PodMode mode = modes[cell];
-              CompiledMode live = controller.compile_uniform(mode);
-              const FailureSet columns = core_column_failure(
-                  live.graph(), 0, 3 * column_width);
-
-              // Failure-free baseline; warms the path cache with exactly
-              // the pairs the workload uses, so the repair below prices a
-              // realistic blast radius.
-              FluidOptions fluid_opts;
-              fluid_opts.sink = runner.obs();
-              FluidSimulator baseline{live.graph(), mode_provider(live),
-                                      fluid_opts};
-              ModeOutcome out;
-              out.base = summarize(baseline.run(flows));
-
-              // The controller's incremental repair: rescue stranded
-              // servers by converter rewire (global mode only — the other
-              // modes attach no servers to cores), evict only the broken
-              // pairs, re-solve them on the repaired topology, price the
-              // rule delta.
-              RepairPlan plan =
-                  controller.plan_repair(live, columns, RepairOptions{});
-
-              // The scheduled run: healthy routes until the failure
-              // refresh installs the repaired cache. The union graph
-              // carries the rescue circuits, inert until the repaired
-              // paths route onto them.
-              // The union graph carries the rescue circuits of the repair:
-              // present from the start but unused (and therefore inert under
-              // max-min filling) until the repaired paths route onto them.
-              CompiledMode pre = controller.compile_uniform(mode);
-              const Graph sim_graph = graph_union(pre.graph(), *plan.graph);
-              FluidSimulator sim{sim_graph, mode_provider(pre), fluid_opts};
-              FailureSchedule schedule;
-              schedule.fail_at(t_fail, columns);
-              schedule.recover_at(t_recover, columns);
-              const RoutingRefresh refresh =
-                  [&](const Graph&) -> PathProvider {
-                return mode_provider(live);
-              };
-              out.failed = summarize(sim.run_with_schedule(
-                  flows, schedule, plan.total_s(), refresh, &out.sched));
-              out.repair_lag_s = plan.total_s();
-              out.pairs_invalidated = plan.pairs_invalidated;
-              out.pairs_retained = plan.pairs_retained;
-              return out;
+              return scenario::run_scenario(
+                  scenario::compile_scenario(
+                      mode_scenario(modes[cell], runner.seed())),
+                  run_options);
             });
       });
 
   for (std::size_t cell = 0; cell < 3; ++cell) {
-    const ModeOutcome& out = outcomes[cell];
+    const scenario::ScenarioResult& r = results[cell];
+    const scenario::ClassSummary& failed = r.aggregate;
     const PodMode mode = modes[cell];
+    const auto count = [&r](const char* key) {
+      return static_cast<std::uint64_t>(r.extra(key));
+    };
     bench::print_row(
-        {to_string(mode), bench::fmt(out.base.worst_fct, 3),
-         bench::fmt(out.failed.worst_fct, 3),
-         bench::fmt(out.failed.worst_fct / out.base.worst_fct, 2) + "x",
-         bench::fmt(out.repair_lag_s, 3),
-         std::to_string(out.pairs_invalidated),
-         std::to_string(out.pairs_retained),
-         std::to_string(out.sched.reroutes),
-         std::to_string(out.sched.black_holed)},
+        {to_string(mode), bench::fmt(r.extra("base_worst_fct_s"), 3),
+         bench::fmt(failed.worst_fct_s, 3),
+         bench::fmt(r.extra("inflation"), 2) + "x",
+         bench::fmt(r.extra("repair_lag_s"), 3),
+         std::to_string(count("pairs_invalidated")),
+         std::to_string(count("pairs_retained")),
+         std::to_string(count("reroutes")),
+         std::to_string(count("black_holed"))},
         11);
-    if (out.failed.completed != out.failed.total) {
+    if (failed.completed != failed.flows) {
       std::printf("  (%s: %zu/%zu flows completed)\n", to_string(mode),
-                  out.failed.completed, out.failed.total);
+                  failed.completed, failed.flows);
     }
     exec::ResultRow row;
     row.set("mode", to_string(mode))
-        .set("base_worst_fct_s", out.base.worst_fct)
-        .set("base_p99_fct_s", out.base.p99_fct)
-        .set("fail_worst_fct_s", out.failed.worst_fct)
-        .set("fail_p99_fct_s", out.failed.p99_fct)
-        .set("inflation", out.failed.worst_fct / out.base.worst_fct)
-        .set("repair_lag_s", out.repair_lag_s)
-        .set("pairs_invalidated", out.pairs_invalidated)
-        .set("pairs_retained", out.pairs_retained)
-        .set("reroutes", out.sched.reroutes)
-        .set("black_holed", out.sched.black_holed)
-        .set("completed", out.failed.completed)
-        .set("total_flows", out.failed.total);
+        .set("base_worst_fct_s", r.extra("base_worst_fct_s"))
+        .set("base_p99_fct_s", r.extra("base_p99_fct_s"))
+        .set("fail_worst_fct_s", failed.worst_fct_s)
+        .set("fail_p99_fct_s", failed.p99_fct_s)
+        .set("inflation", r.extra("inflation"))
+        .set("repair_lag_s", r.extra("repair_lag_s"))
+        .set("pairs_invalidated", count("pairs_invalidated"))
+        .set("pairs_retained", count("pairs_retained"))
+        .set("reroutes", count("reroutes"))
+        .set("black_holed", count("black_holed"))
+        .set("completed", static_cast<std::uint64_t>(failed.completed))
+        .set("total_flows", static_cast<std::uint64_t>(failed.flows));
     runner.add_row(std::move(row));
   }
 
@@ -199,6 +155,10 @@ void run(int argc, char** argv) {
       "rewire re-homes the servers stranded on the dead cores (one OCS\n"
       "pass) — repair-by-reconfiguration, the flat-tree-native action.\n"
       "Cache fully warm (every switch pair), 64 controllers.");
+  const FlatTreeParams params =
+      scenario::compile_scenario(mode_scenario(PodMode::kGlobal, runner.seed()))
+          .tree->params();
+  const std::uint32_t column_width = params.clos.core_connectors_per_edge();
   ControllerOptions full_opts;  // count_rules on: full-compile rule totals
   full_opts.delay.controllers = 64;
   full_opts.sink = runner.obs();

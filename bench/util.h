@@ -16,6 +16,7 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -23,6 +24,8 @@
 #include <utility>
 #include <vector>
 
+#include "control/controller.h"
+#include "control/conversion_exec.h"
 #include "exec/parallel.h"
 #include "exec/pool.h"
 #include "exec/results.h"
@@ -36,6 +39,7 @@
 #include "routing/ecmp.h"
 #include "routing/ksp.h"
 #include "sim/fluid.h"
+#include "sim/packet.h"
 #include "traffic/flow.h"
 
 namespace flattree::bench {
@@ -310,6 +314,93 @@ inline RunStats summarize(const std::vector<FluidFlowResult>& results) {
   for (double f : fcts) stats.worst_fct = std::max(stats.worst_fct, f);
   stats.p99_fct = percentile(fcts, 99.0);
   return stats;
+}
+
+// Up to `want` distinct fabric links that installed routes of `pairs` cross,
+// earliest pairs first — failing one is guaranteed to hit live traffic.
+// With `pod`, only pairs and links inside that Pod count.
+inline std::vector<LinkId> route_links(
+    const CompiledMode& mode,
+    const std::vector<std::pair<NodeId, NodeId>>& pairs, std::size_t want,
+    std::optional<PodId> pod = std::nullopt) {
+  const Graph& g = mode.graph();
+  const auto inside = [&](NodeId a, NodeId b) {
+    return !pod || (g.node(a).pod == *pod && g.node(b).pod == *pod);
+  };
+  std::vector<bool> taken(g.link_count(), false);
+  std::vector<LinkId> picked;
+  for (const auto& [src, dst] : pairs) {
+    if (picked.size() >= want) break;
+    if (!inside(src, dst)) continue;
+    for (const Path& path : mode.paths().server_paths(src, dst)) {
+      if (picked.size() >= want) break;
+      for (std::size_t h = 1; h + 2 < path.size(); ++h) {
+        const NodeId a = path[h];
+        const NodeId b = path[h + 1];
+        if (!inside(a, b)) continue;
+        for (std::uint32_t i = 0; i < g.link_count(); ++i) {
+          if (taken[i]) continue;
+          const Link& l = g.link(LinkId{i});
+          if ((l.a == a && l.b == b) || (l.a == b && l.b == a)) {
+            taken[i] = true;
+            picked.push_back(LinkId{i});
+            break;
+          }
+        }
+        if (picked.size() >= want) break;
+      }
+    }
+  }
+  return picked;
+}
+
+// Packet-level spot check of a conversion: the first eight flows of
+// `flows`, 2 MB each from t=0, ride `report`'s timeline on a fresh `sim`
+// to five seconds past its finish. Returns the number of flows driven.
+inline std::size_t drive_spot_check(PacketSim& sim,
+                                    const ExecutionReport& report,
+                                    const Workload& flows) {
+  Workload spot(flows.begin(),
+                flows.begin() + static_cast<std::ptrdiff_t>(
+                                    std::min<std::size_t>(8, flows.size())));
+  for (Flow& f : spot) {
+    f.bytes = 2e6;
+    f.start_s = 0.0;
+  }
+  drive_packet_sim(sim, report, spot, report.finish_s + 5.0);
+  return spot.size();
+}
+
+// What a workload sees of one executed conversion: an undisturbed fluid
+// run on the outgoing mode, the same workload replayed through every
+// transient topology, and the packet-level spot check's goodput.
+struct ConversionReplay {
+  RunStats base;
+  RunStats churn;
+  ScheduleRunStats sched;
+  std::uint64_t packet_bytes_acked{0};
+  std::size_t packet_completed{0};
+  std::size_t packet_flows{0};
+};
+
+inline ConversionReplay replay_conversion(const CompiledMode& from,
+                                          const ExecutionReport& report,
+                                          const Workload& flows,
+                                          const obs::ObsSink& sink) {
+  ConversionReplay out;
+  FluidOptions fluid_opts;
+  fluid_opts.sink = sink;
+  FluidSimulator baseline{from.graph(), mode_provider(from), fluid_opts};
+  out.base = summarize(baseline.run(flows));
+  out.churn = summarize(
+      run_fluid_with_conversion(report, flows, fluid_opts, &out.sched));
+  PacketSim sim;
+  out.packet_flows = drive_spot_check(sim, report, flows);
+  for (std::uint32_t i = 0; i < out.packet_flows; ++i) {
+    out.packet_bytes_acked += sim.flow_bytes_acked(i);
+    if (sim.flow_completed(i)) ++out.packet_completed;
+  }
+  return out;
 }
 
 inline void print_header(const std::string& title, const std::string& note) {

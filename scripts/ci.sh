@@ -121,8 +121,9 @@ cmake --build "build-${SANITIZE_PRESET}" -j "${JOBS}" \
 "./build-${SANITIZE_PRESET}/tests/test_mcf"
 "./build-${SANITIZE_PRESET}/tests/test_properties"
 # The scenario DSL: the malformed-spec battery (exact diagnostics), the
-# parse -> canonical -> parse fixed-point fuzz, and the differential pin
-# against bench_failure_recovery's pipeline — all sanitizer-clean.
+# parse -> canonical -> parse fixed-point fuzz, and the differential pin of
+# the repair pipeline against an inline copy in every Pod mode — all
+# sanitizer-clean.
 "./build-${SANITIZE_PRESET}/tests/test_scenario_parse"
 "./build-${SANITIZE_PRESET}/tests/test_scenario_roundtrip"
 "./build-${SANITIZE_PRESET}/tests/test_scenario_diff"

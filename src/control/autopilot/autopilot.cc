@@ -29,15 +29,6 @@ AutopilotLoop::AutopilotLoop(const Controller& controller,
 
 namespace {
 
-std::uint32_t k_for_assignment(const Controller& controller,
-                               const ModeAssignment& assignment) {
-  std::uint32_t k = 0;
-  for (PodMode mode : assignment.pod_modes) {
-    k = std::max(k, controller.k_for(mode));
-  }
-  return k;
-}
-
 // Unique server pairs of a flow list, sorted — the tracked-pair set for the
 // executor (run_fluid_with_conversion serves routes only for tracked pairs,
 // so every pair the epoch's traffic uses must appear).
@@ -50,6 +41,18 @@ std::vector<std::pair<NodeId, NodeId>> pairs_of(const Workload& flows) {
 }
 
 }  // namespace
+
+std::vector<Workload> epoch_buckets(const Workload& flows, double duration_s,
+                                    double epoch_s) {
+  const auto epochs =
+      static_cast<std::size_t>(std::ceil(duration_s / epoch_s - 1e-12));
+  std::vector<Workload> bucket(std::max<std::size_t>(1, epochs));
+  for (const Flow& f : flows) {
+    const auto e = static_cast<std::size_t>(f.start_s / epoch_s);
+    bucket[std::min(e, bucket.size() - 1)].push_back(f);
+  }
+  return bucket;
+}
 
 AutopilotResult AutopilotLoop::run(const Workload& flows,
                                    const ModeAssignment& initial,
@@ -82,19 +85,13 @@ AutopilotResult AutopilotLoop::run(const Workload& flows,
       mx != nullptr ? &mx->counter("autopilot.conversions.not_converted")
                     : nullptr;
 
-  const std::size_t epochs = static_cast<std::size_t>(
-      std::ceil(duration_s / options_.epoch_s - 1e-12));
-  std::vector<Workload> bucket(std::max<std::size_t>(1, epochs));
-  for (const Flow& f : flows) {
-    const auto e = static_cast<std::size_t>(f.start_s / options_.epoch_s);
-    bucket[std::min(e, bucket.size() - 1)].push_back(f);
-  }
+  const std::vector<Workload> bucket =
+      epoch_buckets(flows, duration_s, options_.epoch_s);
 
   TrafficMatrixEstimator estimator{layout, options_.estimator};
   const ReconfigPolicy policy{*controller_, options_.policy};
 
-  CompiledMode current =
-      controller_->compile(initial, k_for_assignment(*controller_, initial));
+  CompiledMode current = controller_->compile(initial);
   double last_conversion_s = -std::numeric_limits<double>::infinity();
   bool pending = false;
   ModeAssignment pending_target;
@@ -115,8 +112,7 @@ AutopilotResult AutopilotLoop::run(const Workload& flows,
     if (pending) {
       // Execute the conversion decided at the previous boundary while this
       // epoch's traffic rides through the transients.
-      const CompiledMode target = controller_->compile(
-          pending_target, k_for_assignment(*controller_, pending_target));
+      const CompiledMode target = controller_->compile(pending_target);
       ConversionExecOptions exec_opts = options_.exec;
       // Decorrelate control-channel draws across conversions.
       exec_opts.seed = options_.exec.seed + result.conversions_started;
@@ -134,25 +130,18 @@ AutopilotResult AutopilotLoop::run(const Workload& flows,
       last_conversion_s = report.finish_s;
       ++result.conversions_started;
       if (report.outcome == ConversionOutcome::kConverted) {
-        current = controller_->compile(
-            target.assignment(),
-            k_for_assignment(*controller_, target.assignment()));
+        current = controller_->compile(target.assignment());
         ++result.conversions_committed;
         obs::add(m_committed);
       } else {
         // Partial / rolled back: the fabric sits at the last checkpoint.
-        current = controller_->compile(
-            report.terminal_assignment,
-            k_for_assignment(*controller_, report.terminal_assignment));
+        current = controller_->compile(report.terminal_assignment);
         obs::add(m_not_committed);
       }
       result.conversions.push_back(std::move(report));
       pending = false;
     } else if (!epoch_flows.empty()) {
-      FluidSimulator sim{current.graph(),
-                         [&current](NodeId src, NodeId dst, std::uint32_t) {
-                           return current.paths().server_paths(src, dst);
-                         },
+      FluidSimulator sim{current.graph(), mode_provider(current),
                          fluid_opts};
       served = sim.run(epoch_flows);
     }

@@ -89,6 +89,13 @@ struct AutopilotResult {
   ModeAssignment final_assignment;
 };
 
+// The loop's epoch partition: `flows` bucketed by start time into
+// ceil(duration_s / epoch_s) epochs (at least one); a flow starting past
+// the last epoch lands in it.
+[[nodiscard]] std::vector<Workload> epoch_buckets(const Workload& flows,
+                                                  double duration_s,
+                                                  double epoch_s);
+
 class AutopilotLoop {
  public:
   AutopilotLoop(const Controller& controller, AutopilotOptions options);

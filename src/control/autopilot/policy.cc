@@ -159,10 +159,7 @@ Workload ReconfigPolicy::synthesize_workload(
 double ReconfigPolicy::aggregate_fct(const CompiledMode& mode,
                                      const Workload& flows) const {
   if (flows.empty()) return 0.0;
-  FluidSimulator sim{mode.graph(),
-                     [&mode](NodeId src, NodeId dst, std::uint32_t) {
-                       return mode.paths().server_paths(src, dst);
-                     }};
+  FluidSimulator sim{mode.graph(), mode_provider(mode)};
   const std::vector<FluidFlowResult> results = sim.run(flows);
   double total = 0.0;
   for (const FluidFlowResult& r : results) {
@@ -235,19 +232,11 @@ PolicyDecision ReconfigPolicy::evaluate(const DemandEstimate& estimate,
 
   // Price every candidate on the forecasted workload; strict improvement
   // keeps the first-listed winner on ties.
-  const auto k_for_target = [this](const ModeAssignment& assignment) {
-    std::uint32_t k = 0;
-    for (PodMode mode : assignment.pod_modes) {
-      k = std::max(k, controller_->k_for(mode));
-    }
-    return k;
-  };
   const Workload forecast = synthesize_workload(estimate);
   decision.predicted_current_fct_s = aggregate_fct(current, forecast);
   std::optional<CompiledMode> best;
   for (const ModeAssignment& assignment : candidates) {
-    CompiledMode candidate =
-        controller_->compile(assignment, k_for_target(assignment));
+    CompiledMode candidate = controller_->compile(assignment);
     const double fct = aggregate_fct(candidate, forecast);
     if (!best.has_value() || fct < decision.predicted_target_fct_s) {
       decision.predicted_target_fct_s = fct;

@@ -52,6 +52,12 @@ RepairApplication CompiledMode::apply_repair(
   return application;
 }
 
+PathProvider mode_provider(const CompiledMode& mode) {
+  return [&mode](NodeId src, NodeId dst, std::uint32_t) {
+    return mode.paths().server_paths(src, dst);
+  };
+}
+
 Controller::Controller(FlatTree tree, ControllerOptions options)
     : tree_{std::move(tree)}, options_{options} {}
 
@@ -70,9 +76,14 @@ CompiledMode Controller::compile(const ModeAssignment& assignment,
                       options_.sink};
 }
 
+CompiledMode Controller::compile(const ModeAssignment& assignment) const {
+  std::uint32_t k = 0;
+  for (const PodMode mode : assignment.pod_modes) k = std::max(k, k_for(mode));
+  return compile(assignment, k);
+}
+
 CompiledMode Controller::compile_uniform(PodMode mode) const {
-  return compile(ModeAssignment::uniform(tree_.clos().pods, mode),
-                 k_for(mode));
+  return compile(ModeAssignment::uniform(tree_.clos().pods, mode));
 }
 
 ConversionReport Controller::plan_conversion(const CompiledMode& from,

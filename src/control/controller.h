@@ -25,6 +25,7 @@
 #include "obs/sink.h"
 #include "routing/ksp.h"
 #include "routing/rules.h"
+#include "sim/fluid.h"
 
 namespace flattree {
 
@@ -129,6 +130,10 @@ class CompiledMode {
   std::uint64_t max_rules_per_switch_{0};
 };
 
+// Serves a simulator `mode`'s k-shortest paths from its cache; `mode` must
+// outlive the provider.
+[[nodiscard]] PathProvider mode_provider(const CompiledMode& mode);
+
 struct ControllerOptions {
   std::uint32_t k_global{8};
   std::uint32_t k_local{8};
@@ -184,6 +189,8 @@ class Controller {
 
   [[nodiscard]] CompiledMode compile(const ModeAssignment& assignment,
                                      std::uint32_t k) const;
+  // compile() with the largest per-mode k among the assignment's Pods.
+  [[nodiscard]] CompiledMode compile(const ModeAssignment& assignment) const;
   [[nodiscard]] CompiledMode compile_uniform(PodMode mode) const;
 
   [[nodiscard]] ConversionReport plan_conversion(const CompiledMode& from,

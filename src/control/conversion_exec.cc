@@ -1471,6 +1471,17 @@ void add_pair_blackhole_s(std::span<const TimelinePoint> points,
   }
 }
 
+std::vector<std::pair<NodeId, NodeId>> tracked_pairs(const Graph& graph,
+                                                     const Workload& flows) {
+  const std::vector<NodeId> servers = graph.servers();
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  pairs.reserve(flows.size());
+  for (const Flow& f : flows) {
+    pairs.emplace_back(servers[f.src], servers[f.dst]);
+  }
+  return pairs;
+}
+
 ConversionExecutor::ConversionExecutor(const Controller& controller,
                                        ConversionExecOptions options)
     : controller_{&controller}, options_{std::move(options)} {}
@@ -1772,41 +1783,33 @@ void drive_packet_sim(PacketSim& sim, const ExecutionReport& report,
     throw std::invalid_argument("drive_packet_sim: empty timeline");
   }
   const auto index = pair_index_of(report);
+  sim.set_network(*report.timeline.front().graph);
+  for (const Flow& f : flows) {
+    const auto it =
+        index->find(directed_pair_key(NodeId{f.src}, NodeId{f.dst}));
+    if (it == index->end()) {
+      throw std::invalid_argument("drive_packet_sim: flow pair not tracked");
+    }
+    sim.add_flow(f.src, f.dst, f.bytes, f.start_s,
+                 report.timeline.front().routes[it->second]);
+  }
   for (std::size_t k = 1; k < report.timeline.size(); ++k) {
     const TimelinePoint& pt = report.timeline[k];
     if (pt.t >= horizon_s) break;
     sim.run_until(pt.t);
     const auto paths_for = [&](std::uint32_t fi) -> std::vector<Path> {
-      if (fi < flows.size()) {
-        const Flow& f = flows[fi];
-        const auto it = index->find(
-            directed_pair_key(NodeId{f.src}, NodeId{f.dst}));
-        if (it != index->end() && !pt.routes[it->second].empty()) {
-          return pt.routes[it->second];
-        }
-      }
-      // Black-holed (or untracked) pair: the flow keeps its current paths —
-      // the blackout window models the hole; apply_conversion rejects empty
-      // path sets by contract.
+      const Flow& f = flows[fi];
+      const auto it =
+          index->find(directed_pair_key(NodeId{f.src}, NodeId{f.dst}));
+      if (!pt.routes[it->second].empty()) return pt.routes[it->second];
+      // Black-holed pair: the flow keeps its current paths — the blackout
+      // window models the hole; apply_conversion rejects empty path sets
+      // by contract.
       return sim.flow_paths(fi);
     };
     sim.apply_conversion(*pt.graph, paths_for, pt.blackout_s, pt.scope);
   }
   sim.run_until(horizon_s);
-}
-
-std::vector<Path> conversion_paths_for(const ExecutionReport& report,
-                                       const Flow& flow, std::size_t point) {
-  if (point >= report.timeline.size()) {
-    throw std::out_of_range("conversion_paths_for: point out of range");
-  }
-  for (std::size_t i = 0; i < report.pairs.size(); ++i) {
-    if (report.pairs[i].first.value() == flow.src &&
-        report.pairs[i].second.value() == flow.dst) {
-      return report.timeline[point].routes[i];
-    }
-  }
-  return {};
 }
 
 }  // namespace flattree

@@ -362,6 +362,11 @@ struct ExecutionReport {
 void add_pair_blackhole_s(std::span<const TimelinePoint> points,
                           double finish_s, std::span<double> dark);
 
+// The tracked-pair list for a workload on `graph`: the server node pair of
+// every flow, in flow order (repeated pairs kept).
+[[nodiscard]] std::vector<std::pair<NodeId, NodeId>> tracked_pairs(
+    const Graph& graph, const Workload& flows);
+
 class ConversionExecutor {
  public:
   ConversionExecutor(const Controller& controller,
@@ -428,19 +433,14 @@ struct ConversionDrive {
     const FluidOptions& options = FluidOptions{},
     ScheduleRunStats* stats = nullptr);
 
-// Replays the timeline through a packet simulator: the caller has called
-// sim.set_network(*report.timeline.front().graph) and added `flows`
-// (index-aligned with the sim's flows, routed on the point-0 snapshot,
-// e.g. via conversion_paths_for). Each subsequent boundary applies as an
-// apply_conversion with the point's graph, routes, blackout and scope;
-// pairs with an empty snapshot keep their current (black-holed) paths.
-// Finally runs the event loop to horizon_s.
+// Replays the timeline through a fresh packet simulator: installs point
+// 0's graph, adds every flow of `flows` (bytes and start time as given) on
+// its point-0 routes — flow i is the sim's flow i — then applies each later
+// boundary as an apply_conversion with the point's graph, routes, blackout
+// and scope; pairs with an empty snapshot keep their current (black-holed)
+// paths. Finally runs the event loop to horizon_s. Throws
+// std::invalid_argument when a flow's pair is not tracked by the report.
 void drive_packet_sim(PacketSim& sim, const ExecutionReport& report,
                       const Workload& flows, double horizon_s);
-
-// The point-`point` route snapshot for a workload flow, for wiring
-// PacketSim::add_flow to a timeline state.
-[[nodiscard]] std::vector<Path> conversion_paths_for(
-    const ExecutionReport& report, const Flow& flow, std::size_t point = 0);
 
 }  // namespace flattree

@@ -20,6 +20,14 @@ const char* to_string(ConverterConfig config) {
   return "?";
 }
 
+std::string mode_letters(const ModeAssignment& assignment) {
+  std::string letters;
+  for (const PodMode m : assignment.pod_modes) {
+    letters += m == PodMode::kClos ? 'C' : (m == PodMode::kLocal ? 'L' : 'G');
+  }
+  return letters;
+}
+
 const char* to_string(PodMode mode) {
   switch (mode) {
     case PodMode::kClos: return "clos";

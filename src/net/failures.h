@@ -42,10 +42,10 @@ struct FailureSet {
 };
 
 // One fail or recover event. Events with equal timestamps apply in
-// insertion order. Both simulators drain every event due at a time
-// boundary before acting on the resulting state (FluidSimulator applies
-// the whole batch before reallocating rates; PacketSim's schedule driver
-// degrades against active_at(t), which folds the batch), so a fail and a
+// insertion order. Every consumer drains the events due at a time boundary
+// before acting on the resulting state (FluidSimulator applies the whole
+// batch before reallocating rates; the conversion executor and the control
+// hierarchy fold the batch through fold_failure_event), so a fail and a
 // recover of the same element at the identical timestamp net out: the
 // element is never observed failed. Pinned by tests/test_failures.cc
 // (SameTimestampFailRecover*).
@@ -62,8 +62,8 @@ struct FailureEvent {
 // control hierarchy) fold through it too.
 void fold_failure_event(FailureSet& active, const FailureEvent& event);
 
-// A time-ordered script of fail/recover events, the unit both simulators
-// and the controller consume. Construction is validated: every entity's
+// A time-ordered script of fail/recover events, the unit the fluid
+// simulator, the controller and the executor/hierarchy fold consume. Construction is validated: every entity's
 // event sequence must alternate fail / recover in time order (ties in
 // insertion order), so a fail of an already-failed element, a recover of
 // an element that was never failed (or has already recovered), and an

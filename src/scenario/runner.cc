@@ -316,7 +316,7 @@ void check_engine_constraints(const CompiledScenario& c,
 
 // percentile is the benches' own definition (net/stats.h), so the
 // differential test (tests/test_scenario_diff.cc) can pin scenario
-// summaries byte-identical to bench_failure_recovery's values.
+// summaries bit for bit against its inline repair pipeline.
 ClassSummary summarize(std::string name, std::size_t flows,
                        const std::vector<double>& fcts) {
   ClassSummary s;
@@ -365,12 +365,6 @@ std::vector<std::pair<bool, double>> fluid_outcomes(
 
 // ---- run: engine pipelines --------------------------------------------------
 
-PathProvider mode_provider(const CompiledMode& mode) {
-  return [&mode](NodeId src, NodeId dst, std::uint32_t) {
-    return mode.paths().server_paths(src, dst);
-  };
-}
-
 Controller make_controller(const CompiledScenario& c,
                            const RunOptions& options) {
   ControllerOptions opts;
@@ -403,12 +397,7 @@ FluidRun run_fluid(const CompiledScenario& c, const RunOptions& options) {
     const ConversionSpec& conv = c.spec.conversion;
     const CompiledMode from = controller->compile(c.assignment, k);
     const CompiledMode to = controller->compile(c.conversion_to, k);
-    const std::vector<NodeId> servers = from.graph().servers();
-    std::vector<std::pair<NodeId, NodeId>> pairs;
-    pairs.reserve(c.flows.size());
-    for (const Flow& f : c.flows) {
-      pairs.emplace_back(servers[f.src], servers[f.dst]);
-    }
+    const auto pairs = tracked_pairs(from.graph(), c.flows);
     ConversionExecOptions exec_opts;
     exec_opts.staged = conv.staged;
     exec_opts.stage_checkpoints = conv.stage_checkpoints;
@@ -441,7 +430,7 @@ FluidRun run_fluid(const CompiledScenario& c, const RunOptions& options) {
     return out;
   }
 
-  // Repair refresh: bench_failure_recovery's exact pipeline. The baseline
+  // Repair refresh (bench_failure_recovery's mode cells). The baseline
   // run warms the live mode's path cache (plan_repair's incremental
   // eviction statistics depend on it), plan_repair mutates `live` into the
   // repaired mode the refresh serves, and the scheduled run operates on the
@@ -450,11 +439,11 @@ FluidRun run_fluid(const CompiledScenario& c, const RunOptions& options) {
     CompiledMode live = controller->compile(c.assignment, k);
     const FailureSet& set = c.failures.events().front().elements;
     FluidSimulator baseline{live.graph(), mode_provider(live), fluid_opts};
-    const std::vector<FluidFlowResult> base_results = baseline.run(c.flows);
     std::vector<double> base_fcts;
-    for (const FluidFlowResult& r : base_results) {
+    for (const FluidFlowResult& r : baseline.run(c.flows)) {
       if (r.completed) base_fcts.push_back(r.fct_s());
     }
+    const ClassSummary base = summarize("", c.flows.size(), base_fcts);
     const RepairPlan plan =
         controller->plan_repair(live, set, RepairOptions{});
     const CompiledMode pre = controller->compile(c.assignment, k);
@@ -467,16 +456,14 @@ FluidRun run_fluid(const CompiledScenario& c, const RunOptions& options) {
     };
     out.results =
         sim.run_with_schedule(c.flows, c.failures, lag, refresh, &out.sched);
-    double base_worst = 0;
-    for (double f : base_fcts) base_worst = std::max(base_worst, f);
     double worst = 0;
     for (const FluidFlowResult& r : out.results) {
       if (r.completed) worst = std::max(worst, r.fct_s());
     }
-    out.extras.emplace_back("base_worst_fct_s", base_worst);
-    out.extras.emplace_back("base_p99_fct_s", percentile(base_fcts, 99.0));
-    out.extras.emplace_back("inflation",
-                            base_worst > 0 ? worst / base_worst : 0.0);
+    out.extras.emplace_back("base_worst_fct_s", base.worst_fct_s);
+    out.extras.emplace_back("base_p99_fct_s", base.p99_fct_s);
+    out.extras.emplace_back(
+        "inflation", base.worst_fct_s > 0 ? worst / base.worst_fct_s : 0.0);
     out.extras.emplace_back("repair_lag_s", lag);
     out.extras.emplace_back("pairs_invalidated",
                             static_cast<double>(plan.pairs_invalidated));
@@ -603,12 +590,8 @@ void run_autopilot(const CompiledScenario& c, const RunOptions& options,
   result.extras.emplace_back("ap_conversions_started", r.conversions_started);
   result.extras.emplace_back("ap_conversions_committed",
                              r.conversions_committed);
-  std::string final_modes;
-  for (const PodMode m : r.final_assignment.pod_modes) {
-    final_modes +=
-        m == PodMode::kClos ? 'C' : (m == PodMode::kLocal ? 'L' : 'G');
-  }
-  result.row.set("final_modes_pending", final_modes);  // moved below
+  result.row.set("final_modes_pending",  // moved below
+                 mode_letters(r.final_assignment));
 }
 
 // ---- run: SLOs + row --------------------------------------------------------
@@ -790,6 +773,14 @@ CompiledScenario compile_scenario(const Scenario& spec,
 
 CompiledScenario compile_scenario_file(const std::string& path) {
   return compile_scenario(parse_scenario_file(path), path);
+}
+
+double ScenarioResult::extra(std::string_view key) const {
+  for (const auto& [name, value] : extras) {
+    if (name == key) return value;
+  }
+  throw std::out_of_range("scenario result has no extra \"" +
+                          std::string{key} + "\"");
 }
 
 ScenarioResult run_scenario(const CompiledScenario& c,

@@ -20,11 +20,12 @@
 //
 // Engine pipelines (SimSpec::engine x scenario content):
 //   fluid                   FluidSimulator::run
-//   fluid + failures        run_with_schedule; refresh "repair" replays
-//                           bench_failure_recovery's exact pipeline
-//                           (baseline run, Controller::plan_repair, union
-//                           graph, repaired-mode refresh) — pinned
-//                           byte-identical by tests/test_scenario_diff.cc;
+//   fluid + failures        run_with_schedule; refresh "repair" runs the
+//                           repair pipeline (baseline run,
+//                           Controller::plan_repair, union graph,
+//                           repaired-mode refresh) that bench_failure_recovery
+//                           drives per mode, pinned bit for bit against an
+//                           inline copy by tests/test_scenario_diff.cc;
 //                           "reroute" re-solves a PathCache per refresh;
 //                           "none" is capacity-only
 //   fluid + conversion      ConversionExecutor::execute[_under_storm] +
@@ -137,6 +138,8 @@ struct ScenarioResult {
   // Engine-specific numeric extras in emission order (exact values, for
   // differential tests); duplicated into `row`.
   std::vector<std::pair<std::string, double>> extras;
+  // The extra named `key`; throws std::out_of_range when there is none.
+  [[nodiscard]] double extra(std::string_view key) const;
   // The full summary as one deterministic BENCH row (fixed field order).
   exec::ResultRow row;
 };

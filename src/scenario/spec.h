@@ -178,7 +178,7 @@ enum class Engine : std::uint8_t {
 };
 
 enum class RefreshMode : std::uint8_t {
-  kRepair,   // Controller::plan_repair, bench_failure_recovery's pipeline
+  kRepair,   // Controller::plan_repair (bench_failure_recovery's cells)
   kReroute,  // fresh PathCache on the degraded graph at every refresh
   kNone,     // capacity changes only, no rerouting
 };
@@ -188,7 +188,8 @@ struct SimSpec {
   double max_time_s{1e6};    // fluid horizon / packet horizon / loop length
   std::uint32_t k_paths{8};  // subflow paths per pair
   RefreshMode refresh{RefreshMode::kRepair};  // default kReroute off-flat
-  double repair_lag_s{-1.0};  // < 0 = auto (plan.total_s() / 0.1)
+  // < 0 = auto: plan.total_s() under refresh "repair", 0.1 s otherwise.
+  double repair_lag_s{-1.0};
   std::uint32_t controllers{1};  // repair pricing divisor
   bool count_rules{false};
   double epoch_s{1.0};  // autopilot decision cadence

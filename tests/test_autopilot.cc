@@ -27,15 +27,6 @@ Controller make_controller() {
   return Controller{FlatTree{params}, opts};
 }
 
-std::uint32_t k_for_assignment(const Controller& controller,
-                               const ModeAssignment& assignment) {
-  std::uint32_t k = 0;
-  for (PodMode mode : assignment.pod_modes) {
-    k = std::max(k, controller.k_for(mode));
-  }
-  return k;
-}
-
 // One cross-Pod record: server 0 of src_pod to server 0 of dst_pod.
 obs::FlowRecord cross_pod(const ClosParams& layout, std::uint32_t src_pod,
                           std::uint32_t dst_pod, double bytes) {
@@ -214,8 +205,7 @@ TEST(AutopilotTest, OscillatingDemandBoundedByDwell) {
     }
     prev_fire = now;
     last_conversion = now;
-    current =
-        controller.compile(d.target, k_for_assignment(controller, d.target));
+    current = controller.compile(d.target);
   }
   EXPECT_GE(conversions, 1u);  // the loop did react
   EXPECT_LE(conversions, 4u);  // 12 s / 3 s dwell
@@ -273,9 +263,8 @@ TEST(AutopilotTest, DecisionLogReplays) {
   const ReconfigPolicy policy{controller, configured.options().policy};
 
   for (const EpochRecord& rec : result.epochs) {
-    const CompiledMode current = controller.compile(
-        rec.assignment_at_decision,
-        k_for_assignment(controller, rec.assignment_at_decision));
+    const CompiledMode current =
+        controller.compile(rec.assignment_at_decision);
     const PolicyDecision replay = policy.evaluate(
         rec.estimate, current, rec.end_s, rec.last_conversion_s);
     EXPECT_EQ(replay.action, rec.decision.action) << "epoch " << rec.epoch;

@@ -144,6 +144,11 @@ TEST(Controller, KForModeHonorsOptions) {
   EXPECT_EQ(ctl.k_for(PodMode::kGlobal), 16u);
   EXPECT_EQ(ctl.k_for(PodMode::kLocal), 8u);
   EXPECT_EQ(ctl.k_for(PodMode::kClos), 4u);
+  EXPECT_EQ(ctl.compile_uniform(PodMode::kClos).k(), 4u);
+  // A hybrid compiles with the largest k among its Pods' modes.
+  const ModeAssignment hybrid{
+      {PodMode::kClos, PodMode::kLocal, PodMode::kClos, PodMode::kClos}};
+  EXPECT_EQ(ctl.compile(hybrid).k(), 8u);
 }
 
 TEST(Controller, DisableRuleCounting) {

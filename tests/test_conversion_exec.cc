@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -417,20 +418,21 @@ TEST(ConversionDrive, PacketSimRunsThroughStagedConversion) {
           from, to, pairs);
   ASSERT_EQ(report.outcome, ConversionOutcome::kConverted);
 
+  // drive_packet_sim installs point 0 and adds every flow itself.
   PacketSim sim;
-  sim.set_network(*report.timeline.front().graph);
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    auto paths = conversion_paths_for(report, flows[i], 0);
-    ASSERT_FALSE(paths.empty());
-    sim.add_flow(flows[i].src, flows[i].dst, flows[i].bytes,
-                 flows[i].start_s, std::move(paths));
-  }
   const double horizon = report.finish_s + 5.0;
   drive_packet_sim(sim, report, flows, horizon);
+  ASSERT_EQ(sim.flow_count(), flows.size());
   for (std::uint32_t i = 0; i < flows.size(); ++i) {
     EXPECT_TRUE(sim.flow_completed(i)) << "flow " << i;
     EXPECT_LE(sim.flow_finish_time(i), horizon);
   }
+  // A flow over a pair the report does not track has no routes to ride.
+  Workload untracked{flows[0]};
+  untracked[0].dst = untracked[0].src;
+  PacketSim rejected;
+  EXPECT_THROW(drive_packet_sim(rejected, report, untracked, horizon),
+               std::invalid_argument);
 }
 
 }  // namespace
