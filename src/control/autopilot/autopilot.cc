@@ -141,8 +141,7 @@ AutopilotResult AutopilotLoop::run(const Workload& flows,
       result.conversions.push_back(std::move(report));
       pending = false;
     } else if (!epoch_flows.empty()) {
-      FluidSimulator sim{current.graph(), mode_provider(current),
-                         fluid_opts};
+      FluidSimulator sim{current.graph(), mode_provider(current), fluid_opts};
       served = sim.run(epoch_flows);
     }
 
